@@ -29,6 +29,7 @@ from .model import (
     event_indices,
     marginalize,
     scale_events,
+    substate_map,
 )
 
 
@@ -55,10 +56,7 @@ def _lift_rows(rows: np.ndarray, scope: Scope, table_scope: Scope) -> np.ndarray
     """Expand constraint rows over a sub-scope to rows over the table scope."""
     if scope == table_scope:
         return rows
-    from .model import _substate_map  # shared state-index mapping
-
-    smap = _substate_map(table_scope, scope)
-    return rows[:, smap]
+    return rows[:, substate_map(table_scope, scope)]
 
 
 def jeffrey_update(table: JointTable, c: MarginalConstraint) -> JointTable:
@@ -184,7 +182,7 @@ def lec_solve(
             f"constraint scope {c.scope.vars} not within table scope "
             f"{table.scope.vars}"
         )
-    rows = _lift_rows(np.asarray(c.rows, dtype=float), c.scope, table.scope)
+    rows = _lift_rows(c.row_matrix, c.scope, table.scope)
     rhs = np.asarray(c.rhs, dtype=float)
     k = len(rhs)
     prior = table.probs
@@ -301,7 +299,7 @@ def constraint_gradient(table: JointTable, c: ConstraintSet) -> np.ndarray:
         current = table.prob_of({**cond, c.target: True}) / mass
         return np.array([c.prob - current])
     if isinstance(c, LinearConstraint):
-        rows = _lift_rows(np.asarray(c.rows, dtype=float), c.scope, table.scope)
+        rows = _lift_rows(c.row_matrix, c.scope, table.scope)
         return np.asarray(c.rhs, dtype=float) - rows @ table.probs
     raise TypeError(f"unknown constraint type {type(c).__name__}")
 

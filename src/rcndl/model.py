@@ -12,6 +12,7 @@ before ``true``, so the table over ``(A, B)`` is laid out as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -130,7 +131,7 @@ class JointTable:
         return float(self.probs[event_indices(self.scope, partial)].sum())
 
 
-def _substate_map(scope: Scope, sub: Scope) -> np.ndarray:
+def substate_map(scope: Scope, sub: Scope) -> np.ndarray:
     """For each state of ``scope``, the index of its restriction to ``sub``."""
     m = len(sub)
     out = np.zeros(scope.n_states, dtype=np.intp)
@@ -145,7 +146,7 @@ def marginalize(table: JointTable, sub: Scope) -> JointTable:
         raise ScopeError(
             f"{sub.vars} is not a subset of table scope {table.scope.vars}"
         )
-    smap = _substate_map(table.scope, sub)
+    smap = substate_map(table.scope, sub)
     out = np.zeros(sub.n_states)
     np.add.at(out, smap, table.probs)
     return JointTable(sub, out, _validate=False)
@@ -182,7 +183,7 @@ def scale_events(
     ``targets[l] / current[l]``.  Events with zero target and zero current
     mass are left alone; positive target on a zero-mass event is infeasible.
     """
-    smap = _substate_map(table.scope, partition)
+    smap = substate_map(table.scope, partition)
     current = np.zeros(partition.n_states)
     np.add.at(current, smap, table.probs)
     factors = np.ones(partition.n_states)
@@ -323,6 +324,13 @@ class LinearConstraint:
                 raise ArityError(
                     f"linear row needs {self.scope.n_states} coefficients"
                 )
+
+    @cached_property
+    def row_matrix(self) -> np.ndarray:
+        """The rows as a read-only ``(k, n_states)`` float array, built once."""
+        a = np.asarray(self.rows, dtype=float)
+        a.setflags(write=False)
+        return a
 
     @property
     def is_bayesian(self) -> bool:

@@ -12,30 +12,40 @@ clause, visiting each clause at most once.  Every edge carries a separator
 scope, and crossing an edge means a marginal (Jeffrey) update of the far
 clause with the near clause's separator distribution; group nodes make this
 exact even where a rule head spans several upstream clauses.
+
+During a run every clause table lives in one flat, mutable float64 array.
+For each distinct home clause a plan is compiled once per run: the
+breadth-first crossings away from the home, grouped by depth.  Crossings at
+the same depth touch disjoint far clauses and read near clauses that are
+already final, so each depth runs as a few batched numpy operations over
+concatenated gather/scatter indices.  The sums accumulate in the same order
+as one update per edge would, so the results are bit-for-bit those of the
+edge-by-edge walk.  The run returns an ordinary immutable
+``PreparedNetwork`` whose tables are copied out of the flat array.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .engine import (
     conditional_update,
-    constraint_gradient,
     gradient_scalar,
     jeffrey_update,
     lec_solve,
 )
-from .errors import NetworkStructureError, ScopeError
+from .errors import InfeasibleEvidenceError, NetworkStructureError, ScopeError
 from .model import (
     ConditionalConstraint,
     ConstraintSet,
+    JointTable,
     LinearConstraint,
     MarginalConstraint,
     Scope,
     marginalize,
+    substate_map,
 )
 from .preprocess import GROUP, PreparedNetwork
 
@@ -108,9 +118,13 @@ def home_clause(net: PreparedNetwork, c: ConstraintSet) -> int:
     return best
 
 
-def validate_evidence(net: PreparedNetwork, ev: EvidenceSet) -> None:
+def validate_evidence(net: PreparedNetwork, ev: EvidenceSet) -> list[int]:
     """Marginal evidence must target declared observables; conditional and
-    linear constraints only need their variables inside some clause scope."""
+    linear constraints only need their variables inside some clause scope.
+
+    Returns the home clause of each constraint set, in order.
+    """
+    homes = []
     for c in ev.constraints:
         if isinstance(c, MarginalConstraint):
             undeclared = [v for v in c.scope.vars if v not in net.observables]
@@ -119,7 +133,166 @@ def validate_evidence(net: PreparedNetwork, ev: EvidenceSet) -> None:
                     f"evidence on {undeclared} but these variables are not "
                     f"declared as observations"
                 )
-        home_clause(net, c)  # raises if no scope covers the variables
+        homes.append(home_clause(net, c))  # raises if no scope covers them
+    return homes
+
+
+# --------------------------------------------------------------------------
+# Flat table store and per-home propagation plans
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Level:
+    """Every edge crossing at one depth of a propagation, concatenated.
+
+    ``near_*`` list the states of the clauses crossed from, ``far_*`` those
+    of the clauses updated: each state's position in the flat store and the
+    separator event it belongs to.  Crossing ``k`` owns the separator events
+    from ``starts[k]`` up to the next start; ``n_events`` counts them all.
+    """
+
+    near_pos: np.ndarray
+    near_event: np.ndarray
+    far_pos: np.ndarray
+    far_event: np.ndarray
+    starts: np.ndarray
+    separators: tuple[Scope, ...]
+    n_events: int
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Propagation away from one home clause."""
+
+    touched: tuple[int, ...]        # the home's connected component, sorted
+    levels: tuple[_Level, ...]
+
+
+class _TableStore:
+    """Every table of a network in one mutable float64 array.
+
+    Table ``i`` occupies ``flat[start[i]:start[i + 1]]``.  ``table`` hands
+    out read-only views for immediate use; ``network`` copies the tables out.
+    """
+
+    def __init__(self, net: PreparedNetwork):
+        self.start = np.cumsum([0] + [t.probs.size for t in net.tables],
+                               dtype=np.intp)
+        self.flat = np.concatenate([t.probs for t in net.tables])
+        self.scopes = [t.scope for t in net.tables]
+
+    def _span(self, i: int) -> slice:
+        return slice(self.start[i], self.start[i + 1])
+
+    def table(self, i: int) -> JointTable:
+        return JointTable(self.scopes[i], self.flat[self._span(i)],
+                          _validate=False)
+
+    def write(self, i: int, table: JointTable) -> None:
+        self.flat[self._span(i)] = table.probs
+
+    def network(self, net: PreparedNetwork) -> PreparedNetwork:
+        return replace(net, tables=tuple(
+            JointTable(scope, self.flat[self._span(i)].copy(), _validate=False)
+            for i, scope in enumerate(self.scopes)
+        ))
+
+    def compile_plans(
+        self, net: PreparedNetwork, homes: list[int]
+    ) -> dict[int, _Plan]:
+        """One plan per distinct home clause."""
+        maps: dict[tuple[int, int], np.ndarray] = {}  # shared by the plans
+
+        def event_map(node: int, ei: int) -> np.ndarray:
+            if (node, ei) not in maps:
+                maps[node, ei] = substate_map(self.scopes[node],
+                                              net.edges[ei].separator)
+            return maps[node, ei]
+
+        return {h: self._plan(net, h, event_map) for h in dict.fromkeys(homes)}
+
+    def _plan(self, net: PreparedNetwork, home: int, event_map) -> _Plan:
+        """The breadth-first crossings away from ``home``, grouped by depth."""
+        visited = {home}
+        frontier = [home]
+        levels = []
+        while True:
+            near, far, edges = [], [], []
+            for i in frontier:
+                for ei in net.adjacency[i]:
+                    j = net.edges[ei].other(i)
+                    if j not in visited:
+                        visited.add(j)
+                        near.append(i)
+                        far.append(j)
+                        edges.append(ei)
+            if not edges:
+                return _Plan(tuple(sorted(visited)), tuple(levels))
+            separators = tuple(net.edges[ei].separator for ei in edges)
+            n_events = np.array([sep.n_states for sep in separators],
+                                dtype=np.intp)
+            starts = np.cumsum(n_events) - n_events
+            levels.append(_Level(
+                *self._states(near, edges, starts, event_map),
+                *self._states(far, edges, starts, event_map),
+                starts, separators, int(n_events.sum()),
+            ))
+            frontier = far
+
+    def _states(self, nodes: list[int], edges: list[int], starts: np.ndarray,
+                event_map) -> tuple[np.ndarray, np.ndarray]:
+        """Store position and separator event of every state of each node in
+        turn: node ``k``'s events are read through ``edges[k]`` and offset by
+        ``starts[k]``."""
+        idx = np.asarray(nodes, dtype=np.intp)
+        first = self.start[idx]
+        sizes = self.start[idx + 1] - first
+        before = np.cumsum(sizes) - sizes
+        pos = np.repeat(first - before, sizes) + np.arange(sizes.sum())
+        events = np.concatenate([event_map(n, ei) for n, ei in zip(nodes, edges)])
+        return pos, events + np.repeat(starts, sizes)
+
+    def propagate(self, plan: _Plan) -> None:
+        """Jeffrey-update every far clause to its near clause's separator
+        marginal, one depth at a time."""
+        flat = self.flat
+        for lv in plan.levels:
+            n = lv.n_events
+            target = np.bincount(lv.near_event, flat[lv.near_pos], minlength=n)
+            current = np.bincount(lv.far_event, flat[lv.far_pos], minlength=n)
+            mass = current > 0.0
+            infeasible = ~mass & (target > 0.0)
+            if infeasible.any():
+                e = int(np.argmax(infeasible))
+                k = int(np.searchsorted(lv.starts, e, side="right")) - 1
+                raise InfeasibleEvidenceError(
+                    f"event {e - lv.starts[k]} of partition "
+                    f"{lv.separators[k].vars} has zero prior probability but "
+                    f"target {target[e]}"
+                )
+            factors = np.divide(target, current, out=np.ones(n), where=mass)
+            flat[lv.far_pos] *= factors[lv.far_event]
+
+    def true_states(self, net: PreparedNetwork) -> tuple[np.ndarray, np.ndarray]:
+        """For each variable in ``net.introducer`` order, the positions of
+        the states where it is true in the clause introducing it, and the
+        variable's index at each position."""
+        pos, var = [], []
+        for k, (v, i) in enumerate(net.introducer.items()):
+            states = np.nonzero(substate_map(self.scopes[i], Scope((v,))))[0]
+            pos.append(states + self.start[i])
+            var.append(np.full(states.size, k, dtype=np.intp))
+        return np.concatenate(pos), np.concatenate(var)
+
+
+def _update_home(table: JointTable, c: ConstraintSet) -> JointTable:
+    """The single-constraint MCE posterior of the home clause's table."""
+    if isinstance(c, MarginalConstraint):
+        return jeffrey_update(table, c)
+    if isinstance(c, ConditionalConstraint):
+        return conditional_update(table, c)
+    new, _ = lec_solve(table, c)
+    return new
 
 
 def propagate_clause_update(net: PreparedNetwork, updated: int) -> PreparedNetwork:
@@ -129,24 +302,9 @@ def propagate_clause_update(net: PreparedNetwork, updated: int) -> PreparedNetwo
     once per propagation.  Each crossed edge applies a Jeffrey update to
     the far clause with the near clause's current separator marginal.
     """
-    visited = {updated}
-    queue = deque([updated])
-    while queue:
-        i = queue.popleft()
-        for ei in net.adjacency[i]:
-            edge = net.edges[ei]
-            j = edge.other(i)
-            if j in visited:
-                continue
-            sep_dist = marginalize(net.tables[i], edge.separator)
-            refreshed = jeffrey_update(
-                net.tables[j],
-                MarginalConstraint(edge.separator, tuple(sep_dist.probs)),
-            )
-            net = net.with_table(j, refreshed)
-            visited.add(j)
-            queue.append(j)
-    return net
+    store = _TableStore(net)
+    store.propagate(store.compile_plans(net, [updated])[updated])
+    return store.network(net)
 
 
 def apply_constraint(
@@ -154,24 +312,10 @@ def apply_constraint(
 ) -> tuple[PreparedNetwork, int]:
     """Apply one constraint set to its home clause and propagate."""
     home = home_clause(net, c)
-    table = net.tables[home]
-    if isinstance(c, MarginalConstraint):
-        new = jeffrey_update(table, c)
-    elif isinstance(c, ConditionalConstraint):
-        new = conditional_update(table, c)
-    else:
-        new, _ = lec_solve(table, c)
-    net = net.with_table(home, new)
-    return propagate_clause_update(net, home), home
-
-
-def current_gradient(net: PreparedNetwork, c: ConstraintSet) -> np.ndarray:
-    """Constraint-set gradient against the current home-clause table."""
-    return constraint_gradient(net.tables[home_clause(net, c)], c)
-
-
-def _scalar(net: PreparedNetwork, c: ConstraintSet) -> float:
-    return gradient_scalar(net.tables[home_clause(net, c)], c)
+    store = _TableStore(net)
+    store.write(home, _update_home(store.table(home), c))
+    store.propagate(store.compile_plans(net, [home])[home])
+    return store.network(net), home
 
 
 def run_reasoning(
@@ -185,17 +329,23 @@ def run_reasoning(
     program order); under program order they run in the order given.
     Convergence is checked at pass boundaries.
     """
-    validate_evidence(net, ev)
+    homes = validate_evidence(net, ev)
     trace = RunTrace()
     cons = ev.constraints
     if not cons:
         trace.converged = True
         return net, trace
 
+    store = _TableStore(net)
+    plans = store.compile_plans(net, homes)
+    names = list(net.introducer)
+    true_pos, true_var = store.true_states(net)
+
+    def gradient(i: int) -> float:
+        return gradient_scalar(store.table(homes[i]), cons[i])
+
     def below_thresholds() -> bool:
-        return all(
-            _scalar(net, c) < ev.threshold(i) for i, c in enumerate(cons)
-        )
+        return all(gradient(i) < ev.threshold(i) for i in range(len(cons)))
 
     converged = False
     for pass_no in range(1, ev.max_passes + 1):
@@ -205,30 +355,29 @@ def run_reasoning(
         unused = list(range(len(cons)))
         while unused:
             if ev.policy == GREATEST_GRADIENT:
-                pick = max(unused, key=lambda i: (_scalar(net, cons[i]), -i))
+                pick = max(unused, key=lambda i: (gradient(i), -i))
             else:
                 pick = unused[0]
             unused.remove(pick)
-            g_before = _scalar(net, cons[pick])
-            before_tables = net.tables
-            net, home = apply_constraint(net, cons[pick])
-            touched = tuple(
-                i for i, t in enumerate(net.tables) if t is not before_tables[i]
-            )
+            g_before = gradient(pick)
+            home = homes[pick]
+            store.write(home, _update_home(store.table(home), cons[pick]))
+            store.propagate(plans[home])
+            p_true = np.bincount(true_var, store.flat[true_pos],
+                                 minlength=len(names))
             trace.steps.append(Step(
                 pass_no=pass_no,
                 constraint=cons[pick].label(),
                 gradient_before=g_before,
                 home=home,
-                touched=touched,
-                marginals={v: posterior_marginal(net, v)[1]
-                           for v in net.introducer},
+                touched=plans[home].touched,
+                marginals=dict(zip(names, p_true.tolist())),
             ))
         trace.passes = pass_no
 
     trace.converged = converged or below_thresholds()
-    trace.final_gradients = {c.label(): _scalar(net, c) for c in cons}
-    return net, trace
+    trace.final_gradients = {c.label(): gradient(i) for i, c in enumerate(cons)}
+    return store.network(net), trace
 
 
 def posterior_marginal(net: PreparedNetwork, var: str) -> tuple[float, float]:

@@ -136,8 +136,8 @@ class TestJeffreyUpdate:
             )
             # conditionals preserved event by event
             post_events = marginalize(post, part).probs
-            from rcndl.model import _substate_map
-            smap = _substate_map(t.scope, part)
+            from rcndl.model import substate_map
+            smap = substate_map(t.scope, part)
             for ev in range(part.n_states):
                 if prior_events[ev] <= 0.0 or post_events[ev] <= 0.0:
                     continue
@@ -338,11 +338,12 @@ class TestLecSolve:
 
 class TestConstraintGradient:
     def test_marginal_gradient_values(self, three_vars_net):
-        from rcndl.scheduler import current_gradient
+        from rcndl.scheduler import home_clause
         cC = MarginalConstraint(Scope(("C",)), (0.05, 0.95))
         cB = MarginalConstraint(Scope(("B",)), (0.67, 0.33))
-        gC = current_gradient(three_vars_net, cC)
-        gB = current_gradient(three_vars_net, cB)
+        net = three_vars_net
+        gC = constraint_gradient(net.tables[home_clause(net, cC)], cC)
+        gB = constraint_gradient(net.tables[home_clause(net, cB)], cB)
         assert gC[1] == pytest.approx(0.64, abs=1e-12)
         assert gB[1] == pytest.approx(-0.01, abs=1e-12)
 

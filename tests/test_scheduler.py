@@ -4,6 +4,7 @@ import pytest
 from rcndl import (
     EvidenceSet,
     GREATEST_GRADIENT,
+    InfeasibleEvidenceError,
     JointTable,
     MarginalConstraint,
     NetworkStructureError,
@@ -84,6 +85,19 @@ class TestPropagation:
         assert cancer_net.nodes[home_clause(cancer_net, c)].label == "D"
         c2 = MarginalConstraint(Scope(("B", "C")), (0.25, 0.25, 0.25, 0.25))
         assert cancer_net.nodes[home_clause(cancer_net, c2)].label == "B, C -> D"
+
+    def test_zero_mass_separator_event_with_positive_target_is_infeasible(
+        self, three_vars_net
+    ):
+        # the observation clause on B puts no mass on B=true, while the rule
+        # clause it hangs off gives B=true positive probability
+        obs_b = node_by_label(three_vars_net, "B").idx
+        net = three_vars_net.with_table(
+            obs_b, JointTable(Scope(("B",)), [1.0, 0.0])
+        )
+        with pytest.raises(InfeasibleEvidenceError,
+                           match=r"event 1 of partition \('B',\)"):
+            propagate_clause_update(net, node_by_label(net, "A -> B").idx)
 
 
 class TestRunReasoningThreeVars:
