@@ -47,7 +47,6 @@ from .oracle import ce_decomposition_check, expand_full_joint, oracle_mce
 from .parser import SourceProgram, parse_program, render_program
 from .preprocess import (
     PreparedNetwork,
-    compute_head_joint,
     preprocess,
     render_intermediate,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "SourceProgram",
     "apply_constraint",
     "ce_decomposition_check",
-    "compute_head_joint",
     "conditional_update",
     "constraint_gradient",
     "cross_entropy",

@@ -36,7 +36,17 @@ class MultiplyConnectedError(NetworkStructureError):
 
 
 class InfeasibleEvidenceError(RcndlError):
-    """Evidence places probability mass where the prior has none."""
+    """Evidence places probability mass where the prior has none.
+
+    When the fault is one event of a partition that has no mass but a
+    positive target, ``event`` gives it as variable values (``B=false``)
+    and ``target`` the probability it was asked to take.
+    """
+
+    def __init__(self, message, event=None, target=None):
+        super().__init__(message)
+        self.event = event
+        self.target = target
 
 
 class ConvergenceError(RcndlError):

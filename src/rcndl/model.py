@@ -7,12 +7,18 @@ everywhere: for a scope ``(x0, x1, ..., x_{n-1})``, state ``j`` assigns
 variable in the scope is the most significant bit and ``false`` orders
 before ``true``, so the table over ``(A, B)`` is laid out as
 ``[p(~A,~B), p(~A,B), p(A,~B), p(A,B)]``.
+
+Every map from the states of a scope to those of a sub-scope comes from
+``substate_map``.  A map depends only on the scope's length and the
+positions of the sub-variables, so each distinct one over a clause-sized
+scope is built once per process and shared read-only by marginalization,
+event rescaling, event lookup and the scheduler's propagation plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -82,12 +88,46 @@ def state_index(scope: Scope, assignment: Mapping[str, bool]) -> int:
     return j
 
 
+def event_label(scope: Scope, state: int) -> str:
+    """The state of ``scope`` as variable values, e.g. ``A=true, B=false``."""
+    n = len(scope)
+    return ", ".join(
+        f"{v}={'true' if (state >> (n - 1 - k)) & 1 else 'false'}"
+        for k, v in enumerate(scope.vars)
+    )
+
+
+# Maps over scopes of more variables are rebuilt on every call: building one
+# then costs about as much as the table work it serves, and keeping it would
+# pin 2^n words (a full-joint oracle table has up to 2^25 states).
+_CACHED_MAX_VARS = 12
+
+
+def _build_state_map(n: int, positions: tuple[int, ...]) -> np.ndarray:
+    idx = np.arange(1 << n)
+    m = len(positions)
+    out = np.zeros(1 << n, dtype=np.intp)
+    for k, pos in enumerate(positions):
+        out |= ((idx >> (n - 1 - pos)) & 1) << (m - 1 - k)
+    out.setflags(write=False)
+    return out
+
+
+_cached_state_map = lru_cache(maxsize=1024)(_build_state_map)
+
+
+def _state_map(n: int, positions: tuple[int, ...]) -> np.ndarray:
+    """For each state of an ``n``-variable scope, the index of its
+    restriction to the variables at ``positions``, in that order
+    (read-only)."""
+    if n <= _CACHED_MAX_VARS:
+        return _cached_state_map(n, positions)
+    return _build_state_map(n, positions)
+
+
 def _bit_column(scope: Scope, var: str) -> np.ndarray:
     """0/1 value of ``var`` in every state of ``scope``, as an int array."""
-    n = len(scope)
-    k = scope.index(var)
-    idx = np.arange(scope.n_states)
-    return (idx >> (n - 1 - k)) & 1
+    return _state_map(len(scope), (scope.index(var),))
 
 
 def event_indices(scope: Scope, partial: Mapping[str, bool]) -> np.ndarray:
@@ -132,12 +172,13 @@ class JointTable:
 
 
 def substate_map(scope: Scope, sub: Scope) -> np.ndarray:
-    """For each state of ``scope``, the index of its restriction to ``sub``."""
-    m = len(sub)
-    out = np.zeros(scope.n_states, dtype=np.intp)
-    for k, var in enumerate(sub.vars):
-        out |= _bit_column(scope, var) << (m - 1 - k)
-    return out
+    """For each state of ``scope``, the index of its restriction to ``sub``.
+
+    The map depends only on the scope's length and the positions of the
+    sub-variables in it, so for scopes of up to 12 variables it is built
+    once per such key and shared.  The returned array is read-only.
+    """
+    return _state_map(len(scope), tuple(scope.index(v) for v in sub.vars))
 
 
 def marginalize(table: JointTable, sub: Scope) -> JointTable:
@@ -193,7 +234,8 @@ def scale_events(
         elif targets[l] > 0.0:
             raise InfeasibleEvidenceError(
                 f"event {l} of partition {partition.vars} has zero prior "
-                f"probability but target {targets[l]}"
+                f"probability but target {targets[l]}",
+                event_label(partition, l), targets[l],
             )
     return JointTable(table.scope, table.probs * factors[smap], _validate=False)
 

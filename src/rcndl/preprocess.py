@@ -17,6 +17,13 @@ separator.  This keeps every propagation edge a plain pairwise separator
 and keeps the represented joint exact for singly connected clause
 networks, including separator joints that the pairwise upstream tables
 alone could not express.
+
+Every node's scope is indexed by variable: ``holders[v]`` lists, in
+ascending order, the nodes whose scope contains ``v``.  The smallest node
+covering a variable set is then found among the holders of its rarest
+variable (``covering_node``), so hanging each clause off its upstream
+node, finding an evidence home clause and reading a joint all cost time in
+the number of candidates, not in the size of the network.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .model import (
     QueryClause,
     RuleClause,
     Scope,
+    UNIT_SUM_TOL,
     UNKNOWN,
     marginalize,
     multiply_condition,
@@ -144,6 +152,7 @@ class PreparedNetwork:
     tables: tuple[JointTable, ...]
     edges: tuple[Edge, ...]
     introducer: dict[str, int]          # variable -> node that introduces it
+    holders: dict[str, tuple[int, ...]]  # variable -> nodes holding it, ascending
     observables: frozenset[str]
     adjacency: tuple[tuple[int, ...], ...]   # node -> incident edge indices
 
@@ -166,9 +175,8 @@ class PreparedNetwork:
         single node are assembled by elimination over the connecting
         clauses.
         """
-        covering = [n.idx for n in self.nodes if target.issubset(n.scope)]
-        if covering:
-            best = min(covering, key=lambda i: len(self.nodes[i].scope))
+        best = covering_node(self.nodes, self.holders, target.vars)
+        if best is not None:
             return marginalize(self.tables[best], target)
         for v in target.vars:
             if v not in self.introducer:
@@ -179,6 +187,25 @@ class PreparedNetwork:
         return _assemble(self.nodes, self.tables, members).marginal(
             tuple(target.vars)
         ).to_table(target)
+
+
+def covering_node(
+    nodes, holders, vars: tuple[str, ...], skip: str | None = None
+) -> int | None:
+    """The smallest-scope node whose scope contains every variable in
+    ``vars``, lowest index first among equals, leaving out nodes of kind
+    ``skip``; None if there is none.
+
+    Candidates come from the shortest holder list among ``vars``.
+    """
+    needed = set(vars)
+    best = None
+    for i in min((holders.get(v, ()) for v in vars), key=len):
+        node = nodes[i]
+        if (node.kind != skip and needed <= set(node.scope.vars)
+                and (best is None or len(node.scope) < len(nodes[best].scope))):
+            best = i
+    return best
 
 
 def _connecting_closure(nodes, seeds: tuple[int, ...]) -> tuple[int, ...]:
@@ -296,29 +323,30 @@ def _assemble(nodes, tables, members: tuple[int, ...]) -> _Factor:
     return acc
 
 
-def compute_head_joint(net: PreparedNetwork, head: Scope) -> JointTable:
-    """Joint distribution over a rule head, from the clauses introducing it."""
-    return net.joint_over(head)
-
-
 # --------------------------------------------------------------------------
 # Unknown-probability completion
 # --------------------------------------------------------------------------
 
 def _complete_prior(prior: tuple[float, ...], where: str) -> np.ndarray:
-    """Fill ``-1.0`` entries of a prior list by spreading the residual mass."""
+    """Fill ``-1.0`` entries of a prior list by spreading the residual mass,
+    then check that the result is a distribution."""
     p = np.asarray(prior, dtype=float)
     unknown = p == UNKNOWN
-    if not unknown.any():
-        return p
-    known_sum = p[~unknown].sum()
-    residual = 1.0 - known_sum
-    if residual < -1e-9:
+    if unknown.any():
+        known_sum = p[~unknown].sum()
+        residual = 1.0 - known_sum
+        if residual < -1e-9:
+            raise NetworkStructureError(
+                f"{where}: known prior entries sum to {known_sum}, leaving "
+                "no mass for the unknown entries"
+            )
+        p[unknown] = max(residual, 0.0) / unknown.sum()
+    if p.min() < -1e-12:
+        raise NetworkStructureError(f"{where}: negative prior entry {p.min():g}")
+    if abs(p.sum() - 1.0) > UNIT_SUM_TOL:
         raise NetworkStructureError(
-            f"{where}: known prior entries sum to {known_sum}, leaving no "
-            "mass for the unknown entries"
+            f"{where}: prior entries sum to {p.sum():.12f}, not 1"
         )
-    p[unknown] = max(residual, 0.0) / unknown.sum()
     return p
 
 
@@ -384,6 +412,7 @@ class _Builder:
         self.nodes: list[Node] = []
         self.tables: list[JointTable] = []
         self.introducer: dict[str, int] = {}
+        self.holders: dict[str, list[int]] = {}
         self.groups: dict[frozenset[int], int] = {}
 
     def add(self, kind, scope, separator, parents, clause_idx, label) -> int:
@@ -391,17 +420,15 @@ class _Builder:
         self.nodes.append(
             Node(idx, kind, scope, separator, parents, clause_idx, label)
         )
+        for v in scope.vars:
+            self.holders.setdefault(v, []).append(idx)
         return idx
 
     def upstream_for(self, vars: tuple[str, ...]) -> int:
         """Single node covering ``vars``, creating a group node if needed."""
-        needed = set(vars)
-        covering = [
-            n.idx for n in self.nodes
-            if n.kind != OBS and needed <= set(n.scope.vars)
-        ]
-        if covering:
-            return min(covering, key=lambda i: (len(self.nodes[i].scope), i))
+        best = covering_node(self.nodes, self.holders, vars, skip=OBS)
+        if best is not None:
+            return best
         seeds = tuple(dict.fromkeys(self.introducer[v] for v in vars))
         closure = _connecting_closure(self.nodes, seeds)
         # a member already inside a fellow member group is linked through it
@@ -511,7 +538,9 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
     # with the overlap as separator; their overlap marginals must agree.
     clique_nodes: list[int] = []
     for scope, prior in query.cliques:
-        table = JointTable(scope, _complete_prior(prior, f"query clique {scope.vars}"))
+        table = JointTable(
+            scope, _complete_prior(prior, f"{query.pos}: query clique {scope.vars}")
+        )
         overlap_parent = None
         overlap_vars: tuple[str, ...] = ()
         for j in clique_nodes:
@@ -586,6 +615,7 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         tables=tuple(b.tables),
         edges=edges,
         introducer=dict(b.introducer),
+        holders={v: tuple(h) for v, h in b.holders.items()},
         observables=frozenset(observables),
         adjacency=tuple(tuple(a) for a in adjacency),
     )

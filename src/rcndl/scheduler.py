@@ -44,10 +44,11 @@ from .model import (
     LinearConstraint,
     MarginalConstraint,
     Scope,
+    event_label,
     marginalize,
     substate_map,
 )
-from .preprocess import GROUP, PreparedNetwork
+from .preprocess import GROUP, PreparedNetwork, covering_node
 
 GREATEST_GRADIENT = "greatest-gradient"
 PROGRAM_ORDER = "program-order"
@@ -97,20 +98,15 @@ class RunTrace:
 def home_clause(net: PreparedNetwork, c: ConstraintSet) -> int:
     """Smallest-scope node containing all constrained variables."""
     if isinstance(c, MarginalConstraint):
-        needed = set(c.scope.vars)
+        needed = c.scope.vars
     elif isinstance(c, ConditionalConstraint):
-        needed = set(c.variables())
+        needed = c.variables()
     elif isinstance(c, LinearConstraint):
-        needed = set(c.scope.vars)
+        needed = c.scope.vars
     else:
         raise TypeError(f"unknown constraint type {type(c).__name__}")
-    best = None
-    for node in net.nodes:
-        if node.kind == GROUP:
-            continue  # evidence lands on clauses, not internal group joints
-        if needed <= set(node.scope.vars):
-            if best is None or len(node.scope) < len(net.nodes[best].scope):
-                best = node.idx
+    # evidence lands on clauses, not internal group joints
+    best = covering_node(net.nodes, net.holders, needed, skip=GROUP)
     if best is None:
         raise ScopeError(
             f"no clause scope contains the constrained variables {sorted(needed)}"
@@ -265,10 +261,11 @@ class _TableStore:
             if infeasible.any():
                 e = int(np.argmax(infeasible))
                 k = int(np.searchsorted(lv.starts, e, side="right")) - 1
+                sep, l = lv.separators[k], e - lv.starts[k]
                 raise InfeasibleEvidenceError(
-                    f"event {e - lv.starts[k]} of partition "
-                    f"{lv.separators[k].vars} has zero prior probability but "
-                    f"target {target[e]}"
+                    f"event {l} of partition {sep.vars} has zero prior "
+                    f"probability but target {target[e]}",
+                    event_label(sep, l), target[e],
                 )
             factors = np.divide(target, current, out=np.ones(n), where=mass)
             flat[lv.far_pos] *= factors[lv.far_event]
@@ -283,6 +280,19 @@ class _TableStore:
             pos.append(states + self.start[i])
             var.append(np.full(states.size, k, dtype=np.intp))
         return np.concatenate(pos), np.concatenate(var)
+
+
+def _named(exc: InfeasibleEvidenceError,
+           c: ConstraintSet) -> InfeasibleEvidenceError:
+    """The error restated with the constraint being applied, and with a
+    zero-mass event given as variable values."""
+    if exc.event is None:
+        return InfeasibleEvidenceError(f"{c.label()}: {exc}")
+    return InfeasibleEvidenceError(
+        f"{c.label()}: event {exc.event} has zero prior probability but "
+        f"target {exc.target}",
+        exc.event, exc.target,
+    )
 
 
 def _update_home(table: JointTable, c: ConstraintSet) -> JointTable:
@@ -361,8 +371,11 @@ def run_reasoning(
             unused.remove(pick)
             g_before = gradient(pick)
             home = homes[pick]
-            store.write(home, _update_home(store.table(home), cons[pick]))
-            store.propagate(plans[home])
+            try:
+                store.write(home, _update_home(store.table(home), cons[pick]))
+                store.propagate(plans[home])
+            except InfeasibleEvidenceError as exc:
+                raise _named(exc, cons[pick]) from exc
             p_true = np.bincount(true_var, store.flat[true_pos],
                                  minlength=len(names))
             trace.steps.append(Step(
@@ -394,8 +407,6 @@ def marginal_spread(net: PreparedNetwork, var: str) -> float:
         raise ScopeError(f"unknown variable {var!r}")
     sub = Scope((var,))
     values = [
-        marginalize(net.tables[n.idx], sub).probs[1]
-        for n in net.nodes
-        if var in n.scope
+        marginalize(net.tables[i], sub).probs[1] for i in net.holders[var]
     ]
     return max(values) - min(values)

@@ -18,10 +18,12 @@ from rcndl.engine import (
     jeffrey_update,
     lec_solve,
 )
+from rcndl.errors import InfeasibleEvidenceError
 from rcndl.model import ConditionalConstraint, MarginalConstraint, marginalize
 from rcndl.scheduler import (
     GREATEST_GRADIENT,
     RunTrace,
+    _named,
     Step,
     home_clause,
     posterior_marginal,
@@ -91,7 +93,10 @@ def run_reasoning(net, ev):
             unused.remove(pick)
             g_before = scalar(cons[pick])
             before_tables = net.tables
-            net, home = apply_constraint(net, cons[pick])
+            try:
+                net, home = apply_constraint(net, cons[pick])
+            except InfeasibleEvidenceError as exc:
+                raise _named(exc, cons[pick]) from exc
             touched = tuple(
                 i for i, t in enumerate(net.tables) if t is not before_tables[i]
             )

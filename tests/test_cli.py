@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rcndl
 from rcndl import ConditionalConstraint, MarginalConstraint, ParseError, parse_evidence
 from rcndl.cli import main
 from tests.conftest import CANCER, THREE_VARS
@@ -95,6 +100,19 @@ class TestCheckCommand:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/model.rcndl"]) == 1
 
+    def test_query_prior_not_summing_to_one(self, tmp_path):
+        p = tmp_path / "bad.rcndl"
+        p.write_text("\n?- A : [0.3, 0.8].\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(rcndl.__file__).resolve().parents[1]))
+        res = subprocess.run(
+            [sys.executable, "-m", "rcndl.cli", "check", str(p)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert res.returncode == 1
+        assert "2:1: query clique ('A',): prior entries sum to" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestRunCommand:
     def test_converged_run(self, model_file, tmp_path, capsys):
@@ -125,6 +143,18 @@ class TestRunCommand:
                      "--threshold", "0", "--max-passes", "2"])
         assert code == 2
         assert "did not converge" in capsys.readouterr().out
+
+    def test_contradictory_evidence_names_constraint_and_event(
+        self, tmp_path, capsys
+    ):
+        p = tmp_path / "contra.rcndl"
+        p.write_text("?- A : [0.5, 0.5]. A -> B : [0.2, 0.7]. B.")
+        ev = evidence_file(tmp_path, "P(B) = 1.0\nP(B) = 0.0")
+        assert main(["run", str(p), ev]) == 1
+        assert capsys.readouterr().err == (
+            "error: P(B)=0: event B=false has zero prior probability but "
+            "target 1.0\n"
+        )
 
     def test_infeasible_evidence_exit_code(self, tmp_path, capsys):
         p = tmp_path / "zero.rcndl"

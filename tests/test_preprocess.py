@@ -4,13 +4,15 @@ import pytest
 from rcndl import (
     MultiplyConnectedError,
     NetworkStructureError,
+    QueryClause,
     Scope,
-    compute_head_joint,
+    SourceProgram,
     marginalize,
     parse_program,
     preprocess,
     render_intermediate,
 )
+from rcndl.model import SourcePos
 from rcndl.preprocess import GROUP, OBS, ROOT, RULE
 from tests.conftest import CANCER, THREE_VARS, brute_force_cancer
 
@@ -67,7 +69,7 @@ class TestCancerPreprocess:
         full = brute_force_cancer()
         from rcndl import JointTable
         joint = JointTable(Scope(("A", "B", "C", "D", "E")), full)
-        got = compute_head_joint(cancer_net, Scope(("B", "C")))
+        got = cancer_net.joint_over(Scope(("B", "C")))
         expected = marginalize(joint, Scope(("B", "C")))
         np.testing.assert_allclose(got.probs, expected.probs, atol=1e-12)
         # correlated through the shared cause: not the product of marginals
@@ -77,7 +79,7 @@ class TestCancerPreprocess:
 
     def test_head_joint_of_full_clause_scope_is_table(self, cancer_net):
         node = next(n for n in cancer_net.nodes if n.label == "A -> B")
-        got = compute_head_joint(cancer_net, node.scope)
+        got = cancer_net.joint_over(node.scope)
         np.testing.assert_allclose(got.probs, cancer_net.tables[node.idx].probs)
 
     def test_group_node_created_for_two_parent_rule(self, cancer_net):
@@ -91,7 +93,7 @@ class TestCancerPreprocess:
                 continue
             head = node.separator
             mine = marginalize(cancer_net.tables[node.idx], head)
-            upstream = compute_head_joint(cancer_net, head)
+            upstream = cancer_net.joint_over(head)
             np.testing.assert_allclose(mine.probs, upstream.probs, atol=1e-12)
 
     def test_propagation_graph_is_a_tree(self, cancer_net):
@@ -193,6 +195,12 @@ class TestUnknownCompletion:
     def test_prior_overfull_rejected(self):
         with pytest.raises(NetworkStructureError):
             preprocess(parse_program("?- A, B : [0.8, 0.7, -1.0, -1.0]."))
+
+    def test_prior_negative_entry_rejected(self):
+        query = QueryClause(((Scope(("A",)), (-0.5, 1.5)),), SourcePos(3, 1))
+        with pytest.raises(NetworkStructureError,
+                           match=r"^3:1: query clique \('A',\): negative"):
+            preprocess(SourceProgram((query,)))
 
     def test_unknown_conditional_defaults_to_half(self):
         net = preprocess(parse_program(
