@@ -25,11 +25,10 @@ from .model import (
     JointTable,
     LinearConstraint,
     MarginalConstraint,
-    Scope,
     event_indices,
+    lift,
     marginalize,
     scale_events,
-    substate_map,
 )
 
 
@@ -50,13 +49,6 @@ def cross_entropy(p: JointTable, q: JointTable) -> float:
         )
     ps = p.probs[support]
     return float(np.sum(ps * np.log(ps / q.probs[support])))
-
-
-def _lift_rows(rows: np.ndarray, scope: Scope, table_scope: Scope) -> np.ndarray:
-    """Expand constraint rows over a sub-scope to rows over the table scope."""
-    if scope == table_scope:
-        return rows
-    return rows[:, substate_map(table_scope, scope)]
 
 
 def jeffrey_update(table: JointTable, c: MarginalConstraint) -> JointTable:
@@ -182,7 +174,8 @@ def lec_solve(
             f"constraint scope {c.scope.vars} not within table scope "
             f"{table.scope.vars}"
         )
-    rows = _lift_rows(c.row_matrix, c.scope, table.scope)
+    rows = (c.row_matrix if c.scope == table.scope
+            else lift(c.row_matrix, c.scope, table.scope))
     rhs = np.asarray(c.rhs, dtype=float)
     k = len(rhs)
     prior = table.probs
@@ -299,7 +292,8 @@ def constraint_gradient(table: JointTable, c: ConstraintSet) -> np.ndarray:
         current = table.prob_of({**cond, c.target: True}) / mass
         return np.array([c.prob - current])
     if isinstance(c, LinearConstraint):
-        rows = _lift_rows(c.row_matrix, c.scope, table.scope)
+        rows = (c.row_matrix if c.scope == table.scope
+                else lift(c.row_matrix, c.scope, table.scope))
         return np.asarray(c.rhs, dtype=float) - rows @ table.probs
     raise TypeError(f"unknown constraint type {type(c).__name__}")
 

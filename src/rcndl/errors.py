@@ -13,6 +13,13 @@ class ArityError(RcndlError):
     """A probability list has the wrong length for its scope."""
 
 
+class ProbabilityError(RcndlError, ValueError):
+    """A value handed to the library lies outside its domain: a probability
+    outside [0, 1], a distribution not summing to 1, or an unknown ordering
+    policy.  Also a ``ValueError``, which library callers caught before it
+    existed."""
+
+
 class ParseError(RcndlError):
     """RCNDL or evidence source text does not match the grammar.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, RcndlError
 from .model import (
     ConditionalConstraint,
     ConstraintSet,
@@ -53,49 +53,52 @@ def parse_evidence(text: str) -> list[ConstraintSet]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-
-        m = _CONDITIONAL_RE.match(line)
-        if m:
-            target, conds, value, thr = m.groups()
-            condition = []
-            for part in conds.split(","):
-                part = part.strip()
-                neg = part.startswith("!")
-                name = part[1:].strip() if neg else part
-                if not re.fullmatch(_IDENT, name):
-                    raise ParseError(
-                        f"bad condition variable {part!r}", line_no, 1
-                    )
-                condition.append((name, not neg))
-            constraints.append(ConditionalConstraint(
-                target=target,
-                condition=tuple(condition),
-                prob=_prob(value, line_no),
-                threshold=float(thr) if thr else None,
-            ))
-            continue
-
-        m = _MARGINAL_RE.match(line)
-        if m:
-            var, value, thr = m.groups()
-            v = _prob(value, line_no)
-            constraints.append(MarginalConstraint(
-                scope=Scope((var,)),
-                targets=(1.0 - v, v),
-                threshold=float(thr) if thr else None,
-            ))
-            continue
-
-        m = _BAYES_RE.match(line)
-        if m:
-            var, value, thr = m.groups()
-            v = 1.0 if value.lower() == "true" else 0.0
-            constraints.append(MarginalConstraint(
-                scope=Scope((var,)),
-                targets=(1.0 - v, v),
-                threshold=float(thr) if thr else None,
-            ))
-            continue
-
-        raise ParseError(f"unrecognized evidence line: {line!r}", line_no, 1)
+        try:
+            constraints.append(_constraint(line, line_no))
+        except ParseError:
+            raise
+        except RcndlError as exc:  # grammatical, but not a valid constraint
+            raise ParseError(str(exc), line_no, 1) from exc
     return constraints
+
+
+def _constraint(line: str, line_no: int) -> ConstraintSet:
+    m = _CONDITIONAL_RE.match(line)
+    if m:
+        target, conds, value, thr = m.groups()
+        condition = []
+        for part in conds.split(","):
+            part = part.strip()
+            neg = part.startswith("!")
+            name = part[1:].strip() if neg else part
+            if not re.fullmatch(_IDENT, name):
+                raise ParseError(f"bad condition variable {part!r}", line_no, 1)
+            condition.append((name, not neg))
+        return ConditionalConstraint(
+            target=target,
+            condition=tuple(condition),
+            prob=_prob(value, line_no),
+            threshold=float(thr) if thr else None,
+        )
+
+    m = _MARGINAL_RE.match(line)
+    if m:
+        var, value, thr = m.groups()
+        v = _prob(value, line_no)
+        return MarginalConstraint(
+            scope=Scope((var,)),
+            targets=(1.0 - v, v),
+            threshold=float(thr) if thr else None,
+        )
+
+    m = _BAYES_RE.match(line)
+    if m:
+        var, value, thr = m.groups()
+        v = 1.0 if value.lower() == "true" else 0.0
+        return MarginalConstraint(
+            scope=Scope((var,)),
+            targets=(1.0 - v, v),
+            threshold=float(thr) if thr else None,
+        )
+
+    raise ParseError(f"unrecognized evidence line: {line!r}", line_no, 1)

@@ -8,11 +8,22 @@ variable in the scope is the most significant bit and ``false`` orders
 before ``true``, so the table over ``(A, B)`` is laid out as
 ``[p(~A,~B), p(~A,B), p(A,~B), p(A,B)]``.
 
-Every map from the states of a scope to those of a sub-scope comes from
-``substate_map``.  A map depends only on the scope's length and the
+That is C order for an array of shape ``(2,) * n``, so a flat table is
+also an array with one axis per scope variable.  ``axes`` gives that view
+over any larger scope, with a length-1 axis for each variable the table
+lacks; tables and rows over different scopes are combined by broadcasting
+these views (``product``, ``lift``).  The map from the states of a scope to
+those of a sub-scope (``substate_map``) is the lifted view of the
+sub-scope's state numbers.  It depends only on the scope's length and the
 positions of the sub-variables, so each distinct one over a clause-sized
-scope is built once per process and shared read-only by marginalization,
-event rescaling, event lookup and the scheduler's propagation plans.
+scope is built once per process and shared read-only.
+
+Every sum over the events of a partition is a ``np.bincount`` over that
+map, which adds each event's states in state order.  A sum over axes adds
+them in an order numpy picks from the array's shape and strides, which
+changes the last bit of a sizeable share of marginals and would break the
+scheduler's bit-for-bit agreement with its edge-by-edge reference; so no
+event sum goes over axes.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArityError, InfeasibleEvidenceError, ScopeError
+from .errors import ArityError, InfeasibleEvidenceError, ProbabilityError, ScopeError
 
 UNIT_SUM_TOL = 1e-9
 
@@ -103,12 +114,38 @@ def event_label(scope: Scope, state: int) -> str:
 _CACHED_MAX_VARS = 12
 
 
-def _build_state_map(n: int, positions: tuple[int, ...]) -> np.ndarray:
-    idx = np.arange(1 << n)
+def _positions(sub: Scope, scope: Scope) -> tuple[int, ...]:
+    return tuple(scope.index(v) for v in sub.vars)
+
+
+def _axes(values: np.ndarray, n: int, positions: tuple[int, ...]) -> np.ndarray:
+    """``values``, whose last axis runs over the states of a sub-scope, as a
+    view with one axis per variable of an ``n``-variable scope: the
+    sub-scope's ``k``-th variable on axis ``positions[k]`` (after any leading
+    axes), length 1 on the others."""
+    lead = values.shape[:-1]
     m = len(positions)
-    out = np.zeros(1 << n, dtype=np.intp)
-    for k, pos in enumerate(positions):
-        out |= ((idx >> (n - 1 - pos)) & 1) << (m - 1 - k)
+    order = sorted(range(m), key=positions.__getitem__)
+    cube = values.reshape(lead + (2,) * m).transpose(
+        *range(len(lead)), *(len(lead) + k for k in order)
+    )
+    shape = [1] * n
+    for p in positions:
+        shape[p] = 2
+    return cube.reshape(lead + tuple(shape))
+
+
+def _lift(values: np.ndarray, n: int, positions: tuple[int, ...]) -> np.ndarray:
+    # Leading axes vary fastest, the layout of the gather values[..., map]:
+    # BLAS rounds products with rows laid out otherwise differently.
+    lead = values.shape[:-1]
+    out = np.moveaxis(np.empty((1 << n,) + lead, dtype=values.dtype), 0, -1)
+    out.reshape(lead + (2,) * n)[...] = _axes(values, n, positions)
+    return out
+
+
+def _build_state_map(n: int, positions: tuple[int, ...]) -> np.ndarray:
+    out = _lift(np.arange(1 << len(positions), dtype=np.intp), n, positions)
     out.setflags(write=False)
     return out
 
@@ -116,25 +153,33 @@ def _build_state_map(n: int, positions: tuple[int, ...]) -> np.ndarray:
 _cached_state_map = lru_cache(maxsize=1024)(_build_state_map)
 
 
-def _state_map(n: int, positions: tuple[int, ...]) -> np.ndarray:
-    """For each state of an ``n``-variable scope, the index of its
-    restriction to the variables at ``positions``, in that order
-    (read-only)."""
+def substate_map(scope: Scope, sub: Scope) -> np.ndarray:
+    """For each state of ``scope``, the index of its restriction to ``sub``:
+    the sub-scope's state numbers lifted onto ``scope``.
+
+    The map depends only on the scope's length and the positions of the
+    sub-variables in it, so for scopes of up to 12 variables it is built
+    once per such key and shared.  The returned array is read-only.
+    """
+    n, positions = len(scope), _positions(sub, scope)
     if n <= _CACHED_MAX_VARS:
         return _cached_state_map(n, positions)
     return _build_state_map(n, positions)
 
 
-def _bit_column(scope: Scope, var: str) -> np.ndarray:
-    """0/1 value of ``var`` in every state of ``scope``, as an int array."""
-    return _state_map(len(scope), (scope.index(var),))
+def lift(values, sub: Scope, scope: Scope) -> np.ndarray:
+    """Values over the states of ``sub`` (the last axis; leading axes such
+    as constraint rows are kept) repeated over the states of ``scope``:
+    ``out[..., j]`` is ``values[..., s]`` for ``s`` the restriction of state
+    ``j`` to ``sub``.  A fresh array."""
+    return _lift(np.asarray(values), len(scope), _positions(sub, scope))
 
 
 def event_indices(scope: Scope, partial: Mapping[str, bool]) -> np.ndarray:
     """Indices of all states of ``scope`` consistent with a partial assignment."""
     mask = np.ones(scope.n_states, dtype=bool)
     for var, val in partial.items():
-        mask &= _bit_column(scope, var) == int(val)
+        mask &= substate_map(scope, Scope((var,))) == int(val)
     return np.nonzero(mask)[0]
 
 
@@ -154,9 +199,9 @@ class JointTable:
             )
         if _validate:
             if p.min() < -1e-12:
-                raise ValueError(f"negative probability {p.min()} in table")
+                raise ProbabilityError(f"negative probability {p.min()} in table")
             if abs(p.sum() - 1.0) > UNIT_SUM_TOL:
-                raise ValueError(f"table sums to {p.sum():.12f}, not 1")
+                raise ProbabilityError(f"table sums to {p.sum():.12f}, not 1")
             p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "scope", scope)
@@ -171,14 +216,24 @@ class JointTable:
         return float(self.probs[event_indices(self.scope, partial)].sum())
 
 
-def substate_map(scope: Scope, sub: Scope) -> np.ndarray:
-    """For each state of ``scope``, the index of its restriction to ``sub``.
+def axes(table: JointTable, scope: Scope) -> np.ndarray:
+    """The table as a broadcastable view with one axis per variable of
+    ``scope``, in scope order: length 2 for the table's own variables,
+    length 1 for each variable it lacks."""
+    return _axes(table.probs, len(scope), _positions(table.scope, scope))
 
-    The map depends only on the scope's length and the positions of the
-    sub-variables in it, so for scopes of up to 12 variables it is built
-    once per such key and shared.  The returned array is read-only.
-    """
-    return _state_map(len(scope), tuple(scope.index(v) for v in sub.vars))
+
+def product(a: JointTable, b: JointTable) -> JointTable:
+    """The unnormalized pointwise product of two tables, over the union of
+    their scopes with ``a``'s variables first."""
+    scope = Scope(a.scope.vars + tuple(v for v in b.scope.vars if v not in a.scope))
+    values = axes(a, scope) * axes(b, scope)
+    return JointTable(scope, values.reshape(-1), _validate=False)
+
+
+def normalized(t: JointTable) -> JointTable:
+    """The table divided by its total mass."""
+    return JointTable(t.scope, t.probs / t.probs.sum(), _validate=False)
 
 
 def marginalize(table: JointTable, sub: Scope) -> JointTable:
@@ -187,9 +242,8 @@ def marginalize(table: JointTable, sub: Scope) -> JointTable:
         raise ScopeError(
             f"{sub.vars} is not a subset of table scope {table.scope.vars}"
         )
-    smap = substate_map(table.scope, sub)
-    out = np.zeros(sub.n_states)
-    np.add.at(out, smap, table.probs)
+    out = np.bincount(substate_map(table.scope, sub), table.probs,
+                      minlength=sub.n_states)
     return JointTable(sub, out, _validate=False)
 
 
@@ -225,19 +279,33 @@ def scale_events(
     mass are left alone; positive target on a zero-mass event is infeasible.
     """
     smap = substate_map(table.scope, partition)
-    current = np.zeros(partition.n_states)
-    np.add.at(current, smap, table.probs)
-    factors = np.ones(partition.n_states)
-    for l in range(partition.n_states):
-        if current[l] > 0.0:
-            factors[l] = targets[l] / current[l]
-        elif targets[l] > 0.0:
-            raise InfeasibleEvidenceError(
-                f"event {l} of partition {partition.vars} has zero prior "
-                f"probability but target {targets[l]}",
-                event_label(partition, l), targets[l],
-            )
+    current = np.bincount(smap, table.probs, minlength=partition.n_states)
+    factors = event_factors(targets, current, (partition,))
     return JointTable(table.scope, table.probs * factors[smap], _validate=False)
+
+
+def event_factors(
+    target: np.ndarray, current: np.ndarray, partitions: Sequence[Scope]
+) -> np.ndarray:
+    """``target / current`` per event, for the events of ``partitions``
+    concatenated in order; 1 where an event has neither mass nor target.
+
+    The first event with positive target but no current mass is infeasible.
+    """
+    mass = current > 0.0
+    infeasible = ~mass & (target > 0.0)
+    if infeasible.any():
+        e = l = int(np.argmax(infeasible))
+        for sep in partitions:
+            if l < sep.n_states:
+                break
+            l -= sep.n_states
+        raise InfeasibleEvidenceError(
+            f"event {l} of partition {sep.vars} has zero prior probability "
+            f"but target {target[e]}",
+            event_label(sep, l), target[e],
+        )
+    return np.divide(target, current, out=np.ones(current.size), where=mass)
 
 
 # --------------------------------------------------------------------------
@@ -303,13 +371,16 @@ class MarginalConstraint:
             )
         # tolerate float rounding from propagated separator marginals
         if t.min() < -1e-12 or t.max() > 1.0 + 1e-12:
-            raise ValueError("marginal targets must lie in [0, 1]")
+            raise ProbabilityError("marginal targets must lie in [0, 1]")
         if abs(t.sum() - 1.0) > UNIT_SUM_TOL:
-            raise ValueError(f"marginal targets sum to {t.sum()}, not 1")
+            raise ProbabilityError(f"marginal targets sum to {t.sum()}, not 1")
 
     @property
     def is_bayesian(self) -> bool:
         return all(t in (0.0, 1.0) for t in self.targets)
+
+    def variables(self) -> tuple[str, ...]:
+        return self.scope.vars
 
     def label(self) -> str:
         if len(self.scope) == 1:
@@ -335,7 +406,7 @@ class ConditionalConstraint:
                 f"target {self.target!r} may not appear in its own condition"
             )
         if not 0.0 <= self.prob <= 1.0:
-            raise ValueError("conditional target must lie in [0, 1]")
+            raise ProbabilityError("conditional target must lie in [0, 1]")
 
     @property
     def is_bayesian(self) -> bool:
@@ -377,6 +448,9 @@ class LinearConstraint:
     @property
     def is_bayesian(self) -> bool:
         return False
+
+    def variables(self) -> tuple[str, ...]:
+        return self.scope.vars
 
     def label(self) -> str:
         return f"linear[{len(self.rows)} rows on {','.join(self.scope.vars)}]"

@@ -12,24 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import (
-    conditional_update,
-    cross_entropy,
-    gradient_scalar,
-    jeffrey_update,
-    lec_solve,
-)
+from .engine import cross_entropy, gradient_scalar
 from .errors import ConvergenceError, SizeLimitError
 from .model import (
-    ConditionalConstraint,
     ConstraintSet,
     JointTable,
-    LinearConstraint,
-    MarginalConstraint,
     Scope,
+    lift,
     marginalize,
+    normalized,
+    product,
 )
-from .preprocess import OBS, PreparedNetwork, _Factor
+from .preprocess import OBS, PreparedNetwork
+from .scheduler import update_table
 
 MAX_VARIABLES = 25
 DEFAULT_CYCLE_CAP = 100_000
@@ -48,37 +43,26 @@ def expand_full_joint(net: PreparedNetwork, max_vars: int = MAX_VARIABLES) -> Jo
             f"{len(variables)} variables exceeds the {max_vars}-variable "
             f"expansion guard"
         )
-    acc: _Factor | None = None
+    acc: JointTable | None = None
     for node in net.nodes:
         if node.kind == OBS:
             continue
-        f = _Factor.from_table(net.tables[node.idx])
-        acc = f if acc is None else acc.multiply(f)
+        table = net.tables[node.idx]
+        acc = table if acc is None else product(acc, table)
     for edge in net.edges:
         if net.nodes[edge.a].kind == OBS or net.nodes[edge.b].kind == OBS:
             continue
-        sep = _Factor.from_table(
-            marginalize(net.tables[edge.a], edge.separator)
-        )
-        acc = acc.multiply(
-            _Factor(sep.vars, _safe_reciprocal(sep.values))
-        )
-    return acc.to_table(Scope(variables))
+        sep = marginalize(net.tables[edge.a], edge.separator)
+        acc = product(acc, JointTable(sep.scope, _safe_reciprocal(sep.probs),
+                                      _validate=False))
+    scope = Scope(variables)
+    acc = JointTable(scope, lift(acc.probs, acc.scope, scope), _validate=False)
+    return normalized(acc)
 
 
 def _safe_reciprocal(values: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.where(values > 0.0, 1.0 / np.where(values > 0.0, values, 1.0), 0.0)
-
-
-def _apply(joint: JointTable, c: ConstraintSet) -> JointTable:
-    if isinstance(c, MarginalConstraint):
-        return jeffrey_update(joint, c)
-    if isinstance(c, ConditionalConstraint):
-        return conditional_update(joint, c)
-    if isinstance(c, LinearConstraint):
-        return lec_solve(joint, c)[0]
-    raise TypeError(f"unknown constraint type {type(c).__name__}")
 
 
 def oracle_mce(
@@ -100,7 +84,7 @@ def oracle_mce(
         worst = 0.0
         for c in constraints:
             worst = max(worst, gradient_scalar(current, c))
-            current = _apply(current, c)
+            current = update_table(current, c)
         if worst < tol:
             return current
     raise ConvergenceError(

@@ -46,62 +46,13 @@ from .model import (
     UNKNOWN,
     marginalize,
     multiply_condition,
+    normalized,
+    product,
+    substate_map,
 )
 from .parser import SourceProgram
 
 _OVERLAP_TOL = 1e-9
-
-
-# --------------------------------------------------------------------------
-# Dense factors over named binary variables (internal helper)
-# --------------------------------------------------------------------------
-
-class _Factor:
-    """A nonnegative array over an ordered set of binary variables."""
-
-    __slots__ = ("vars", "values")
-
-    def __init__(self, vars: tuple[str, ...], values: np.ndarray):
-        self.vars = vars
-        self.values = values.reshape((2,) * len(vars))
-
-    @classmethod
-    def from_table(cls, table: JointTable) -> "_Factor":
-        return cls(tuple(table.scope.vars), table.probs.copy())
-
-    def multiply(self, other: "_Factor") -> "_Factor":
-        union = self.vars + tuple(v for v in other.vars if v not in self.vars)
-        return _Factor(union, self._expand(union) * other._expand(union))
-
-    def divide_by_marginal(self, sub: tuple[str, ...]) -> "_Factor":
-        """Divide by the factor's own marginal over ``sub`` (0/0 -> 0)."""
-        marg = self.marginal(sub)._expand(self.vars)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(marg > 0.0,
-                           self.values / np.where(marg > 0.0, marg, 1.0), 0.0)
-        return _Factor(self.vars, out)
-
-    def marginal(self, sub: tuple[str, ...]) -> "_Factor":
-        keep = set(sub)
-        axes = tuple(i for i, v in enumerate(self.vars) if v not in keep)
-        reduced = self.values.sum(axis=axes) if axes else self.values
-        remaining = tuple(v for v in self.vars if v in keep)
-        return _Factor(remaining, reduced)._reorder(tuple(sub))
-
-    def _reorder(self, order: tuple[str, ...]) -> "_Factor":
-        if order == self.vars:
-            return self
-        perm = tuple(self.vars.index(v) for v in order)
-        return _Factor(order, np.transpose(self.values, perm))
-
-    def _expand(self, union: tuple[str, ...]) -> np.ndarray:
-        shape = tuple(2 if v in self.vars else 1 for v in union)
-        ordered = self._reorder(tuple(v for v in union if v in self.vars))
-        return ordered.values.reshape(shape)
-
-    def to_table(self, scope: Scope) -> JointTable:
-        vals = self._reorder(tuple(scope.vars)).values.reshape(-1)
-        return JointTable(scope, vals / vals.sum(), _validate=False)
 
 
 # --------------------------------------------------------------------------
@@ -184,9 +135,8 @@ class PreparedNetwork:
         members = _connecting_closure(
             self.nodes, tuple(dict.fromkeys(self.introducer[v] for v in target.vars))
         )
-        return _assemble(self.nodes, self.tables, members).marginal(
-            tuple(target.vars)
-        ).to_table(target)
+        return normalized(marginalize(_assemble(self.nodes, self.tables, members),
+                                      target))
 
 
 def covering_node(
@@ -264,59 +214,55 @@ def _drop_subsumed(nodes, members: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _assemble(nodes, tables, members: tuple[int, ...]) -> _Factor:
+def _conditional(table: JointTable, sep: Scope) -> JointTable:
+    """The table divided by its own marginal over ``sep`` (0/0 -> 0)."""
+    marg = marginalize(table, sep).probs[substate_map(table.scope, sep)]
+    out = np.where(marg > 0.0, table.probs / np.where(marg > 0.0, marg, 1.0), 0.0)
+    return JointTable(table.scope, out, _validate=False)
+
+
+def _assemble(nodes, tables, members: tuple[int, ...]) -> JointTable:
     """Exact joint over a connected member set.
 
     Observation nodes and members whose scope lies inside another member's
-    are redundant and dropped.  Members whose separator is already covered
-    extend the accumulated factor by their conditional; the rest start new
-    (disjoint) components with their full tables.  Consistent separator
-    marginals across the set make the result independent of which member
-    seeds a component.
+    are redundant and dropped.  A member whose separator is already covered
+    extends the accumulated factor by its conditional on the separator.
+    Failing that, a member overlapping the accumulated scope extends it by
+    its conditional on the overlap: it is joined to the factor from below,
+    or through a member it subsumes.  On a clause tree the overlap is the
+    separator of that join, so the product stays exact.  A member sharing
+    no variable with the factor starts a new (disjoint) component with its
+    full table.  Consistent separator marginals across the set make the
+    result independent of which member seeds a component.
     """
     pool = list(_drop_subsumed(nodes, members))
-    acc: _Factor | None = None
+    acc: JointTable | None = None
     while pool:
         if acc is not None:
-            extended = False
-            for i in list(pool):
-                node = nodes[i]
-                if node.separator and (
-                    set(node.separator.vars) <= set(acc.vars)
-                ):
-                    f = _Factor.from_table(tables[i])
-                    acc = acc.multiply(
-                        f.divide_by_marginal(tuple(node.separator.vars))
-                    )
-                    pool.remove(i)
-                    extended = True
-                    break
-            if extended:
+            covered = [i for i in pool if nodes[i].separator
+                       and nodes[i].separator.issubset(acc.scope)]
+            overlapping = [i for i in pool
+                           if set(nodes[i].scope.vars) & set(acc.scope.vars)]
+            if covered or overlapping:
+                i = (covered or overlapping)[0]
+                sep = nodes[i].separator if covered else Scope(
+                    v for v in nodes[i].scope.vars if v in acc.scope)
+                acc = product(acc, _conditional(tables[i], sep))
+                pool.remove(i)
                 continue
-        starts = [
-            i for i in pool
-            if acc is None or not (set(nodes[i].scope.vars) & set(acc.vars))
-        ]
-        if not starts:
-            raise MultiplyConnectedError(
-                f"cannot assemble a joint over clauses {members}: remaining "
-                f"members overlap the accumulated scope outside their "
-                f"separators"
-            )
         # prefer a member nothing else in the pool could condition on
         start = next(
             (
-                i for i in starts
+                i for i in pool
                 if nodes[i].separator is None or not any(
                     j != i
                     and set(nodes[i].separator.vars) <= set(nodes[j].scope.vars)
                     for j in pool
                 )
             ),
-            starts[0],
+            pool[0],
         )
-        f = _Factor.from_table(tables[start])
-        acc = f if acc is None else acc.multiply(f)
+        acc = tables[start] if acc is None else product(acc, tables[start])
         pool.remove(start)
     if acc is None:
         raise NetworkStructureError("empty clause group")
@@ -445,11 +391,10 @@ class _Builder:
         key = frozenset(members)
         if key in self.groups:
             return self.groups[key]
-        joint = _assemble(self.nodes, self.tables, members)
-        scope = Scope(joint.vars)
+        joint = normalized(_assemble(self.nodes, self.tables, members))
         label = "group(" + "; ".join(self.nodes[m].label for m in members) + ")"
-        idx = self.add(GROUP, scope, None, members, -1, label)
-        self.tables.append(joint.to_table(scope))
+        idx = self.add(GROUP, joint.scope, None, members, -1, label)
+        self.tables.append(joint)
         self.groups[key] = idx
         return idx
 

@@ -36,7 +36,12 @@ from .engine import (
     jeffrey_update,
     lec_solve,
 )
-from .errors import InfeasibleEvidenceError, NetworkStructureError, ScopeError
+from .errors import (
+    InfeasibleEvidenceError,
+    NetworkStructureError,
+    ProbabilityError,
+    ScopeError,
+)
 from .model import (
     ConditionalConstraint,
     ConstraintSet,
@@ -44,7 +49,7 @@ from .model import (
     LinearConstraint,
     MarginalConstraint,
     Scope,
-    event_label,
+    event_factors,
     marginalize,
     substate_map,
 )
@@ -68,7 +73,7 @@ class EvidenceSet:
 
     def __post_init__(self):
         if self.policy not in (GREATEST_GRADIENT, PROGRAM_ORDER):
-            raise ValueError(f"unknown ordering policy {self.policy!r}")
+            raise ProbabilityError(f"unknown ordering policy {self.policy!r}")
 
     def threshold(self, i: int) -> float:
         t = self.constraints[i].threshold
@@ -97,14 +102,7 @@ class RunTrace:
 
 def home_clause(net: PreparedNetwork, c: ConstraintSet) -> int:
     """Smallest-scope node containing all constrained variables."""
-    if isinstance(c, MarginalConstraint):
-        needed = c.scope.vars
-    elif isinstance(c, ConditionalConstraint):
-        needed = c.variables()
-    elif isinstance(c, LinearConstraint):
-        needed = c.scope.vars
-    else:
-        raise TypeError(f"unknown constraint type {type(c).__name__}")
+    needed = c.variables()
     # evidence lands on clauses, not internal group joints
     best = covering_node(net.nodes, net.holders, needed, skip=GROUP)
     if best is None:
@@ -143,15 +141,15 @@ class _Level:
 
     ``near_*`` list the states of the clauses crossed from, ``far_*`` those
     of the clauses updated: each state's position in the flat store and the
-    separator event it belongs to.  Crossing ``k`` owns the separator events
-    from ``starts[k]`` up to the next start; ``n_events`` counts them all.
+    separator event it belongs to.  The events of the crossings' separators
+    are numbered one after another, in crossing order; ``n_events`` counts
+    them all.
     """
 
     near_pos: np.ndarray
     near_event: np.ndarray
     far_pos: np.ndarray
     far_event: np.ndarray
-    starts: np.ndarray
     separators: tuple[Scope, ...]
     n_events: int
 
@@ -231,7 +229,7 @@ class _TableStore:
             levels.append(_Level(
                 *self._states(near, edges, starts, event_map),
                 *self._states(far, edges, starts, event_map),
-                starts, separators, int(n_events.sum()),
+                separators, int(n_events.sum()),
             ))
             frontier = far
 
@@ -256,18 +254,7 @@ class _TableStore:
             n = lv.n_events
             target = np.bincount(lv.near_event, flat[lv.near_pos], minlength=n)
             current = np.bincount(lv.far_event, flat[lv.far_pos], minlength=n)
-            mass = current > 0.0
-            infeasible = ~mass & (target > 0.0)
-            if infeasible.any():
-                e = int(np.argmax(infeasible))
-                k = int(np.searchsorted(lv.starts, e, side="right")) - 1
-                sep, l = lv.separators[k], e - lv.starts[k]
-                raise InfeasibleEvidenceError(
-                    f"event {l} of partition {sep.vars} has zero prior "
-                    f"probability but target {target[e]}",
-                    event_label(sep, l), target[e],
-                )
-            factors = np.divide(target, current, out=np.ones(n), where=mass)
+            factors = event_factors(target, current, lv.separators)
             flat[lv.far_pos] *= factors[lv.far_event]
 
     def true_states(self, net: PreparedNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -295,14 +282,16 @@ def _named(exc: InfeasibleEvidenceError,
     )
 
 
-def _update_home(table: JointTable, c: ConstraintSet) -> JointTable:
-    """The single-constraint MCE posterior of the home clause's table."""
+def update_table(table: JointTable, c: ConstraintSet) -> JointTable:
+    """The single-constraint MCE posterior of a table: the kernel for each
+    kind of constraint set is chosen here and nowhere else."""
     if isinstance(c, MarginalConstraint):
         return jeffrey_update(table, c)
     if isinstance(c, ConditionalConstraint):
         return conditional_update(table, c)
-    new, _ = lec_solve(table, c)
-    return new
+    if isinstance(c, LinearConstraint):
+        return lec_solve(table, c)[0]
+    raise TypeError(f"unknown constraint type {type(c).__name__}")
 
 
 def propagate_clause_update(net: PreparedNetwork, updated: int) -> PreparedNetwork:
@@ -323,7 +312,7 @@ def apply_constraint(
     """Apply one constraint set to its home clause and propagate."""
     home = home_clause(net, c)
     store = _TableStore(net)
-    store.write(home, _update_home(store.table(home), c))
+    store.write(home, update_table(store.table(home), c))
     store.propagate(store.compile_plans(net, [home])[home])
     return store.network(net), home
 
@@ -372,7 +361,7 @@ def run_reasoning(
             g_before = gradient(pick)
             home = homes[pick]
             try:
-                store.write(home, _update_home(store.table(home), cons[pick]))
+                store.write(home, update_table(store.table(home), cons[pick]))
                 store.propagate(plans[home])
             except InfeasibleEvidenceError as exc:
                 raise _named(exc, cons[pick]) from exc

@@ -9,19 +9,22 @@ sibling-headed rules that need group nodes).
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcndl import (
+    JointTable,
     MarginalConstraint,
     Scope,
     ScopeError,
     marginalize,
     parse_program,
     preprocess,
+    state_index,
 )
-from rcndl.model import substate_map
+from rcndl.model import lift, product, substate_map
 from rcndl.preprocess import GROUP, OBS, RULE
 from rcndl.scheduler import home_clause
 from tests.test_batched_propagation import constraint, networks
@@ -37,10 +40,6 @@ def scan(nodes, vars, skip=None):
         if best is None or len(n.scope) < len(best.scope):
             best = n
     return None if best is None else best.idx
-
-
-def constrained_vars(c):
-    return c.variables() if hasattr(c, "variables") else c.scope.vars
 
 
 @settings(max_examples=150, deadline=None)
@@ -70,7 +69,7 @@ def test_lookups_match_scans_over_every_node(data):
                                        max_size=3, unique=True)))
         cons.append(MarginalConstraint(sub, (1 / sub.n_states,) * sub.n_states))
     for c in cons:
-        needed = constrained_vars(c)
+        needed = c.variables()
         home = scan(nodes, needed, skip=GROUP)
         if home is None:  # only a group node covers them
             with pytest.raises(ScopeError):
@@ -84,7 +83,9 @@ def test_lookups_match_scans_over_every_node(data):
 
 def test_substate_map_matches_bit_definition():
     # every ordered choice of up to 3 variables for n <= 6, where maps are
-    # cached, and one choice beyond the cached sizes
+    # cached, and one choice beyond the cached sizes; ``lift`` of a 2-D row
+    # array and ``product`` with a table over the whole scope follow the
+    # same definition
     cases = [
         (n, positions)
         for n in range(1, 7)
@@ -93,7 +94,8 @@ def test_substate_map_matches_bit_definition():
     ] + [(13, (12, 0, 5))]
     for n, positions in cases:
         scope = Scope(f"V{i}" for i in range(n))
-        got = substate_map(scope, Scope(scope.vars[p] for p in positions))
+        sub = Scope(scope.vars[p] for p in positions)
+        got = substate_map(scope, sub)
         k = len(positions)
         want = [
             sum(((j >> (n - 1 - p)) & 1) << (k - 1 - t)
@@ -102,3 +104,21 @@ def test_substate_map_matches_bit_definition():
         ]
         assert got.tolist() == want, (n, positions)
         assert got.flags.writeable is False
+
+        rows = np.arange(2.0, 2 + 2 * sub.n_states).reshape(2, -1)
+        assert lift(rows, sub, scope).tolist() == rows[:, want].tolist()
+
+        a = JointTable(sub, np.arange(1.0, 1 + sub.n_states), _validate=False)
+        b = JointTable(scope, 1 / np.arange(2.0, 2 + scope.n_states),
+                       _validate=False)
+        ab = product(a, b)
+        assert ab.scope.vars == sub.vars + tuple(
+            v for v in scope.vars if v not in sub)
+        # each state of the product as a value per variable
+        values = [{v: (j >> (n - 1 - t)) & 1 for t, v in enumerate(ab.scope.vars)}
+                  for j in range(1 << n)]
+        assert ab.probs.tolist() == [
+            a.probs[state_index(sub, {v: x[v] for v in sub.vars})]
+            * b.probs[state_index(scope, x)]
+            for x in values
+        ], (n, positions)

@@ -70,6 +70,14 @@ def cancer_file(tmp_path):
     return str(p)
 
 
+def run_cli(*args):
+    """``python -m rcndl.cli`` in a subprocess, importing this package."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rcndl.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "rcndl.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def evidence_file(tmp_path, text):
     p = tmp_path / "evidence.txt"
     p.write_text(text)
@@ -103,12 +111,7 @@ class TestCheckCommand:
     def test_query_prior_not_summing_to_one(self, tmp_path):
         p = tmp_path / "bad.rcndl"
         p.write_text("\n?- A : [0.3, 0.8].\n")
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(rcndl.__file__).resolve().parents[1]))
-        res = subprocess.run(
-            [sys.executable, "-m", "rcndl.cli", "check", str(p)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        res = run_cli("check", str(p))
         assert res.returncode == 1
         assert "2:1: query clique ('A',): prior entries sum to" in res.stderr
         assert "Traceback" not in res.stderr
@@ -155,6 +158,16 @@ class TestRunCommand:
             "error: P(B)=0: event B=false has zero prior probability but "
             "target 1.0\n"
         )
+
+    @pytest.mark.parametrize("line, message", [
+        ("P(B|B) = 0.5", "target 'B' may not appear in its own condition"),
+        ("P(B|A,A) = 0.5", "duplicate variable in condition event"),
+    ])
+    def test_invalid_constraint_is_positioned(self, model_file, tmp_path,
+                                              line, message):
+        res = run_cli("run", model_file, evidence_file(tmp_path, line))
+        assert res.returncode == 1
+        assert res.stderr == f"error: 1:1: {message}\n"
 
     def test_infeasible_evidence_exit_code(self, tmp_path, capsys):
         p = tmp_path / "zero.rcndl"

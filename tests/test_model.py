@@ -3,7 +3,11 @@ import pytest
 
 from rcndl import (
     ArityError,
+    ConditionalConstraint,
+    EvidenceSet,
     JointTable,
+    MarginalConstraint,
+    RcndlError,
     Scope,
     ScopeError,
     marginalize,
@@ -136,6 +140,19 @@ class TestJointTable:
     def test_wrong_length(self):
         with pytest.raises(ArityError):
             JointTable(Scope(("A", "B")), [0.5, 0.5])
+
+    def test_invalid_probabilities_raise_package_errors(self):
+        a = Scope(("A",))
+        for make in (
+            lambda: JointTable(a, [1.1, -0.1]),
+            lambda: JointTable(a, [0.5, 0.6]),
+            lambda: MarginalConstraint(a, (1.5, -0.5)),
+            lambda: MarginalConstraint(a, (0.5, 0.6)),
+            lambda: ConditionalConstraint("A", (("B", True),), 1.5),
+            lambda: EvidenceSet((), policy="fastest"),
+        ):
+            with pytest.raises(RcndlError):
+                make()
 
     def test_prob_of_partial_assignment(self):
         t = JointTable(Scope(("A", "B")), [0.24, 0.06, 0.42, 0.28])

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcndl import (
     ConvergenceError,
@@ -18,7 +22,30 @@ from rcndl import (
     preprocess,
     run_reasoning,
 )
+from rcndl.model import QueryClause, RuleClause
 from tests.conftest import brute_force_cancer, brute_force_three_vars
+from tests.test_batched_propagation import networks
+
+
+def enumerated_joint(program, variables):
+    """The joint over ``variables`` (first = most significant bit), state by
+    state: each root clique's prior times every rule's conditional."""
+    n = len(variables)
+    states = np.arange(1 << n)
+    bit = {v: (states >> (n - 1 - k)) & 1 for k, v in enumerate(variables)}
+
+    def config(vars):
+        return sum(bit[v] << (len(vars) - 1 - t) for t, v in enumerate(vars))
+
+    joint = np.ones(1 << n)
+    for clause in program.clauses:
+        if isinstance(clause, QueryClause):
+            for scope, prior in clause.cliques:
+                joint *= np.asarray(prior)[config(scope.vars)]
+        elif isinstance(clause, RuleClause):
+            p_true = np.asarray(clause.cond)[config(clause.head.vars)]
+            joint *= np.where(bit[clause.body] == 1, p_true, 1.0 - p_true)
+    return joint, config
 
 
 class TestExpandFullJoint:
@@ -33,6 +60,52 @@ class TestExpandFullJoint:
         ab = marginalize(joint, Scope(("A", "B")))
         np.testing.assert_allclose(ab.probs, [0.24, 0.06, 0.42, 0.28],
                                    atol=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_generated_networks_match_enumeration(self, data):
+        # sibling-headed units give group nodes; a variable set that no
+        # single node covers is assembled from several clauses
+        text, _, _ = data.draw(networks())
+        net = preprocess(parse_program(text))
+        variables = tuple(net.introducer)
+        want, config = enumerated_joint(net.program, variables)
+        joint = expand_full_joint(net)
+        assert joint.scope.vars == variables
+        np.testing.assert_allclose(joint.probs, want, rtol=0, atol=1e-12)
+        # every pair, and a few larger sets
+        subsets = [Scope(pair) for pair in combinations(variables, 2)] + [
+            Scope(data.draw(st.lists(st.sampled_from(variables), min_size=1,
+                                     max_size=4, unique=True)))
+            for _ in range(3)
+        ]
+        for sub in subsets:
+            marginal = np.bincount(config(sub.vars), want,
+                                   minlength=sub.n_states)
+            np.testing.assert_allclose(net.joint_over(sub).probs, marginal,
+                                       rtol=0, atol=1e-12)
+
+    def test_joint_over_two_groups_apart(self):
+        # the group over (X1, X4, A0, B0) joins X0's clauses through the
+        # rule X1 -> X4 it subsumes, so it must enter conditioned on X1
+        net = preprocess(parse_program("""
+            ?- X0 : [0.7, 0.3].
+            X0 -> X1 : [0.2, 0.9].
+            X1 -> X4 : [0.4, 0.6].
+            X4 -> A0 : [0.3, 0.8].
+            X4 -> B0 : [0.6, 0.1].
+            A0, B0 -> C0 : [0.1, 0.5, 0.7, 0.9].
+            X0 -> A1 : [0.2, 0.4].
+            X0 -> B1 : [0.9, 0.3].
+            A1, B1 -> C1 : [0.3, 0.2, 0.8, 0.6].
+        """))
+        variables = tuple(net.introducer)
+        want, config = enumerated_joint(net.program, variables)
+        for vars in (("C0", "C1"), ("X0", "X1", "C0"), ("C1", "X4")):
+            np.testing.assert_allclose(
+                net.joint_over(Scope(vars)).probs,
+                np.bincount(config(vars), want, minlength=1 << len(vars)),
+                rtol=0, atol=1e-12)
 
     def test_cancer_joint(self, cancer_net):
         joint = expand_full_joint(cancer_net)
