@@ -15,6 +15,7 @@ entropy to the current table subject to the constraint:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,7 +117,15 @@ def conditional_update(table: JointTable, c: ConditionalConstraint) -> JointTabl
 
 @dataclass
 class SolverOptions:
-    """Knobs for the dual minimization in ``lec_solve``."""
+    """Knobs for the dual minimization in ``lec_solve``.
+
+    ``tolerance`` bounds the infinity norm of the dual gradient (the row
+    residuals) at exit.  The caller sets it from its own stopping point,
+    never looser than the 1e-9 default: ``scheduler.update_table`` solves to
+    ``min(1e-9, tolerance)`` for the tolerance it is given, which the
+    reasoning loop sets to a tenth of the constraint's gradient threshold
+    and ``oracle_mce`` to its own ``tol``.
+    """
 
     tolerance: float = 1e-9        # infinity norm of the dual gradient
     max_iterations: int = 10_000
@@ -135,8 +144,32 @@ class DualState:
     converged: bool = field(default=False)
 
 
+class Restriction(NamedTuple):
+    """A prior's support and the arrays the dual reads on it.
+
+    ``support`` is None when every state has mass.  ``rows`` is the copy
+    ``rows[:, support]`` even then: its transpose is C-contiguous, and the
+    BLAS product over that layout rounds differently from one over
+    ``rows.T``.  ``prior`` is ``prior[support]``.
+    """
+
+    support: np.ndarray | None
+    rows: np.ndarray
+    prior: np.ndarray
+
+
+def restrict(prior: np.ndarray, rows: np.ndarray) -> Restriction:
+    """The dual's view of ``prior`` and ``rows``; states without mass never
+    gain any, so the dual only sums over the support."""
+    support = prior > 0.0
+    if support.all():
+        return Restriction(None, rows[:, support], prior)
+    return Restriction(support, rows[:, support], prior[support])
+
+
 def dual_value_and_gradient(
-    prior: np.ndarray, rows: np.ndarray, rhs: np.ndarray, lambdas: np.ndarray
+    prior: np.ndarray, rows: np.ndarray, rhs: np.ndarray, lambdas: np.ndarray,
+    restricted: Restriction | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Dual objective, its gradient, and the tilted distribution at lambda.
 
@@ -144,15 +177,26 @@ def dual_value_and_gradient(
     ``D(l) = log sum_j q_j exp(-(A^T l)_j) + l . b``; its k-th partial is
     ``b_k - sum_j a_kj p_j`` with ``p`` the normalized tilted distribution,
     i.e. exactly the violation of row k at the current iterate.
+    ``restricted`` is ``restrict(prior, rows)``, passed in by a caller that
+    evaluates the dual many times over one prior.
     """
-    support = prior > 0.0
-    expo = -(rows[:, support].T @ lambdas)
-    m = expo.max() if expo.size else 0.0
-    w = prior[support] * np.exp(expo - m)
+    r = restrict(prior, rows) if restricted is None else restricted
+    # updated in place: an evaluation allocates one array besides the
+    # scatter target for a partial support
+    w = r.rows.T @ lambdas
+    np.negative(w, out=w)
+    m = w.max() if w.size else 0.0
+    w -= m
+    np.exp(w, out=w)
+    w *= r.prior
     z = w.sum()
     value = float(np.log(z) + m + lambdas @ rhs)
-    p = np.zeros_like(prior)
-    p[support] = w / z
+    w /= z
+    if r.support is None:
+        p = w
+    else:
+        p = np.zeros_like(prior)
+        p[r.support] = w
     grad = rhs - rows @ p
     return value, grad, p
 
@@ -166,7 +210,8 @@ def lec_solve(
     minimum, found with Fletcher-Reeves conjugate gradients and a
     backtracking Armijo line search.  The search direction restarts to
     steepest descent every ``k+1`` iterations or whenever it stops being a
-    descent direction.
+    descent direction.  A restart cycle that leaves the multipliers exactly
+    as they were is followed by one Newton step.
     """
     opts = opts or SolverOptions()
     if not c.scope.issubset(table.scope):
@@ -179,13 +224,20 @@ def lec_solve(
     rhs = np.asarray(c.rhs, dtype=float)
     k = len(rhs)
     prior = table.probs
+    restricted = restrict(prior, rows)  # shared by every evaluation
+
+    def dual(lambdas):
+        # through the module attribute, so a wrapper installed there sees
+        # every evaluation
+        return dual_value_and_gradient(prior, rows, rhs, lambdas, restricted)
 
     lam = np.zeros(k)
-    value, grad, p = dual_value_and_gradient(prior, rows, rhs, lam)
+    value, grad, p = dual(lam)
     direction = -grad
     g_dot = float(grad @ grad)
     iterations = 0
     last_decrease = None
+    cycle_start = None              # lambda at the last restart
     for it in range(opts.max_iterations):
         gnorm = float(np.abs(grad).max()) if k else 0.0
         if gnorm <= opts.tolerance:
@@ -196,6 +248,22 @@ def lec_solve(
                 f"dual multipliers diverged (|lambda| > {opts.lambda_bound}); "
                 f"the linear system is infeasible on the prior's support"
             )
+        if it % (k + 1) == 0:
+            if cycle_start is not None and np.array_equal(lam, cycle_start):
+                # A whole restart cycle left lambda as it was: its steps
+                # fell below what the dual value resolves, and every later
+                # cycle would repeat it exactly.  Take the Newton step on
+                # the exact dual Hessian, the row covariance under the
+                # tilted distribution, instead.
+                centred = rows - (rows @ p)[:, None]
+                newton = lam - np.linalg.lstsq(
+                    (centred * p) @ centred.T, grad, rcond=None)[0]
+                n_value, n_grad, n_p = dual(newton)
+                if float(np.abs(n_grad).max()) < gnorm:
+                    lam, value, grad, p = newton, n_value, n_grad, n_p
+                    direction, g_dot = -grad, float(grad @ grad)
+                    continue
+            cycle_start = lam
         if it % (k + 1) == 0 or float(grad @ direction) >= 0.0:
             direction = -grad
         slope = float(grad @ direction)
@@ -224,9 +292,7 @@ def lec_solve(
             return flat and float(np.abs(cand_grad).max()) < gnorm_now
 
         cand = lam + step * direction
-        cand_value, cand_grad, cand_p = dual_value_and_gradient(
-            prior, rows, rhs, cand
-        )
+        cand_value, cand_grad, cand_p = dual(cand)
         if acceptable(cand_value, cand_grad, step):
             # grow the step only while the decrease is clearly resolvable;
             # in the flat terminal regime growth would chase float noise
@@ -235,9 +301,7 @@ def lec_solve(
                 if value - cand_value <= resolution:
                     break
                 bigger = step * 2.0
-                b_value, b_grad, b_p = dual_value_and_gradient(
-                    prior, rows, rhs, lam + bigger * direction
-                )
+                b_value, b_grad, b_p = dual(lam + bigger * direction)
                 if not (b_value < cand_value
                         and b_value <= value + opts.armijo_c1 * bigger * slope):
                     break
@@ -249,9 +313,7 @@ def lec_solve(
             while step > 1e-20:
                 step *= 0.5
                 cand = lam + step * direction
-                cand_value, cand_grad, cand_p = dual_value_and_gradient(
-                    prior, rows, rhs, cand
-                )
+                cand_value, cand_grad, cand_p = dual(cand)
                 if acceptable(cand_value, cand_grad, step):
                     break
         last_decrease = max(value - cand_value, 0.0)

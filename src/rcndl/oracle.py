@@ -75,16 +75,18 @@ def oracle_mce(
 
     Cycles the constraint sets in the given (program) order, each cycle an
     exact single-constraint MCE projection, until all gradients fall below
-    ``tol``.  Alternating projections onto the constraint families converge
-    to the joint MCE solution; the fixed order makes the oracle an
-    order-independent check of the scheduler's greatest-gradient runs.
+    ``tol``; a linear set's projection is itself solved to
+    ``min(1e-9, tol)``.  Alternating projections onto the constraint
+    families converge to the joint MCE solution; the fixed order makes the
+    oracle an order-independent check of the scheduler's greatest-gradient
+    runs.
     """
     current = joint
     for _ in range(cycle_cap):
         worst = 0.0
         for c in constraints:
             worst = max(worst, gradient_scalar(current, c))
-            current = update_table(current, c)
+            current = update_table(current, c, tol)
         if worst < tol:
             return current
     raise ConvergenceError(

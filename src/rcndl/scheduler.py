@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .engine import (
+    SolverOptions,
     conditional_update,
     gradient_scalar,
     jeffrey_update,
@@ -282,15 +283,24 @@ def _named(exc: InfeasibleEvidenceError,
     )
 
 
-def update_table(table: JointTable, c: ConstraintSet) -> JointTable:
+def update_table(
+    table: JointTable, c: ConstraintSet,
+    tolerance: float = SolverOptions.tolerance,
+) -> JointTable:
     """The single-constraint MCE posterior of a table: the kernel for each
-    kind of constraint set is chosen here and nowhere else."""
+    kind of constraint set is chosen here and nowhere else.
+
+    The closed-form kernels are exact.  The linear kernel stops once every
+    row residual is within ``min(1e-9, tolerance)``, so a caller asking
+    for a tighter gradient than the default gets it.
+    """
     if isinstance(c, MarginalConstraint):
         return jeffrey_update(table, c)
     if isinstance(c, ConditionalConstraint):
         return conditional_update(table, c)
     if isinstance(c, LinearConstraint):
-        return lec_solve(table, c)[0]
+        opts = SolverOptions(tolerance=min(SolverOptions.tolerance, tolerance))
+        return lec_solve(table, c, opts)[0]
     raise TypeError(f"unknown constraint type {type(c).__name__}")
 
 
@@ -354,14 +364,17 @@ def run_reasoning(
         unused = list(range(len(cons)))
         while unused:
             if ev.policy == GREATEST_GRADIENT:
-                pick = max(unused, key=lambda i: (gradient(i), -i))
+                g_before, neg_pick = max((gradient(i), -i) for i in unused)
+                pick = -neg_pick
             else:
                 pick = unused[0]
+                g_before = gradient(pick)
             unused.remove(pick)
-            g_before = gradient(pick)
             home = homes[pick]
             try:
-                store.write(home, update_table(store.table(home), cons[pick]))
+                # solved to a tenth of the threshold its gradient must meet
+                store.write(home, update_table(store.table(home), cons[pick],
+                                               ev.threshold(pick) / 10))
                 store.propagate(plans[home])
             except InfeasibleEvidenceError as exc:
                 raise _named(exc, cons[pick]) from exc
@@ -377,8 +390,10 @@ def run_reasoning(
             ))
         trace.passes = pass_no
 
-    trace.converged = converged or below_thresholds()
-    trace.final_gradients = {c.label(): gradient(i) for i, c in enumerate(cons)}
+    final = [gradient(i) for i in range(len(cons))]
+    trace.converged = converged or all(
+        g < ev.threshold(i) for i, g in enumerate(final))
+    trace.final_gradients = {c.label(): g for c, g in zip(cons, final)}
     return store.network(net), trace
 
 

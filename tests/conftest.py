@@ -22,6 +22,14 @@ E.
 """
 
 
+def outcome(fn, *args):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # both sides must fail the same way
+        return type(e), str(e)
+
+
 @pytest.fixture(scope="session")
 def three_vars_net():
     return preprocess(parse_program(THREE_VARS))

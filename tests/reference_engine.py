@@ -1,0 +1,153 @@
+"""Reference linear kernel: the support restriction rebuilt per evaluation.
+
+This is the form of ``rcndl.engine.dual_value_and_gradient`` and
+``lec_solve`` that masks the prior's support, copies ``rows[:, support]``
+and ``prior[support]`` and scatters the tilted distribution back on every
+dual evaluation.  The engine builds that restriction once per solve; it is
+kept here as the reference that the engine must reproduce bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from rcndl.engine import DualState, SolverOptions
+from rcndl.errors import ConvergenceError, InfeasibleEvidenceError, ScopeError
+from rcndl.model import JointTable, LinearConstraint, lift
+
+
+def dual_value_and_gradient(
+    prior: np.ndarray, rows: np.ndarray, rhs: np.ndarray, lambdas: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Dual objective, its gradient, and the tilted distribution at lambda.
+
+    The dual is the log-partition form
+    ``D(l) = log sum_j q_j exp(-(A^T l)_j) + l . b``; its k-th partial is
+    ``b_k - sum_j a_kj p_j`` with ``p`` the normalized tilted distribution,
+    i.e. exactly the violation of row k at the current iterate.
+    """
+    support = prior > 0.0
+    expo = -(rows[:, support].T @ lambdas)
+    m = expo.max() if expo.size else 0.0
+    w = prior[support] * np.exp(expo - m)
+    z = w.sum()
+    value = float(np.log(z) + m + lambdas @ rhs)
+    p = np.zeros_like(prior)
+    p[support] = w / z
+    grad = rhs - rows @ p
+    return value, grad, p
+
+
+def lec_solve(
+    table: JointTable, c: LinearConstraint, opts: SolverOptions | None = None
+) -> tuple[JointTable, DualState]:
+    """Solve a linear-equality-constraint MCE problem by dual minimization.
+
+    Returns the tilted posterior ``p_j ~ q_j exp(-(A^T l)_j)`` at the dual
+    minimum, found with Fletcher-Reeves conjugate gradients and a
+    backtracking Armijo line search.  The search direction restarts to
+    steepest descent every ``k+1`` iterations or whenever it stops being a
+    descent direction.
+    """
+    opts = opts or SolverOptions()
+    if not c.scope.issubset(table.scope):
+        raise ScopeError(
+            f"constraint scope {c.scope.vars} not within table scope "
+            f"{table.scope.vars}"
+        )
+    rows = (c.row_matrix if c.scope == table.scope
+            else lift(c.row_matrix, c.scope, table.scope))
+    rhs = np.asarray(c.rhs, dtype=float)
+    k = len(rhs)
+    prior = table.probs
+
+    lam = np.zeros(k)
+    value, grad, p = dual_value_and_gradient(prior, rows, rhs, lam)
+    direction = -grad
+    g_dot = float(grad @ grad)
+    iterations = 0
+    last_decrease = None
+    for it in range(opts.max_iterations):
+        gnorm = float(np.abs(grad).max()) if k else 0.0
+        if gnorm <= opts.tolerance:
+            iterations = it
+            break
+        if np.abs(lam).max() > opts.lambda_bound:
+            raise InfeasibleEvidenceError(
+                f"dual multipliers diverged (|lambda| > {opts.lambda_bound}); "
+                f"the linear system is infeasible on the prior's support"
+            )
+        if it % (k + 1) == 0 or float(grad @ direction) >= 0.0:
+            direction = -grad
+        slope = float(grad @ direction)
+
+        # Initial trial step from the exact directional curvature (the dual
+        # Hessian is the row covariance under the tilted distribution), with
+        # Armijo halving as the safeguard and growth when it underestimates.
+        r = rows.T @ direction
+        curvature = float(p @ r**2 - (p @ r) ** 2)
+        if curvature > 1e-300:
+            step = -slope / curvature
+        elif last_decrease is not None and slope < 0.0:
+            step = min(1.0, 2.0 * last_decrease / -slope)
+        else:
+            step = 1.0
+        if not np.isfinite(step) or step <= 0.0:
+            step = 1.0
+        gnorm_now = float(np.abs(grad).max())
+
+        def acceptable(cand_value, cand_grad, step):
+            if cand_value <= value + opts.armijo_c1 * step * slope:
+                return True
+            # Near the optimum the theoretical decrease falls below float
+            # resolution of the dual value; accept on gradient progress.
+            flat = abs(cand_value - value) <= 1e-13 * max(1.0, abs(value))
+            return flat and float(np.abs(cand_grad).max()) < gnorm_now
+
+        cand = lam + step * direction
+        cand_value, cand_grad, cand_p = dual_value_and_gradient(
+            prior, rows, rhs, cand
+        )
+        if acceptable(cand_value, cand_grad, step):
+            # grow the step only while the decrease is clearly resolvable;
+            # in the flat terminal regime growth would chase float noise
+            resolution = 1e-12 * max(1.0, abs(value))
+            for _ in range(60):
+                if value - cand_value <= resolution:
+                    break
+                bigger = step * 2.0
+                b_value, b_grad, b_p = dual_value_and_gradient(
+                    prior, rows, rhs, lam + bigger * direction
+                )
+                if not (b_value < cand_value
+                        and b_value <= value + opts.armijo_c1 * bigger * slope):
+                    break
+                step, cand_value, cand_grad, cand_p = (
+                    bigger, b_value, b_grad, b_p
+                )
+            cand = lam + step * direction
+        else:
+            while step > 1e-20:
+                step *= 0.5
+                cand = lam + step * direction
+                cand_value, cand_grad, cand_p = dual_value_and_gradient(
+                    prior, rows, rhs, cand
+                )
+                if acceptable(cand_value, cand_grad, step):
+                    break
+        last_decrease = max(value - cand_value, 0.0)
+        lam, value, p = cand, cand_value, cand_p
+        new_dot = float(cand_grad @ cand_grad)
+        beta = new_dot / g_dot if g_dot > 0 else 0.0
+        direction = -cand_grad + beta * direction
+        grad, g_dot = cand_grad, new_dot
+    else:
+        state = DualState(lam, value, grad, opts.max_iterations, False)
+        raise ConvergenceError(
+            f"dual minimization did not reach tolerance {opts.tolerance} in "
+            f"{opts.max_iterations} iterations (|grad| = {np.abs(grad).max():.3e})",
+            best=(JointTable(table.scope, p / p.sum(), _validate=False), state),
+        )
+
+    posterior = JointTable(table.scope, p / p.sum(), _validate=False)
+    return posterior, DualState(lam, value, grad, iterations, True)

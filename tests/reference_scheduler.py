@@ -5,7 +5,8 @@ the reference that the batched implementation in ``rcndl.scheduler`` must
 reproduce bit for bit.  It walks the clause tree breadth-first away from
 the updated clause, builds a ``MarginalConstraint`` from the near clause's
 separator marginal at every edge, and reads each step's marginal snapshot
-variable by variable.
+variable by variable.  A linear set is solved to a tenth of its
+threshold, never looser than the kernel's default 1e-9.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from rcndl.engine import (
+    SolverOptions,
     conditional_update,
     gradient_scalar,
     jeffrey_update,
@@ -52,7 +54,7 @@ def propagate_clause_update(net, updated):
     return net
 
 
-def apply_constraint(net, c):
+def apply_constraint(net, c, tolerance=1e-9):
     home = home_clause(net, c)
     table = net.tables[home]
     if isinstance(c, MarginalConstraint):
@@ -60,7 +62,8 @@ def apply_constraint(net, c):
     elif isinstance(c, ConditionalConstraint):
         new = conditional_update(table, c)
     else:
-        new, _ = lec_solve(table, c)
+        new, _ = lec_solve(table, c,
+                           SolverOptions(tolerance=min(1e-9, tolerance)))
     net = net.with_table(home, new)
     return propagate_clause_update(net, home), home
 
@@ -94,7 +97,8 @@ def run_reasoning(net, ev):
             g_before = scalar(cons[pick])
             before_tables = net.tables
             try:
-                net, home = apply_constraint(net, cons[pick])
+                net, home = apply_constraint(net, cons[pick],
+                                             ev.threshold(pick) / 10)
             except InfeasibleEvidenceError as exc:
                 raise _named(exc, cons[pick]) from exc
             touched = tuple(

@@ -24,6 +24,7 @@ from rcndl import (
     run_reasoning,
 )
 from tests import reference_scheduler as reference
+from tests.conftest import outcome
 
 PROB = st.integers(50, 950).map(lambda k: k / 1000)
 
@@ -89,14 +90,6 @@ def problems(draw):
         default_threshold=draw(st.sampled_from((1e-2, 1e-5, 1e-9))),
     )
     return preprocess(parse_program(text)), ev
-
-
-def outcome(fn, *args):
-    """The call's result, or the type and message of what it raised."""
-    try:
-        return fn(*args)
-    except Exception as e:  # both sides must fail the same way
-        return type(e), str(e)
 
 
 def same_tables(a, b):

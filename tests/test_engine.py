@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rcndl.engine
 from rcndl import (
     ConditionalConstraint,
+    ConvergenceError,
     InfeasibleEvidenceError,
     JointTable,
     LinearConstraint,
@@ -18,6 +22,9 @@ from rcndl import (
     marginalize,
 )
 from rcndl.engine import SolverOptions, dual_value_and_gradient
+from rcndl.model import lift
+from tests import reference_engine as reference
+from tests.conftest import outcome
 
 AC_PRIOR = JointTable(Scope(("A", "C")), [0.06, 0.24, 0.63, 0.07])
 AB_PRIOR = JointTable(Scope(("A", "B")), [0.24, 0.06, 0.42, 0.28])
@@ -323,6 +330,25 @@ class TestLecSolve:
         with pytest.raises(InfeasibleEvidenceError):
             lec_solve(t, LinearConstraint(t.scope, ((0.0, 1.0),), (0.5,)))
 
+    def test_stalled_restart_cycle_takes_a_newton_step(self):
+        # Near 1e-10 every conjugate-gradient step on this feasible set was
+        # below the dual value's resolution: the per-evaluation reference
+        # spins in place until its iteration budget runs out.
+        t = JointTable(Scope(("x", "y")),
+                       [0.27999999999999997, 0.12, 0.11999999999999997, 0.48])
+        c = LinearConstraint(t.scope, (
+            (-0.7009954711770339, 0.08656960002593639,
+             0.18827207180554972, -0.8170444123662604),
+            (0.7216350382828047, 0.7166741349014909,
+             0.10124587442660848, 0.4702062865423222),
+        ), (-0.782952200182379, 0.4649540138097193))
+        opts = SolverOptions(tolerance=1e-11, max_iterations=200)
+        with pytest.raises(ConvergenceError):
+            reference.lec_solve(t, c, opts)
+        sol, state = lec_solve(t, c, opts)
+        assert state.converged
+        assert np.abs(constraint_gradient(sol, c)).max() < 1e-11
+
     def test_iteration_budget_respected(self):
         t = JointTable(Scope(("x", "y")), [0.25, 0.25, 0.25, 0.25])
         opts = SolverOptions(max_iterations=1, tolerance=1e-15)
@@ -334,6 +360,91 @@ class TestLecSolve:
                 opts,
             )
         assert err.value.best is not None
+
+
+@st.composite
+def linear_problems(draw, case):
+    """A table and a linear set whose right-hand sides a tilt of the table
+    meets.  ``case`` is "partial" (some states without mass), "full" (every
+    state has mass) or "lifted" (rows over a strict sub-scope)."""
+    n = draw(st.integers(2 if case == "lifted" else 1, 4))
+    scope = Scope(tuple(f"v{i}" for i in range(n)))
+    low = 0 if case != "full" else 1
+    weights = np.array([draw(st.integers(low, 1000))
+                        for _ in range(scope.n_states)], dtype=float)
+    if case == "partial":
+        weights[draw(st.integers(0, scope.n_states - 1))] = 0.0
+    if not weights.any():
+        weights[-1] = 1.0
+    table = JointTable(scope, weights / weights.sum())
+    sub = scope
+    if case == "lifted":
+        sub = Scope(tuple(draw(st.lists(st.sampled_from(scope.vars),
+                                        min_size=1, max_size=n - 1,
+                                        unique=True))))
+    k = draw(st.integers(1, 3))
+    rows = np.array([[draw(st.integers(-1000, 1000)) / 1000
+                      for _ in range(sub.n_states)] for _ in range(k)])
+    tilt = np.array([draw(st.integers(1, 1000))
+                     for _ in range(scope.n_states)], dtype=float)
+    q = table.probs * tilt
+    rhs = lift(rows, sub, scope) @ (q / q.sum())
+    tolerance = draw(st.sampled_from((1e-6, 1e-9, 1e-11)))
+    return (table, LinearConstraint(sub, tuple(map(tuple, rows.tolist())),
+                                    tuple(rhs.tolist())),
+            SolverOptions(tolerance=tolerance))
+
+
+class TestRestrictionOncePerSolve:
+    """``lec_solve`` restricts the dual to the prior's support once per
+    solve; the per-evaluation form in ``tests/reference_engine.py`` is the
+    reference it must match bit for bit."""
+
+    @pytest.mark.parametrize("case", ["partial", "full", "lifted"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_evaluation_reference(self, case, data):
+        table, c, opts = data.draw(linear_problems(case))
+        got = outcome(lec_solve, table, c, opts)
+        want = outcome(reference.lec_solve, table, c, opts)
+        if want[0] is ConvergenceError and not isinstance(got[0], type):
+            # a stalled restart cycle, where the engine takes a Newton step
+            assert got[1].converged
+            return
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        (post, state), (ref_post, ref_state) = got, want
+        assert post.probs.tobytes() == ref_post.probs.tobytes()
+        assert state.lambdas.tobytes() == ref_state.lambdas.tobytes()
+        assert state.gradient.tobytes() == ref_state.gradient.tobytes()
+        assert (state.value, state.iterations, state.converged) == (
+            ref_state.value, ref_state.iterations, ref_state.converged)
+
+    def test_every_evaluation_goes_through_the_module_attribute(
+            self, monkeypatch):
+        # the benchmark tracer counts dual evaluations by patching this name
+        table = JointTable(Scope(("a", "b")), [0.0, 0.3, 0.5, 0.2])
+        c = LinearConstraint(Scope(("b",)), ((0.5, -1.0),), (-0.4,))
+
+        def counted(module):
+            calls = []
+            original = module.dual_value_and_gradient
+
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "dual_value_and_gradient", wrapper)
+            return calls
+
+        calls = counted(rcndl.engine)
+        ref_calls = counted(reference)
+        post, state = lec_solve(table, c)
+        ref_post, ref_state = reference.lec_solve(table, c)
+        assert state.iterations > 1
+        assert len(calls) == len(ref_calls) > state.iterations
+        assert post.probs.tobytes() == ref_post.probs.tobytes()
 
 
 class TestConstraintGradient:

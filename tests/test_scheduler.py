@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcndl import (
     EvidenceSet,
     GREATEST_GRADIENT,
     InfeasibleEvidenceError,
     JointTable,
+    LinearConstraint,
     MarginalConstraint,
     NetworkStructureError,
     PROGRAM_ORDER,
@@ -22,6 +25,7 @@ from rcndl import (
     propagate_clause_update,
     run_reasoning,
 )
+from rcndl.engine import gradient_scalar
 from rcndl.scheduler import home_clause, marginal_spread
 from tests.conftest import CANCER, THREE_VARS
 
@@ -330,6 +334,52 @@ class TestBayesianOnePassProperty:
             assert trace.passes <= 1, trial
             for g in trace.final_gradients.values():
                 assert g <= 1e-12  # zero up to float rounding
+
+
+CHAIN = "?- X0 : [0.4, 0.6].\nX0 -> X1 : [0.3, 0.8].\nX1.\n"
+
+
+def _tilted_linear(net, rows, weights):
+    """Rows over the ``X0 -> X1`` clause with right-hand sides read off
+    that clause's table tilted by ``weights``, so the set is feasible."""
+    scope = Scope(("X0", "X1"))
+    q = next(t.probs for t in net.tables if t.scope == scope) * weights
+    return LinearConstraint(scope, rows,
+                            tuple((np.asarray(rows) @ (q / q.sum())).tolist()))
+
+
+class TestThresholdBelowKernelDefault:
+    """The linear kernel solves to a tenth of the caller's threshold, so
+    thresholds below its 1e-9 default are met rather than stalled at it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @example(seed=10989)  # stalled the kernel before its Newton step
+    def test_linear_evidence_converges_at_1e_10(self, seed):
+        # rows ~ U(-1, 1) and a Dirichlet tilt, drawn through numpy: rows
+        # whose every coefficient is tiny are a separate scaling problem
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-1.0, 1.0, size=(rng.integers(1, 3), 4))
+        net = preprocess(parse_program(CHAIN))
+        c = _tilted_linear(net, tuple(map(tuple, rows.tolist())),
+                           rng.dirichlet(np.ones(4)))
+        _, trace = run_reasoning(
+            net, EvidenceSet((c,), default_threshold=1e-10, max_passes=2))
+        assert trace.converged, trace.final_gradients
+
+    def test_oracle_meets_1e_11(self):
+        # at a fixed 1e-9 kernel tolerance this draw stalled: the scheduler
+        # used up its passes and the oracle raised ConvergenceError
+        net = preprocess(parse_program(CHAIN))
+        c = _tilted_linear(net, ((0.3, 0.9, 0.8, -0.3),), (2, 4, 3, 1))
+        post, trace = run_reasoning(
+            net, EvidenceSet((c,), default_threshold=1e-10, max_passes=20))
+        assert trace.passes == 1 and trace.converged
+        ref = oracle_mce(expand_full_joint(net), [c], tol=1e-11)
+        assert gradient_scalar(marginalize(ref, c.scope), c) < 1e-11
+        for v in ("X0", "X1"):
+            assert posterior_marginal(post, v)[1] == pytest.approx(
+                marginalize(ref, Scope((v,))).probs[1], abs=1e-9)
 
 
 def _random_network(rng, n_vars=None):
