@@ -63,9 +63,15 @@ def parse_evidence(text: str) -> list[ConstraintSet]:
 
 
 def _constraint(line: str, line_no: int) -> ConstraintSet:
-    m = _CONDITIONAL_RE.match(line)
-    if m:
-        target, conds, value, thr = m.groups()
+    m = (_CONDITIONAL_RE.match(line) or _MARGINAL_RE.match(line)
+         or _BAYES_RE.match(line))
+    if not m:
+        raise ParseError(f"unrecognized evidence line: {line!r}", line_no, 1)
+    *fields, thr = m.groups()
+    threshold = float(thr) if thr else None
+
+    if m.re is _CONDITIONAL_RE:
+        target, conds, value = fields
         condition = []
         for part in conds.split(","):
             part = part.strip()
@@ -78,27 +84,17 @@ def _constraint(line: str, line_no: int) -> ConstraintSet:
             target=target,
             condition=tuple(condition),
             prob=_prob(value, line_no),
-            threshold=float(thr) if thr else None,
+            threshold=threshold,
         )
 
-    m = _MARGINAL_RE.match(line)
-    if m:
-        var, value, thr = m.groups()
-        v = _prob(value, line_no)
-        return MarginalConstraint(
-            scope=Scope((var,)),
-            targets=(1.0 - v, v),
-            threshold=float(thr) if thr else None,
-        )
-
-    m = _BAYES_RE.match(line)
-    if m:
-        var, value, thr = m.groups()
+    # P(X) = v, or the Bayesian shorthand X = true|false
+    var, value = fields
+    if m.re is _BAYES_RE:
         v = 1.0 if value.lower() == "true" else 0.0
-        return MarginalConstraint(
-            scope=Scope((var,)),
-            targets=(1.0 - v, v),
-            threshold=float(thr) if thr else None,
-        )
-
-    raise ParseError(f"unrecognized evidence line: {line!r}", line_no, 1)
+    else:
+        v = _prob(value, line_no)
+    return MarginalConstraint(
+        scope=Scope((var,)),
+        targets=(1.0 - v, v),
+        threshold=threshold,
+    )

@@ -10,13 +10,17 @@ every clause carries a full joint table over its scope:
 * each observation clause carries the current marginal over its variables.
 
 The clauses are also arranged into a propagation tree.  When a rule's head
-spans several upstream clauses, those clauses (closed under their own
-upstream links) are joined through an explicit *group* node carrying their
-exact union joint; the rule then hangs off the group through its head
-separator.  This keeps every propagation edge a plain pairwise separator
-and keeps the represented joint exact for singly connected clause
-networks, including separator joints that the pairwise upstream tables
-alone could not express.
+(or an observation) spans several upstream clauses, those clauses (closed
+under their own upstream links) are joined through an explicit *group*
+node carrying their exact union joint; the rule then hangs off the group
+through its head separator.  This keeps every propagation edge a plain
+pairwise separator and aims to keep the represented joint exact for singly
+connected clause networks, including separator joints that the pairwise
+upstream tables alone could not express (a group joining another group
+and the rules around it can miss this; ``tests/test_oracle.py`` pins one
+case).  Upstream links inside a group give way to its member edges, and
+the edges left must form a forest: a cycle means the clause sharing
+structure is not singly connected, and the program is rejected.
 
 Every node's scope is indexed by variable: ``holders[v]`` lists, in
 ascending order, the nodes whose scope contains ``v``.  The smallest node
@@ -111,9 +115,6 @@ class PreparedNetwork:
     def variables(self) -> tuple[str, ...]:
         return tuple(self.introducer)
 
-    def clause_nodes(self) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if n.kind != GROUP)
-
     def with_table(self, idx: int, table: JointTable) -> "PreparedNetwork":
         tables = list(self.tables)
         tables[idx] = table
@@ -161,14 +162,13 @@ def covering_node(
 def _connecting_closure(nodes, seeds: tuple[int, ...]) -> tuple[int, ...]:
     """Close a seed set under upstream links until it is connected.
 
-    Single seeds stay as they are.  Multi-seed sets repeatedly absorb their
+    The seeds are the introducers of at least two variables that no single
+    node covers, so there are at least two.  The set repeatedly absorbs its
     members' parents until the members form one component under the parent
     relation (or until no parents remain to add, which leaves genuinely
     independent components that combine by outer product).
     """
     members = set(seeds)
-    if len(members) <= 1:
-        return tuple(members)
 
     def connected() -> bool:
         comp = {next(iter(members))}
@@ -194,7 +194,7 @@ def _connecting_closure(nodes, seeds: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _drop_subsumed(nodes, members: tuple[int, ...]) -> tuple[int, ...]:
-    """Remove observation nodes and members another member makes redundant.
+    """Remove members another member makes redundant.
 
     A member is redundant only when its scope lies inside that of a fellow
     member that enters with its *full* table (a group or a separator-less
@@ -202,14 +202,13 @@ def _drop_subsumed(nodes, members: tuple[int, ...]) -> tuple[int, ...]:
     Members inside a fellow rule's scope stay: the rule enters as a
     conditional on its separator, which never duplicates information.
     """
-    keep = [i for i in sorted(members) if nodes[i].kind != OBS]
     return tuple(
-        i for i in keep
+        i for i in sorted(members)
         if not any(
             j != i
             and nodes[j].separator is None
             and set(nodes[i].scope.vars) <= set(nodes[j].scope.vars)
-            for j in keep
+            for j in members
         )
     )
 
@@ -224,9 +223,9 @@ def _conditional(table: JointTable, sep: Scope) -> JointTable:
 def _assemble(nodes, tables, members: tuple[int, ...]) -> JointTable:
     """Exact joint over a connected member set.
 
-    Observation nodes and members whose scope lies inside another member's
-    are redundant and dropped.  A member whose separator is already covered
-    extends the accumulated factor by its conditional on the separator.
+    Members whose scope lies inside another member's are redundant and
+    dropped.  A member whose separator is already covered extends the
+    accumulated factor by its conditional on the separator.
     Failing that, a member overlapping the accumulated scope extends it by
     its conditional on the overlap: it is joined to the factor from below,
     or through a member it subsumes.  On a clause tree the overlap is the
@@ -264,8 +263,6 @@ def _assemble(nodes, tables, members: tuple[int, ...]) -> JointTable:
         )
         acc = tables[start] if acc is None else product(acc, tables[start])
         pool.remove(start)
-    if acc is None:
-        raise NetworkStructureError("empty clause group")
     return acc
 
 
@@ -359,7 +356,6 @@ class _Builder:
         self.tables: list[JointTable] = []
         self.introducer: dict[str, int] = {}
         self.holders: dict[str, list[int]] = {}
-        self.groups: dict[frozenset[int], int] = {}
 
     def add(self, kind, scope, separator, parents, clause_idx, label) -> int:
         idx = len(self.nodes)
@@ -371,91 +367,66 @@ class _Builder:
         return idx
 
     def upstream_for(self, vars: tuple[str, ...]) -> int:
-        """Single node covering ``vars``, creating a group node if needed."""
+        """Single node covering ``vars``, else a new group node joining the
+        connecting closure of their introducers, less the members of any
+        group in it (no earlier group covers ``vars`` either)."""
         best = covering_node(self.nodes, self.holders, vars, skip=OBS)
         if best is not None:
             return best
         seeds = tuple(dict.fromkeys(self.introducer[v] for v in vars))
         closure = _connecting_closure(self.nodes, seeds)
-        # a member already inside a fellow member group is linked through it
-        members = tuple(
-            m for m in closure
-            if not any(
-                g != m and self.nodes[g].kind == GROUP
-                and m in self.nodes[g].parents
-                for g in closure
-            )
-        )
-        if len(members) == 1:
-            return members[0]
-        key = frozenset(members)
-        if key in self.groups:
-            return self.groups[key]
+        inner = {m for g in closure if self.nodes[g].kind == GROUP
+                 for m in self.nodes[g].parents}
+        members = tuple(m for m in closure if m not in inner)
         joint = normalized(_assemble(self.nodes, self.tables, members))
         label = "group(" + "; ".join(self.nodes[m].label for m in members) + ")"
         idx = self.add(GROUP, joint.scope, None, members, -1, label)
         self.tables.append(joint)
-        self.groups[key] = idx
         return idx
 
     def build_edges(self) -> tuple[Edge, ...]:
         """One edge per non-root node, plus member edges for groups.
 
         Upstream links internal to a group are covered by the group's
-        member edges and are skipped; a resulting cycle means the clause
-        sharing structure is not singly connected.
+        member edges and are skipped.  The edges must form a forest: an
+        edge whose ends a disjoint-set forest already joins closes a cycle,
+        which means the clause sharing structure is not singly connected.
         """
         # transitive membership: a clause inside an inner group is also
-        # connected through every group containing that inner group
-        grouped: dict[int, set[int]] = {n.idx: set() for n in self.nodes}
-        for key, g in self.groups.items():
-            for m in key:
-                grouped[m].add(g)
-        changed = True
-        while changed:
-            changed = False
-            for key, g in self.groups.items():
-                outer = grouped[g]
-                for m in key:
-                    if not outer <= grouped[m]:
-                        grouped[m] |= outer
-                        changed = True
+        # connected through every group containing that inner group.  A
+        # group's index exceeds its members', so one downward pass will do.
+        grouped: list[set[int]] = [set() for _ in self.nodes]
+        for node in reversed(self.nodes):
+            if node.kind == GROUP:
+                for m in node.parents:
+                    grouped[m] |= grouped[node.idx] | {node.idx}
 
         edges: list[Edge] = []
         for node in self.nodes:
             if node.kind == GROUP:
-                for m in node.parents:
-                    edges.append(Edge(m, node.idx, self.nodes[m].scope))
+                edges += [Edge(m, node.idx, self.nodes[m].scope)
+                          for m in node.parents]
             elif node.parents:
                 (p,) = node.parents
-                shared = grouped.get(p, set()) & grouped.get(node.idx, set())
-                if shared:
-                    continue  # connected through a common group already
-                edges.append(Edge(p, node.idx, node.separator))
+                if not grouped[p] & grouped[node.idx]:  # else via a group
+                    edges.append(Edge(p, node.idx, node.separator))
 
-        # Singly connected check: the propagation graph must be a forest.
-        seen: set[int] = set()
-        adj: dict[int, list[tuple[int, int]]] = {n.idx: [] for n in self.nodes}
-        for ei, e in enumerate(edges):
-            adj[e.a].append((e.b, ei))
-            adj[e.b].append((e.a, ei))
-        for start in adj:
-            if start in seen:
-                continue
-            seen.add(start)
-            stack = [(start, -1)]
-            while stack:
-                i, via = stack.pop()
-                for j, ei in adj[i]:
-                    if ei == via:
-                        continue
-                    if j in seen:
-                        raise MultiplyConnectedError(
-                            f"clause sharing structure has a cycle through "
-                            f"{self.nodes[j].label!r}"
-                        )
-                    seen.add(j)
-                    stack.append((j, ei))
+        root = list(range(len(self.nodes)))  # disjoint-set forest
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
+        for e in edges:
+            a, b = find(e.a), find(e.b)
+            if a == b:
+                raise MultiplyConnectedError(
+                    f"clause sharing structure has a cycle through "
+                    f"{self.nodes[e.b].label!r}"
+                )
+            root[a] = b
         return tuple(edges)
 
 

@@ -38,6 +38,7 @@ from .engine import (
     lec_solve,
 )
 from .errors import (
+    ConvergenceError,
     InfeasibleEvidenceError,
     NetworkStructureError,
     ProbabilityError,
@@ -270,10 +271,13 @@ class _TableStore:
         return np.concatenate(pos), np.concatenate(var)
 
 
-def _named(exc: InfeasibleEvidenceError,
-           c: ConstraintSet) -> InfeasibleEvidenceError:
-    """The error restated with the constraint being applied, and with a
-    zero-mass event given as variable values."""
+def _named(exc: InfeasibleEvidenceError | ConvergenceError,
+           c: ConstraintSet) -> InfeasibleEvidenceError | ConvergenceError:
+    """The error restated with the constraint being applied first, a
+    stalled solve keeping its best iterate, and a zero-mass event given as
+    variable values."""
+    if isinstance(exc, ConvergenceError):
+        return ConvergenceError(f"{c.label()}: {exc}", exc.best)
     if exc.event is None:
         return InfeasibleEvidenceError(f"{c.label()}: {exc}")
     return InfeasibleEvidenceError(
@@ -376,7 +380,7 @@ def run_reasoning(
                 store.write(home, update_table(store.table(home), cons[pick],
                                                ev.threshold(pick) / 10))
                 store.propagate(plans[home])
-            except InfeasibleEvidenceError as exc:
+            except (InfeasibleEvidenceError, ConvergenceError) as exc:
                 raise _named(exc, cons[pick]) from exc
             p_true = np.bincount(true_var, store.flat[true_pos],
                                  minlength=len(names))

@@ -20,7 +20,7 @@ from rcndl.engine import (
     jeffrey_update,
     lec_solve,
 )
-from rcndl.errors import InfeasibleEvidenceError
+from rcndl.errors import ConvergenceError, InfeasibleEvidenceError
 from rcndl.model import ConditionalConstraint, MarginalConstraint, marginalize
 from rcndl.scheduler import (
     GREATEST_GRADIENT,
@@ -99,7 +99,7 @@ def run_reasoning(net, ev):
             try:
                 net, home = apply_constraint(net, cons[pick],
                                              ev.threshold(pick) / 10)
-            except InfeasibleEvidenceError as exc:
+            except (InfeasibleEvidenceError, ConvergenceError) as exc:
                 raise _named(exc, cons[pick]) from exc
             touched = tuple(
                 i for i, t in enumerate(net.tables) if t is not before_tables[i]

@@ -36,6 +36,8 @@ class TestEvidenceGrammar:
     def test_threshold_suffix(self):
         (c,) = parse_evidence("P(C) = 0.95 threshold 0.0001")
         assert c.threshold == 0.0001
+        (c,) = parse_evidence("E = true THRESHOLD 1e-4")  # any case here
+        assert c.threshold == 1e-4
 
     def test_comments_and_blank_lines(self):
         cs = parse_evidence("# a comment\n\nP(C) = 0.95  # trailing\n")
@@ -54,6 +56,20 @@ class TestEvidenceGrammar:
     def test_out_of_range_probability(self):
         with pytest.raises(ParseError):
             parse_evidence("P(C) = 1.5")
+
+    @pytest.mark.parametrize("text, message", [
+        ("P(C) = 1.5", "1:1: probability 1.5 outside [0, 1]"),
+        ("P(C) = 0.95\nP(C = oops",
+         "2:1: unrecognized evidence line: 'P(C = oops'"),
+        ("X = maybe", "1:1: unrecognized evidence line: 'X = maybe'"),
+        ("P(C) = 0.5 THRESHOLD 0.1",
+         "1:1: unrecognized evidence line: 'P(C) = 0.5 THRESHOLD 0.1'"),
+        ("P(X | Y, 2Z) = 0.7", "1:1: bad condition variable '2Z'"),
+    ])
+    def test_malformed_line_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_evidence(text)
+        assert str(err.value) == message
 
 
 @pytest.fixture

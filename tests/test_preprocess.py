@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcndl import (
     MultiplyConnectedError,
     NetworkStructureError,
+    PreparedNetwork,
     QueryClause,
     Scope,
     SourceProgram,
@@ -13,8 +16,9 @@ from rcndl import (
     render_intermediate,
 )
 from rcndl.model import SourcePos
-from rcndl.preprocess import GROUP, OBS, ROOT, RULE
-from tests.conftest import CANCER, THREE_VARS, brute_force_cancer
+from rcndl.preprocess import GROUP, OBS, ROOT, RULE, _Builder
+from tests import reference_preprocess as reference
+from tests.conftest import CANCER, THREE_VARS, brute_force_cancer, outcome
 
 
 def tables_by_label(net):
@@ -158,6 +162,73 @@ class TestStructureErrors:
         """
         with pytest.raises(MultiplyConnectedError):
             preprocess(parse_program(text))
+
+
+@st.composite
+def clause_programs(draw):
+    """1-3 uniform-prior root cliques, each overlapping at most one earlier
+    clique (on variables no other clique holds), then rules with heads of
+    1-3 variables and observations of 1-3 variables.  Every such program
+    reaches the edge rule; some are multiply connected."""
+    cliques: list[list[str]] = []
+    count: dict[str, int] = {}
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 3))
+        sole = [vs for vs in ([v for v in c if count[v] == 1] for c in cliques)
+                if vs]
+        scope: list[str] = []
+        if sole and draw(st.booleans()):
+            vs = draw(st.sampled_from(sole))
+            scope = draw(st.lists(st.sampled_from(vs), min_size=1,
+                                  max_size=min(size, len(vs)), unique=True))
+        while len(scope) < size:
+            scope.append(f"V{len(count)}")
+            count[scope[-1]] = 0
+        for v in scope:
+            count[v] += 1
+        cliques.append(scope)
+    lines = ["?- " + "; ".join(
+        f"{', '.join(c)} : [{', '.join([repr(0.5 ** len(c))] * 2 ** len(c))}]"
+        for c in cliques) + "."]
+    variables = list(count)
+
+    def some():
+        k = min(draw(st.integers(1, 3)), len(variables))
+        return draw(st.lists(st.sampled_from(variables), min_size=k,
+                             max_size=k, unique=True))
+
+    for _ in range(draw(st.integers(2, 8))):
+        head = some()
+        cond = ", ".join(f"{0.1 + 0.8 * k / 2 ** len(head):.3f}"
+                         for k in range(2 ** len(head)))
+        lines.append(f"{', '.join(head)} -> V{len(variables)} : [{cond}].")
+        variables.append(f"V{len(variables)}")
+    lines += [", ".join(some()) + "." for _ in range(draw(st.integers(0, 3)))]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clause_programs())
+def test_edge_rule_matches_reference(text):
+    # the node list the builder hands its edge rule, every draw
+    seen = []
+    build_edges = _Builder.build_edges
+
+    def spy(builder):
+        seen.append(list(builder.nodes))
+        return build_edges(builder)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Builder, "build_edges", spy)
+        got = outcome(preprocess, parse_program(text))
+    (nodes,) = seen
+    want = outcome(reference.build_edges, nodes)
+    if isinstance(want[0], type):
+        assert want[0] is MultiplyConnectedError
+        assert got[0] is MultiplyConnectedError
+    else:
+        assert isinstance(got, PreparedNetwork), got
+        assert got.edges == want
 
 
 class TestQueryCliques:

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcndl import (
+    ConvergenceError,
     EvidenceSet,
     GREATEST_GRADIENT,
     InfeasibleEvidenceError,
@@ -13,6 +14,7 @@ from rcndl import (
     NetworkStructureError,
     PROGRAM_ORDER,
     Scope,
+    ScopeError,
     apply_constraint,
     expand_full_joint,
     jeffrey_update,
@@ -307,6 +309,14 @@ class TestEvidenceValidation:
         with pytest.raises(Exception):
             run_reasoning(three_vars_net, ev)
 
+    def test_reads_of_unknown_variables_name_them(self, three_vars_net):
+        with pytest.raises(NetworkStructureError, match="unknown variable 'Q'"):
+            three_vars_net.joint_over(Scope(("A", "Q")))
+        with pytest.raises(ScopeError, match="unknown variable 'Q'"):
+            posterior_marginal(three_vars_net, "Q")
+        with pytest.raises(ScopeError, match="unknown variable 'Q'"):
+            marginal_spread(three_vars_net, "Q")
+
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             EvidenceSet((), policy="fastest")
@@ -380,6 +390,18 @@ class TestThresholdBelowKernelDefault:
         for v in ("X0", "X1"):
             assert posterior_marginal(post, v)[1] == pytest.approx(
                 marginalize(ref, Scope((v,))).probs[1], abs=1e-9)
+
+
+def test_stalled_linear_solve_names_its_constraint():
+    # rows whose coefficients are all tiny stall the linear kernel; the
+    # error says which set stalled and keeps the solver's best iterate
+    net = preprocess(parse_program(CHAIN))
+    c = _tilted_linear(net, ((0, 0, 0, 1.19e-7), (0, 1, 0, 0)),
+                       (1.56, 0.37, 0.4, 1.66))
+    with pytest.raises(ConvergenceError,
+                       match=r"^linear\[2 rows on X0,X1\]: ") as err:
+        run_reasoning(net, EvidenceSet((c,)))
+    assert err.value.best is not None
 
 
 def _random_network(rng, n_vars=None):

@@ -1,0 +1,199 @@
+"""Hash what ``preprocess`` and ``run_reasoning`` produce, to show that a
+change leaves them byte-identical.
+
+    python3 tools/fingerprint.py [--src DIR] [--programs N] > out.json
+
+``--src`` names the ``src`` directory whose ``rcndl`` is imported (default:
+this checkout's).  The script prints one JSON object:
+
+* ``workloads``: seeds 1-3 of every generator in ``perfbench/generate.py``
+  (imported read-only), solved as the benchmark solves them;
+* ``paper``: the two demo models with each demo evidence file, under both
+  ordering policies;
+* ``programs``: N generated programs of 1-3 root cliques (some
+  overlapping), rules with heads of 1-3 variables and observations of 1-3
+  variables; each accepted program's network and three ``joint_over``
+  reads are hashed, each rejected one gives its error type;
+* ``messages``: the text of every rejection, by program number.
+
+Each hash covers node kinds, scopes, separators, parents, clause indices,
+labels, edges in order, adjacency, the variable indices, every table's
+bytes and, for runs, the posterior tables and every trace field.  To check
+a change, run the script against a second checkout of the parent commit
+(``git worktree`` or ``git archive``) and against the change, and diff the
+two outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAM_SEED = 20240601
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def tables_digest(net) -> str:
+    return digest(*((t.scope.vars, t.probs.tobytes()) for t in net.tables))
+
+
+def network_digest(net) -> str:
+    return digest(
+        [(n.idx, n.kind, n.scope.vars,
+          None if n.separator is None else n.separator.vars,
+          n.parents, n.clause_idx, n.label) for n in net.nodes],
+        [(e.a, e.b, e.separator.vars) for e in net.edges],
+        net.adjacency, net.introducer, net.holders, sorted(net.observables),
+        tables_digest(net),
+    )
+
+
+def run_digest(rcndl, net, constraints, policy, threshold) -> str:
+    ev = rcndl.EvidenceSet(tuple(constraints), policy=policy,
+                           default_threshold=threshold)
+    try:
+        post, trace = rcndl.run_reasoning(net, ev)
+    except rcndl.RcndlError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return digest(tables_digest(post), trace.steps, trace.passes,
+                  trace.converged, trace.final_gradients)
+
+
+def workloads(rcndl) -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import generate  # the benchmark's stdlib-only input generators
+
+    out = {}
+    for name, gen in generate.GENERATORS.items():
+        for seed in (1, 2, 3):
+            p = gen(seed)
+            net = rcndl.preprocess(rcndl.parse_program(p.model_text))
+            constraints = rcndl.parse_evidence(p.evidence_text) + [
+                rcndl.LinearConstraint(rcndl.Scope(scope), rows, rhs)
+                for scope, rows, rhs in generate.decode_linear(p.linear_text)
+            ]
+            out[f"{name}/{seed}"] = {
+                "network": network_digest(net),
+                "run": run_digest(rcndl, net, constraints,
+                                  rcndl.GREATEST_GRADIENT, p.threshold),
+            }
+    return out
+
+
+def paper(rcndl) -> dict:
+    demos = ROOT / "demos"
+    pairs = {
+        "three_vars": ["evidence_uncertain.txt"],
+        "cancer": ["evidence_cancer_bayesian.txt",
+                   "evidence_cancer_uncertain.txt"],
+    }
+    out = {}
+    for model, files in pairs.items():
+        text = (demos / "models" / f"{model}.rcndl").read_text()
+        net = rcndl.preprocess(rcndl.parse_program(text))
+        out[model] = network_digest(net)
+        for name in files:
+            constraints = rcndl.parse_evidence((demos / name).read_text())
+            for policy in (rcndl.GREATEST_GRADIENT, rcndl.PROGRAM_ORDER):
+                out[f"{model}/{name}/{policy}"] = run_digest(
+                    rcndl, net, constraints, policy, 1e-6)
+    return out
+
+
+def generated_program(rng: random.Random) -> str:
+    """Uniform-prior root cliques, each overlapping at most one earlier
+    clique (on variables no other clique holds), then rules and
+    observations over the variables introduced so far."""
+    cliques: list[list[str]] = []
+    count: dict[str, int] = {}
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 3)
+        scope: list[str] = []
+        sole = [[v for v in c if count[v] == 1] for c in cliques]
+        sole = [vs for vs in sole if vs]
+        if sole and rng.random() < 0.5:
+            vs = rng.choice(sole)
+            scope = rng.sample(vs, rng.randint(1, min(size, len(vs))))
+        while len(scope) < size:
+            scope.append(f"V{len(count)}")
+            count[scope[-1]] = 0
+        for v in scope:
+            count[v] += 1
+        cliques.append(scope)
+    lines = ["?- " + "; ".join(
+        f"{', '.join(c)} : [{', '.join([repr(0.5 ** len(c))] * 2 ** len(c))}]"
+        for c in cliques) + "."]
+    variables = list(count)
+    for _ in range(rng.randint(1, 6)):
+        head = rng.sample(variables, min(rng.randint(1, 3), len(variables)))
+        body = f"V{len(variables)}"
+        cond = ", ".join(str(rng.randint(5, 95) / 100)
+                         for _ in range(2 ** len(head)))
+        lines.append(f"{', '.join(head)} -> {body} : [{cond}].")
+        variables.append(body)
+    for _ in range(rng.randint(0, 3)):
+        obs = rng.sample(variables, min(rng.randint(1, 3), len(variables)))
+        lines.append(", ".join(obs) + ".")
+    return "\n".join(lines) + "\n"
+
+
+def programs(rcndl, n: int) -> tuple[dict, list, dict]:
+    rng = random.Random(PROGRAM_SEED)
+    summary: dict[str, int] = {"count": n, "accepted": 0}
+    outcomes, messages = [], {}
+    for k in range(n):
+        text = generated_program(rng)
+        try:
+            net = rcndl.preprocess(rcndl.parse_program(text))
+        except rcndl.RcndlError as exc:
+            name = type(exc).__name__
+            summary[name] = summary.get(name, 0) + 1
+            outcomes.append(name)
+            messages[str(k)] = str(exc)
+            continue
+        summary["accepted"] += 1
+        variables = list(net.introducer)
+        reads = [rcndl.Scope(rng.sample(variables,
+                                        min(rng.randint(2, 3), len(variables))))
+                 for _ in range(3)]
+        outcomes.append(digest(
+            network_digest(net),
+            [net.joint_over(s).probs.tobytes() for s in reads]))
+    return summary, outcomes, messages
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="directory holding the rcndl package to import")
+    ap.add_argument("--programs", type=int, default=2000,
+                    help="number of generated programs (default 2000)")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import rcndl
+
+    print(f"rcndl from {Path(rcndl.__file__).parent}", file=sys.stderr)
+    summary, outcomes, messages = programs(rcndl, args.programs)
+    json.dump({
+        "workloads": workloads(rcndl),
+        "paper": paper(rcndl),
+        "programs": summary,
+        "program_outcomes": outcomes,
+        "messages": messages,
+    }, sys.stdout, indent=1)
+    print()
+
+
+if __name__ == "__main__":
+    main()
