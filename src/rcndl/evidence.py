@@ -69,6 +69,9 @@ def _constraint(line: str, line_no: int) -> ConstraintSet:
         raise ParseError(f"unrecognized evidence line: {line!r}", line_no, 1)
     *fields, thr = m.groups()
     threshold = float(thr) if thr else None
+    if thr and not 0.0 <= threshold < float("inf"):
+        raise ParseError(f"threshold {thr} must be finite and non-negative",
+                         line_no, 1)
 
     if m.re is _CONDITIONAL_RE:
         target, conds, value = fields

@@ -10,6 +10,12 @@ Identifiers start with a letter and continue with letters, digits or
 underscores.  ``%`` starts a comment running to end of line.  Probability
 literals must lie in [0, 1]; the sentinel ``-1.0`` is accepted to mean
 "unknown" and is resolved later by the preprocessor.
+
+The lexer is one ``finditer`` pass yielding ``(kind, text, offset)``; line
+and column are computed only for a clause's position or an error.  A
+well-formed probability list (numbers and commas in brackets, whitespace and
+comments between) is one token, converted with one ``split``; a list that
+fails a check is read again token by token, for the same error either way.
 """
 
 from __future__ import annotations
@@ -28,50 +34,21 @@ from .model import (
     UNKNOWN,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>%[^\n]*)
-    | (?P<query>\?\s*-)
-    | (?P<arrow>->)
-    | (?P<number>-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)
-    | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+_SKIP = r"(?:\s|%[^\n]*(?![^\n]))*"  # a comment ends at a newline, never earlier
+_NUMBER = r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
+_TOKEN_RE = re.compile(  # a token with the whitespace after it
+    rf"""(?:
+      (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+    | (?P<list>\[{_SKIP}{_NUMBER}(?:{_SKIP},{_SKIP}{_NUMBER})*{_SKIP}\])
     | (?P<punct>[\[\],;:.])
-    """,
+    | (?P<arrow>->)
+    | (?P<number>{_NUMBER})
+    | (?P<query>\?\s*-)
+    | \s+ | %[^\n]*
+    | (?P<bad>.)
+    )\s*""",
     re.VERBOSE,
 )
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tok_kind = lexeme if kind == "punct" else kind
-            tokens.append(Token(tok_kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
 
 
 @dataclass(frozen=True)
@@ -89,141 +66,164 @@ class SourceProgram:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
+    """Tokens are ``(kind, text, offset)``; a punctuation mark is its own kind."""
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def __init__(self, text: str):
+        self.src = text
+        self.line, self.bol, self.mark, self.i = 1, 0, 0, 0
+        self.tokens = self.lex(0, len(text)) + [("eof", "", len(text))]
 
-    def next(self) -> Token:
+    def lex(self, start: int, end: int) -> list[tuple[str, str, int]]:
+        tokens = []
+        for m in _TOKEN_RE.finditer(self.src, start, end):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group(kind)!r}",
+                                 *self.where(m.start()))
+            if kind:  # not whitespace or a comment
+                text = m.group(kind)
+                tokens.append((text if kind == "punct" else kind, text, m.start()))
+        return tokens
+
+    def where(self, at: int) -> tuple[int, int]:
+        """Line and column of ``at``, counted on from the offset asked before,
+        which is never later: clause starts, then at most one error."""
+        newlines = self.src.count("\n", self.mark, at)
+        if newlines:
+            self.line += newlines
+            self.bol = self.src.rfind("\n", self.mark, at) + 1
+        self.mark = at
+        return self.line, at - self.bol + 1
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise self.unexpected(repr(kind))
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.column,
-            )
-        return self.next()
+    def unexpected(self, wanted: str) -> ParseError:
+        kind, text, at = self.tokens[self.i]
+        found = "[" if kind == "list" else text or "end of input"
+        return ParseError(f"expected {wanted}, found {found!r}", *self.where(at))
 
     # clause := "?-" query "." | head "->" body "." | observations "."
     def program(self) -> SourceProgram:
         clauses: list[Clause] = []
         seen_query = False
-        while self.peek().kind != "eof":
+        while self.tokens[self.i][0] != "eof":
             clause = self.clause()
             if isinstance(clause, QueryClause):
                 if seen_query:
-                    raise ParseError(
-                        "multiple query clauses are not supported",
-                        clause.pos.line, clause.pos.column,
-                    )
+                    raise ParseError("multiple query clauses are not supported",
+                                     clause.pos.line, clause.pos.column)
                 seen_query = True
             clauses.append(clause)
         return SourceProgram(tuple(clauses))
 
     def clause(self) -> Clause:
-        tok = self.peek()
-        pos = SourcePos(tok.line, tok.column)
-        if tok.kind == "query":
-            self.next()
-            cliques = [self.clique()]
-            while self.peek().kind == ";":
-                self.next()
-                cliques.append(self.clique())
+        kind, _, at = self.tokens[self.i]
+        pos = SourcePos(*self.where(at))
+        if kind == "query":
+            self.i += 1
+            cliques = [self.clique(pos)]
+            while self.tokens[self.i][0] == ";":
+                self.i += 1
+                cliques.append(self.clique(pos))
             self.expect(".")
             return QueryClause(tuple(cliques), pos)
-
         names = self.proposition_list()
-        tok = self.peek()
-        if tok.kind == "arrow":
-            self.next()
-            body = self.expect("ident").text
+        kind = self.tokens[self.i][0]
+        if kind == "arrow":
+            self.i += 1
+            body = self.expect("ident")[1]
             self.expect(":")
-            head = Scope(names)
+            head = self.scope(names, "rule head", pos)
             cond = self.pr_list(head.n_states, "rule head")
             self.expect(".")
             return RuleClause(head, body, cond, pos)
-        if tok.kind == ".":
-            self.next()
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate variable in observation clause",
-                                 pos.line, pos.column)
-            return ObservationClause(tuple(names), pos)
-        raise ParseError(
-            f"expected '->' or '.', found {tok.text or 'end of input'!r}",
-            tok.line, tok.column,
-        )
+        if kind == ".":
+            self.i += 1
+            return ObservationClause(
+                self.scope(names, "observation clause", pos).vars, pos)
+        raise self.unexpected("'->' or '.'")
 
-    def clique(self) -> tuple[Scope, tuple[float, ...]]:
+    def clique(self, pos: SourcePos) -> tuple[Scope, tuple[float, ...]]:
         names = self.proposition_list()
         self.expect(":")
-        scope = Scope(names)
+        scope = self.scope(names, "query clique", pos)
         return scope, self.pr_list(scope.n_states, "query clique")
 
+    def scope(self, names: list[str], what: str, pos: SourcePos) -> Scope:
+        if len(set(names)) != len(names):
+            raise ParseError(f"duplicate variable in {what}", pos.line, pos.column)
+        return Scope(names)
+
     def proposition_list(self) -> list[str]:
-        names = [self.expect("ident").text]
-        while self.peek().kind == ",":
-            self.next()
-            names.append(self.expect("ident").text)
+        names = [self.expect("ident")[1]]
+        while self.tokens[self.i][0] == ",":
+            self.i += 1
+            names.append(self.expect("ident")[1])
         return names
 
     def pr_list(self, expected: int, what: str) -> tuple[float, ...]:
-        open_tok = self.expect("[")
+        kind, text, at = self.tokens[self.i]
+        if kind == "list":
+            try:
+                values = tuple(map(float, text[1:-1].split(",")))
+            except ValueError:  # a comment, or a space float() does not strip
+                values = ()
+            if len(values) == expected and all(
+                    0.0 <= v <= 1.0 or v == UNKNOWN for v in values):
+                self.i += 1
+                return values
+            # otherwise read it alone token by token, for the same message
+            outer, end = (self.tokens, self.i + 1), at + len(text)
+            self.tokens = [("[", "[", at), *self.lex(at + 1, end), ("eof", "", end)]
+            self.i = 0
+            values = self.pr_list(expected, what)
+            self.tokens, self.i = outer  # set aside, not spliced: linear time
+            return values
+        open_at = self.expect("[")[2]
         values = [self.pr()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.tokens[self.i][0] == ",":
+            self.i += 1
             values.append(self.pr())
         self.expect("]")
         if len(values) != expected:
-            raise ArityError(
-                f"{open_tok.line}:{open_tok.column}: probability list for "
-                f"{what} needs {expected} entries, got {len(values)}"
-            )
+            raise ArityError("%d:%d: probability list for %s needs %d entries, got %d"
+                             % (*self.where(open_at), what, expected, len(values)))
         return tuple(values)
 
     def pr(self) -> float:
-        tok = self.expect("number")
-        value = float(tok.text)
-        if value == UNKNOWN:
-            return UNKNOWN
-        if not 0.0 <= value <= 1.0:
-            raise ParseError(
-                f"probability literal {tok.text} outside [0, 1]",
-                tok.line, tok.column,
-            )
+        _, text, at = self.expect("number")
+        value = float(text)
+        if not (0.0 <= value <= 1.0 or value == UNKNOWN):
+            raise ParseError(f"probability literal {text} outside [0, 1]",
+                             *self.where(at))
         return value
 
 
 def parse_program(text: str) -> SourceProgram:
     """Parse RCNDL source into a clause list, or raise a positioned ParseError."""
-    return _Parser(tokenize(text)).program()
-
-
-def _fmt(x: float) -> str:
-    """Shortest literal that round-trips the float value."""
-    return repr(x)
+    return _Parser(text).program()
 
 
 def render_program(program: SourceProgram) -> str:
-    """Canonical source text; ``parse_program(render_program(p))`` equals ``p``
-    structurally (positions aside)."""
+    """Canonical source text, each float as its shortest round-trip literal;
+    ``parse_program(render_program(p))`` equals ``p`` (positions aside)."""
     lines = []
     for clause in program.clauses:
         if isinstance(clause, QueryClause):
             parts = [
-                f"{', '.join(scope.vars)} : [{', '.join(_fmt(v) for v in prior)}]"
+                f"{', '.join(scope.vars)} : [{', '.join(repr(v) for v in prior)}]"
                 for scope, prior in clause.cliques
             ]
             lines.append("?- " + "; ".join(parts) + ".")
         elif isinstance(clause, RuleClause):
             lines.append(
                 f"{', '.join(clause.head.vars)} -> {clause.body} : "
-                f"[{', '.join(_fmt(v) for v in clause.cond)}]."
+                f"[{', '.join(repr(v) for v in clause.cond)}]."
             )
         else:
             lines.append(f"{', '.join(clause.vars)}.")

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     MultiplyConnectedError,
     NetworkStructureError,
+    ScopeError,
 )
 from .model import (
     JointTable,
@@ -132,7 +133,7 @@ class PreparedNetwork:
             return marginalize(self.tables[best], target)
         for v in target.vars:
             if v not in self.introducer:
-                raise NetworkStructureError(f"unknown variable {v!r}")
+                raise ScopeError(f"unknown variable {v!r}")
         members = _connecting_closure(
             self.nodes, tuple(dict.fromkeys(self.introducer[v] for v in target.vars))
         )

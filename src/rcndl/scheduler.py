@@ -76,6 +76,13 @@ class EvidenceSet:
     def __post_init__(self):
         if self.policy not in (GREATEST_GRADIENT, PROGRAM_ORDER):
             raise ProbabilityError(f"unknown ordering policy {self.policy!r}")
+        if self.max_passes < 0:
+            raise ProbabilityError(f"pass budget {self.max_passes} is negative")
+        # a negative or NaN threshold is never met, an infinite one always
+        for t in (self.default_threshold, *(c.threshold for c in self.constraints)):
+            if t is not None and not 0.0 <= t < np.inf:
+                raise ProbabilityError(
+                    f"threshold {t!r} must be finite and non-negative")
 
     def threshold(self, i: int) -> float:
         t = self.constraints[i].threshold

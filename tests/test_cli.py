@@ -38,6 +38,8 @@ class TestEvidenceGrammar:
         assert c.threshold == 0.0001
         (c,) = parse_evidence("E = true THRESHOLD 1e-4")  # any case here
         assert c.threshold == 1e-4
+        (c,) = parse_evidence("P(C) = 0.95 threshold 0")
+        assert c.threshold == 0.0
 
     def test_comments_and_blank_lines(self):
         cs = parse_evidence("# a comment\n\nP(C) = 0.95  # trailing\n")
@@ -65,6 +67,10 @@ class TestEvidenceGrammar:
         ("P(C) = 0.5 THRESHOLD 0.1",
          "1:1: unrecognized evidence line: 'P(C) = 0.5 THRESHOLD 0.1'"),
         ("P(X | Y, 2Z) = 0.7", "1:1: bad condition variable '2Z'"),
+        ("P(B) = 0.5 threshold -1",
+         "1:1: threshold -1 must be finite and non-negative"),
+        ("P(C) = 0.95\nB = true threshold 1e999",
+         "2:1: threshold 1e999 must be finite and non-negative"),
     ])
     def test_malformed_line_messages(self, text, message):
         with pytest.raises(ParseError) as err:
@@ -123,6 +129,19 @@ class TestCheckCommand:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/model.rcndl"]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("?- A : [0.3, 0.7].\nA, A -> B : [0.1, 0.2, 0.3, 0.4].\n",
+         "error: 2:1: duplicate variable in rule head"),
+        ("% two cliques\n  ?- B : [0.5, 0.5]; A, A : [0.1, 0.2, 0.3, 0.4].\n",
+         "error: 2:3: duplicate variable in query clique"),
+    ])
+    def test_duplicate_variable_is_positioned(self, tmp_path, text, message):
+        p = tmp_path / "dup.rcndl"
+        p.write_text(text)
+        res = run_cli("check", str(p))
+        assert res.returncode == 1
+        assert res.stderr == message + "\n"
 
     def test_query_prior_not_summing_to_one(self, tmp_path):
         p = tmp_path / "bad.rcndl"
@@ -184,6 +203,21 @@ class TestRunCommand:
         res = run_cli("run", model_file, evidence_file(tmp_path, line))
         assert res.returncode == 1
         assert res.stderr == f"error: 1:1: {message}\n"
+
+    @pytest.mark.parametrize("evidence, flags, message", [
+        ("P(B) = 0.5 threshold -1", [],
+         "1:1: threshold -1 must be finite and non-negative"),
+        ("P(B) = 0.5", ["--threshold", "-1"],
+         "threshold -1.0 must be finite and non-negative"),
+        ("P(B) = 0.5", ["--threshold", "nan"],
+         "threshold nan must be finite and non-negative"),
+        ("P(B) = 0.5", ["--max-passes", "-3"], "pass budget -3 is negative"),
+    ])
+    def test_unreachable_stopping_rule_is_an_input_error(
+            self, model_file, tmp_path, capsys, evidence, flags, message):
+        ev = evidence_file(tmp_path, evidence)
+        assert main(["run", model_file, ev, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_infeasible_evidence_exit_code(self, tmp_path, capsys):
         p = tmp_path / "zero.rcndl"

@@ -1,16 +1,32 @@
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcndl import (
     ArityError,
     ObservationClause,
     ParseError,
     QueryClause,
+    RcndlError,
     RuleClause,
+    ScopeError,
+    SourceProgram,
     parse_program,
     render_program,
 )
-from tests.conftest import CANCER, THREE_VARS
+from rcndl.parser import _Parser
+from tests import reference_parser as reference
+from tests.conftest import CANCER, THREE_VARS, outcome
+from tests.test_batched_propagation import networks
+from tests.test_cli import run_cli
+from tests.test_preprocess import clause_programs
+
+DEMO_MODELS = sorted((Path(__file__).resolve().parents[1]
+                      / "demos" / "models").glob("*.rcndl"))
 
 
 class TestParseProgram:
@@ -101,8 +117,22 @@ class TestParseErrors:
         assert err.value.line == 2
 
     def test_duplicate_head_variable(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError) as err:
             parse_program("?- A : [0.3, 0.7]. A, A -> B : [0.1, 0.2, 0.3, 0.4].")
+        assert str(err.value) == "1:20: duplicate variable in rule head"
+
+    @pytest.mark.parametrize("text, message", [
+        ("?- A : [0.3, 0.7].\n A, A -> B : [0.1, 0.2, 0.3, 0.4].",
+         "2:2: duplicate variable in rule head"),
+        ("?- A : [0.3, 0.7]; B, B : [0.1, 0.2, 0.3, 0.4].",
+         "1:1: duplicate variable in query clique"),
+        ("?- A : [0.3, 0.7]. A -> B : [0.2, 0.4]. B, B.",
+         "1:41: duplicate variable in observation clause"),
+    ])
+    def test_duplicate_variable_is_positioned(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == message
 
     def test_rule_missing_arrow_or_period(self):
         with pytest.raises(ParseError):
@@ -157,3 +187,175 @@ def _strip_positions(program):
         else:
             out.append(("o", c.vars))
     return out
+
+
+# --------------------------------------------------------------------------
+# The one-pass lexer against the per-token reference parser
+# --------------------------------------------------------------------------
+
+# ASCII, Arabic-Indic and fullwidth digits: float() reads them all
+DIGITS = tuple("".join(map(chr, range(zero, zero + 10)))
+               for zero in (0x30, 0x660, 0xFF10))
+# between tokens: nothing, ASCII and Unicode spaces and line ends, then
+# what a list token cannot convert with split and float: comments that hold
+# list punctuation, and a space float() does not strip
+SPACES = ("", " ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u2028")
+ODD_SPACES = SPACES + ("% note\n", "% ], 0.5 [\n", "%\n", "\x1c")
+LITERALS = ("1.", "0.", "5e-1", "0.5E+0", "00.25", "-1", "-1.0", "-0", "1.5",
+            "-0.5", "1e999")
+CHARS = st.sampled_from(list("[],;:.%?->_ \n\r09eE+A") + ["\u0661", "\x1c"])
+
+
+def mutate(text, op, i, ch):
+    """``text`` with ``ch`` inserted at ``i``, or the character there
+    deleted or swapped with the next one."""
+    if op == "insert":
+        return text[:i] + ch + text[i:]
+    if op == "delete":
+        return text[:i] + text[i + 1:]
+    return text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+
+
+@st.composite
+def mutations(draw, text):
+    op = draw(st.sampled_from(("insert", "delete", "swap")))
+    # uniform over the text: hypothesis favours small integers
+    i = random.Random(draw(st.integers(0, 2 ** 32))).randint(0, len(text))
+    return mutate(text, op, i, draw(CHARS | st.characters()))
+
+
+@st.composite
+def respelled_programs(draw):
+    """A generated program, its tokens re-joined with random spaces and
+    comments, numbers respelled and line ends maybe CRLF.  Some draws also
+    reuse a variable name, add a list entry or spell an odd literal."""
+    text = draw(clause_programs() | networks().map(lambda n: n[0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    spaces = rng.choice((SPACES, ODD_SPACES))
+    odd = rng.random() < 0.5
+    tokens = reference.tokenize(text)[:-1]
+    names = [tok.text for tok in tokens if tok.kind == "ident"]
+    out = []
+    for tok in tokens:
+        out += rng.choices(spaces, k=rng.randrange(3))
+        lexeme = tok.text
+        if tok.kind == "query":
+            lexeme = rng.choice(("?-", "? -", "?\n -"))
+        elif tok.kind == "ident" and odd and rng.random() < 0.05:
+            lexeme = rng.choice(names)
+        elif tok.kind == "number":
+            if odd and rng.random() < 0.2:
+                lexeme = rng.choice(LITERALS)
+            elif odd and rng.random() < 0.02:
+                lexeme += ", 0.5"
+            elif rng.random() < 0.5:
+                lexeme = f"{float(lexeme):.4e}"
+            lexeme = lexeme.translate(str.maketrans("0123456789",
+                                                    rng.choice(DIGITS)))
+        out.append(lexeme)
+    out.append(rng.choice(("", "\n", "% no line end")))
+    text = "".join(out)
+    return text.replace("\n", "\r\n") if rng.random() < 0.5 else text
+
+
+class _Recording(reference._Parser):
+    """The reference parser, noting the token that starts each clause."""
+
+    def clause(self):
+        self.start = self.peek()
+        return super().clause()
+
+
+def reference_outcome(text):
+    try:
+        parser = _Recording(reference.tokenize(text))
+        return repr(parser.program())
+    except ScopeError as e:
+        # the one intended difference: a duplicate variable in a rule head
+        # or query clique is a ParseError at the clause, not a ScopeError
+        assert str(e).startswith("duplicate variable in scope"), e
+        tok = parser.start
+        what = "query clique" if tok.kind == "query" else "rule head"
+        return ParseError, f"{tok.line}:{tok.column}: duplicate variable in {what}"
+    except Exception as e:
+        return type(e), str(e)
+
+
+def assert_parsed_as_reference(text):
+    got = outcome(parse_program, text)
+    if isinstance(got, SourceProgram):
+        got = repr(got)  # exact floats, signed zeros and every SourcePos
+    assert got == reference_outcome(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(respelled_programs())
+def test_parse_matches_reference(text):
+    assert_parsed_as_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    # a comment runs to its line end, also where a ']' inside it could
+    # close a list that is malformed further on
+    "?- A : [0.3 % ], 0.5 [\n 0.7].",
+    "?- A : [0.3 % ]\n, 0.7].",
+    "?- A : [0.3, % 0.7]\n 0.7 % ]\n].",
+    "?- A : [0.3, 0.7] % ].\n.",
+    # a list where the grammar wants something else
+    "?- A : [0.3, 0.7]. A -> B [0.2, 0.4].",
+    "?- A [0.3, 0.7].",
+    "A [0.3, 0.7].",
+])
+def test_parse_of_irregular_lists_matches_reference(text):
+    assert_parsed_as_reference(text)
+
+
+def test_commented_lists_leave_the_file_tokens_in_place():
+    # a list with a comment in it is read again token by token; splicing
+    # those tokens into the file's token list would move every later token,
+    # so a file of such lists would parse in time quadratic in its length
+    text = "?- X0 : [0.5, 0.5].\n" + "".join(
+        f"X{k} -> X{k + 1} : [0.25, % c\n 0.75].\n" for k in range(3000))
+    p = _Parser(text)
+    tokens = p.tokens
+    before = list(tokens)
+    program = p.program()
+    assert p.tokens is tokens and tokens == before
+    assert len(program.clauses) == 3001
+    assert repr(program) == reference_outcome(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(respelled_programs().flatmap(mutations))
+def test_parse_of_a_mutant_matches_reference(text):
+    assert_parsed_as_reference(text)
+
+
+@st.composite
+def demo_mutants(draw):
+    text = draw(st.sampled_from(DEMO_MODELS)).read_text()
+    for _ in range(draw(st.integers(1, 3))):
+        text = draw(mutations(text))
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | demo_mutants())
+def test_any_text_parses_or_raises_a_library_error(text):
+    try:
+        assert isinstance(parse_program(text), SourceProgram)
+    except RcndlError:
+        pass
+
+
+def test_check_exits_cleanly_on_mutated_models(tmp_path):
+    rng = random.Random(8)
+    for k in range(6):
+        text = DEMO_MODELS[k % len(DEMO_MODELS)].read_text()
+        op = rng.choice(("insert", "delete", "swap"))
+        text = mutate(text, op, rng.randrange(len(text)), rng.choice("[,.:-A1"))
+        path = tmp_path / f"mutant{k}.rcndl"
+        path.write_text(text)
+        res = run_cli("check", str(path))
+        assert res.returncode in (0, 1), (text, res.stderr)
+        assert "Traceback" not in res.stderr, (text, res.stderr)

@@ -28,6 +28,7 @@ from rcndl import (
     run_reasoning,
 )
 from rcndl.engine import gradient_scalar
+from rcndl.errors import ProbabilityError
 from rcndl.scheduler import home_clause, marginal_spread
 from tests.conftest import CANCER, THREE_VARS
 
@@ -310,7 +311,7 @@ class TestEvidenceValidation:
             run_reasoning(three_vars_net, ev)
 
     def test_reads_of_unknown_variables_name_them(self, three_vars_net):
-        with pytest.raises(NetworkStructureError, match="unknown variable 'Q'"):
+        with pytest.raises(ScopeError, match="unknown variable 'Q'"):
             three_vars_net.joint_over(Scope(("A", "Q")))
         with pytest.raises(ScopeError, match="unknown variable 'Q'"):
             posterior_marginal(three_vars_net, "Q")
@@ -320,6 +321,22 @@ class TestEvidenceValidation:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
             EvidenceSet((), policy="fastest")
+
+    @pytest.mark.parametrize("kw", [
+        {"default_threshold": -1e-9},
+        {"default_threshold": float("nan")},
+        {"default_threshold": float("inf")},
+        {"max_passes": -1},
+        {"constraints": (MarginalConstraint(Scope(("B",)), (0.5, 0.5), -1.0),)},
+    ])
+    def test_unreachable_stopping_rule_rejected(self, kw):
+        with pytest.raises(ProbabilityError):
+            EvidenceSet(**{"constraints": (), **kw})
+
+    def test_zero_threshold_and_pass_budget_allowed(self, three_vars_net):
+        ev = evidence("P(B) = 0.5", default_threshold=0.0, max_passes=0)
+        post, trace = run_reasoning(three_vars_net, ev)
+        assert (trace.passes, trace.converged) == (0, False)
 
 
 class TestBayesianOnePassProperty:

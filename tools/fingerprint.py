@@ -14,7 +14,14 @@ this checkout's).  The script prints one JSON object:
   overlapping), rules with heads of 1-3 variables and observations of 1-3
   variables; each accepted program's network and three ``joint_over``
   reads are hashed, each rejected one gives its error type;
-* ``messages``: the text of every rejection, by program number.
+* ``messages``: the text of every rejection, by program number;
+* ``parse``: the parsed clause list, every source position included, of
+  each workload model, of N more generated programs and of mutated models
+  (MUTANTS copies of each demo model and of seed 1 of every workload, each
+  with one to three characters inserted, replaced, deleted or swapped, or
+  names renamed to the name before them, which may repeat a variable in a
+  clause); a mutant that does not parse gives its error type and text
+  instead.
 
 Each hash covers node kinds, scopes, separators, parents, clause indices,
 labels, edges in order, adjacency, the variable indices, every table's
@@ -30,11 +37,15 @@ import argparse
 import hashlib
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_SEED = 20240601
+MUTANTS = 200  # mutated copies parsed of each model
+MUTANT_CHARS = "[],;:.%?->_ \n\r0159eE+ABX\u0661\x1c@"
+IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def digest(*parts) -> str:
@@ -70,10 +81,16 @@ def run_digest(rcndl, net, constraints, policy, threshold) -> str:
                   trace.converged, trace.final_gradients)
 
 
-def workloads(rcndl) -> dict:
+def generators():
+    """``perfbench/generate.py``, the benchmark's stdlib-only input generators."""
     sys.path.insert(0, str(ROOT / "perfbench"))
-    import generate  # the benchmark's stdlib-only input generators
+    import generate
 
+    return generate
+
+
+def workloads(rcndl) -> dict:
+    generate = generators()
     out = {}
     for name, gen in generate.GENERATORS.items():
         for seed in (1, 2, 3):
@@ -173,6 +190,51 @@ def programs(rcndl, n: int) -> tuple[dict, list, dict]:
     return summary, outcomes, messages
 
 
+def parse_outcome(rcndl, text: str) -> str:
+    try:
+        return digest(repr(rcndl.parse_program(text)))  # exact floats, positions
+    except rcndl.RcndlError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def mutant(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.choice(("insert", "replace", "delete", "swap", "rename"))
+        names = list(IDENT_RE.finditer(text))
+        if op == "rename" and len(names) > 1:  # to the name before it
+            k = rng.randrange(1, len(names))
+            a, b = names[k].span()
+            text = text[:a] + names[k - 1].group() + text[b:]
+        elif op in ("insert", "replace"):
+            text = text[:i] + rng.choice(MUTANT_CHARS) + text[i + (op == "replace"):]
+        elif op == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+    return text
+
+
+def parses(rcndl, n: int) -> dict:
+    generate = generators()
+    rng = random.Random(PROGRAM_SEED + 1)
+    models = {path.stem: path.read_text()
+              for path in sorted((ROOT / "demos" / "models").glob("*.rcndl"))}
+    out = {}
+    for name, gen in generate.GENERATORS.items():
+        for seed in (1, 2, 3):
+            text = gen(seed).model_text
+            out[f"{name}/{seed}"] = parse_outcome(rcndl, text)
+            if seed == 1:
+                models[name] = text
+    for k in range(n):
+        out[f"program/{k}"] = parse_outcome(rcndl, generated_program(rng))
+    for name, text in models.items():
+        for k in range(MUTANTS):
+            out[f"{name}/mutant/{k}"] = parse_outcome(rcndl, mutant(rng, text))
+    return out
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
@@ -191,6 +253,7 @@ def main(argv=None) -> None:
         "programs": summary,
         "program_outcomes": outcomes,
         "messages": messages,
+        "parse": parses(rcndl, args.programs),
     }, sys.stdout, indent=1)
     print()
 
