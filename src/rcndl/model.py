@@ -115,7 +115,10 @@ _CACHED_MAX_VARS = 12
 
 
 def _positions(sub: Scope, scope: Scope) -> tuple[int, ...]:
-    return tuple(scope.index(v) for v in sub.vars)
+    try:
+        return tuple(map(scope.vars.index, sub.vars))
+    except ValueError:  # raise the ScopeError naming the missing variable
+        return tuple(scope.index(v) for v in sub.vars)
 
 
 def _axes(values: np.ndarray, n: int, positions: tuple[int, ...]) -> np.ndarray:
@@ -161,7 +164,7 @@ def substate_map(scope: Scope, sub: Scope) -> np.ndarray:
     sub-variables in it, so for scopes of up to 12 variables it is built
     once per such key and shared.  The returned array is read-only.
     """
-    n, positions = len(scope), _positions(sub, scope)
+    n, positions = len(scope.vars), _positions(sub, scope)
     if n <= _CACHED_MAX_VARS:
         return _cached_state_map(n, positions)
     return _build_state_map(n, positions)
@@ -285,7 +288,7 @@ def scale_events(
 
 
 def event_factors(
-    target: np.ndarray, current: np.ndarray, partitions: Sequence[Scope]
+    target: np.ndarray, current: np.ndarray, partitions: Iterable[Scope]
 ) -> np.ndarray:
     """``target / current`` per event, for the events of ``partitions``
     concatenated in order; 1 where an event has neither mass nor target.

@@ -14,14 +14,16 @@ clause with the near clause's separator distribution; group nodes make this
 exact even where a rule head spans several upstream clauses.
 
 During a run every clause table lives in one flat, mutable float64 array.
-For each distinct home clause a plan is compiled once per run: the
-breadth-first crossings away from the home, grouped by depth.  Crossings at
-the same depth touch disjoint far clauses and read near clauses that are
-already final, so each depth runs as a few batched numpy operations over
-concatenated gather/scatter indices.  The sums accumulate in the same order
-as one update per edge would, so the results are bit-for-bit those of the
-edge-by-edge walk.  The run returns an ordinary immutable
-``PreparedNetwork`` whose tables are copied out of the flat array.
+A crossing index built once per run locates, for each side of each edge,
+the states of that side's clause and their separator events.  For each
+distinct home clause a plan gathers from it the breadth-first crossings
+away from the home, grouped by depth: crossings at one depth touch disjoint
+far clauses and read near clauses already final, so each depth is a few
+batched numpy operations.  Each separator event belongs to one crossing and
+sums its states in ascending order, as one update per edge would, so the
+results are bit-for-bit those of the edge-by-edge walk.  The run returns an
+immutable ``PreparedNetwork`` whose tables are read-only slices of one copy
+of the flat array.
 """
 
 from __future__ import annotations
@@ -152,14 +154,14 @@ class _Level:
     of the clauses updated: each state's position in the flat store and the
     separator event it belongs to.  The events of the crossings' separators
     are numbered one after another, in crossing order; ``n_events`` counts
-    them all.
+    them all.  ``edges`` are the crossed edges, in the same order.
     """
 
     near_pos: np.ndarray
     near_event: np.ndarray
     far_pos: np.ndarray
     far_event: np.ndarray
-    separators: tuple[Scope, ...]
+    edges: np.ndarray
     n_events: int
 
 
@@ -169,6 +171,15 @@ class _Plan:
 
     touched: tuple[int, ...]        # the home's connected component, sorted
     levels: tuple[_Level, ...]
+
+
+def _ranges(first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``first[k], ..., first[k] + sizes[k] - 1`` for each ``k`` in turn (no
+    size zero), as one running sum of steps of 1 and jumps to each start."""
+    out = np.ones(sizes.sum(), dtype=np.intp)
+    out[np.cumsum(sizes[:-1])] = first[1:] - first[:-1] - sizes[:-1] + 1
+    out[:1] = first[:1]
+    return np.cumsum(out, out=out)
 
 
 class _TableStore:
@@ -183,77 +194,79 @@ class _TableStore:
                                dtype=np.intp)
         self.flat = np.concatenate([t.probs for t in net.tables])
         self.scopes = [t.scope for t in net.tables]
-
-    def _span(self, i: int) -> slice:
-        return slice(self.start[i], self.start[i + 1])
+        self.separators = [e.separator for e in net.edges]
 
     def table(self, i: int) -> JointTable:
-        return JointTable(self.scopes[i], self.flat[self._span(i)],
+        return JointTable(self.scopes[i], self.flat[self.start[i]:self.start[i + 1]],
                           _validate=False)
 
     def write(self, i: int, table: JointTable) -> None:
-        self.flat[self._span(i)] = table.probs
+        self.flat[self.start[i]:self.start[i + 1]] = table.probs
 
     def network(self, net: PreparedNetwork) -> PreparedNetwork:
+        flat, s = self.flat.copy(), self.start.tolist()
         return replace(net, tables=tuple(
-            JointTable(scope, self.flat[self._span(i)].copy(), _validate=False)
-            for i, scope in enumerate(self.scopes)
-        ))
+            JointTable(scope, flat[a:b], _validate=False)
+            for scope, a, b in zip(self.scopes, s, s[1:])))
 
     def compile_plans(
         self, net: PreparedNetwork, homes: list[int]
     ) -> dict[int, _Plan]:
-        """One plan per distinct home clause."""
-        maps: dict[tuple[int, int], np.ndarray] = {}  # shared by the plans
+        """One plan per distinct home clause, gathered from a crossing index.
+        Side ``2e`` of edge ``e`` is its end ``a``, side ``2e + 1`` its end
+        ``b``; crossing ``c`` reads side ``c`` and updates side ``c ^ 1``.
+        The index places each side's states in the store and their events in
+        a pool that holds each distinct (shared) state map once."""
+        ends = [n for e in net.edges for n in (e.a, e.b)]
+        sizes = np.diff(self.start)[ends]
+        pool, offsets, size = {}, [], 0  # id -> (offset, map)
+        for s, n in enumerate(ends):
+            m = substate_map(self.scopes[n], self.separators[s >> 1])
+            if id(m) not in pool:
+                pool[id(m)], size = (size, m), size + m.size
+            offsets.append(pool[id(m)][0])
+        events = np.concatenate([np.empty(0, np.intp)]
+                                + [m for _, m in pool.values()])
+        index = (self.start[ends], np.array(offsets, np.intp), sizes, events)
+        links = [[2 * e + (ends[2 * e] != i) for e in adj]  # crossings away
+                 for i, adj in enumerate(net.adjacency)]
+        n_events = np.array([sep.n_states for sep in self.separators], np.intp)
+        return {h: self._plan(h, links, ends, index, n_events)
+                for h in dict.fromkeys(homes)}
 
-        def event_map(node: int, ei: int) -> np.ndarray:
-            if (node, ei) not in maps:
-                maps[node, ei] = substate_map(self.scopes[node],
-                                              net.edges[ei].separator)
-            return maps[node, ei]
-
-        return {h: self._plan(net, h, event_map) for h in dict.fromkeys(homes)}
-
-    def _plan(self, net: PreparedNetwork, home: int, event_map) -> _Plan:
+    @staticmethod
+    def _plan(home: int, links, ends, index, n_events) -> _Plan:
         """The breadth-first crossings away from ``home``, grouped by depth."""
-        visited = {home}
-        frontier = [home]
-        levels = []
-        while True:
-            near, far, edges = [], [], []
+        seen, frontier, order, bounds = {home}, [home], [], [0]
+        while frontier:
+            reached = []
             for i in frontier:
-                for ei in net.adjacency[i]:
-                    j = net.edges[ei].other(i)
-                    if j not in visited:
-                        visited.add(j)
-                        near.append(i)
-                        far.append(j)
-                        edges.append(ei)
-            if not edges:
-                return _Plan(tuple(sorted(visited)), tuple(levels))
-            separators = tuple(net.edges[ei].separator for ei in edges)
-            n_events = np.array([sep.n_states for sep in separators],
-                                dtype=np.intp)
-            starts = np.cumsum(n_events) - n_events
-            levels.append(_Level(
-                *self._states(near, edges, starts, event_map),
-                *self._states(far, edges, starts, event_map),
-                separators, int(n_events.sum()),
-            ))
-            frontier = far
-
-    def _states(self, nodes: list[int], edges: list[int], starts: np.ndarray,
-                event_map) -> tuple[np.ndarray, np.ndarray]:
-        """Store position and separator event of every state of each node in
-        turn: node ``k``'s events are read through ``edges[k]`` and offset by
-        ``starts[k]``."""
-        idx = np.asarray(nodes, dtype=np.intp)
-        first = self.start[idx]
-        sizes = self.start[idx + 1] - first
-        before = np.cumsum(sizes) - sizes
-        pos = np.repeat(first - before, sizes) + np.arange(sizes.sum())
-        events = np.concatenate([event_map(n, ei) for n, ei in zip(nodes, edges)])
-        return pos, events + np.repeat(starts, sizes)
+                for c in links[i]:
+                    if (j := ends[c ^ 1]) not in seen:
+                        seen.add(j)
+                        order.append(c)
+                        reached.append(j)
+            frontier = reached
+            bounds.append(len(order))
+        bounds.pop()  # the empty depth that ended the walk
+        crossings = np.array(order, dtype=np.intp)
+        edges = crossings >> 1
+        counted = np.concatenate(([0], np.cumsum(n_events[edges])))
+        first = counted[bounds]  # event ids restart at each level
+        offset = counted[:-1] - np.repeat(first[:-1], np.diff(bounds))
+        store_first, side_first, side_sizes, side_events = index
+        near, far = [], []
+        for sides, out in ((crossings, near), (crossings ^ 1, far)):
+            sizes = side_sizes[sides]
+            cut = np.concatenate(([0], np.cumsum(sizes)))[bounds].tolist()
+            e = side_events[_ranges(side_first[sides], sizes)]
+            e += np.repeat(offset, sizes)
+            p = _ranges(store_first[sides], sizes)
+            out.extend((p[a:b], e[a:b]) for a, b in zip(cut, cut[1:]))
+        levels = tuple(
+            _Level(*near[k], *far[k], edges[a:b], int(first[k + 1] - first[k]))
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:])))
+        return _Plan(tuple(sorted(seen)), levels)
 
     def propagate(self, plan: _Plan) -> None:
         """Jeffrey-update every far clause to its near clause's separator
@@ -263,19 +276,23 @@ class _TableStore:
             n = lv.n_events
             target = np.bincount(lv.near_event, flat[lv.near_pos], minlength=n)
             current = np.bincount(lv.far_event, flat[lv.far_pos], minlength=n)
-            factors = event_factors(target, current, lv.separators)
+            # the separators are looked up only to word an infeasible crossing
+            factors = event_factors(target, current,
+                                    map(self.separators.__getitem__, lv.edges))
             flat[lv.far_pos] *= factors[lv.far_event]
 
     def true_states(self, net: PreparedNetwork) -> tuple[np.ndarray, np.ndarray]:
         """For each variable in ``net.introducer`` order, the positions of
         the states where it is true in the clause introducing it, and the
         variable's index at each position."""
-        pos, var = [], []
-        for k, (v, i) in enumerate(net.introducer.items()):
-            states = np.nonzero(substate_map(self.scopes[i], Scope((v,))))[0]
-            pos.append(states + self.start[i])
-            var.append(np.full(states.size, k, dtype=np.intp))
-        return np.concatenate(pos), np.concatenate(var)
+        intro = np.array(list(net.introducer.values()), dtype=np.intp)
+        shift = np.array([len(self.scopes[i]) - 1 - self.scopes[i].vars.index(v)
+                          for v, i in net.introducer.items()], dtype=np.intp)
+        sizes = self.start[intro + 1] - self.start[intro]
+        pos = _ranges(self.start[intro], sizes)
+        var = np.repeat(np.arange(intro.size, dtype=np.intp), sizes)
+        true = ((pos - self.start[intro][var]) >> shift[var] & 1).astype(bool)
+        return pos[true], var[true]
 
 
 def _named(exc: InfeasibleEvidenceError | ConvergenceError,

@@ -2,11 +2,14 @@
 
 Networks are single-parent trees, optionally with units in which a rule
 is headed by two siblings (``P -> A``, ``P -> B``, ``A, B -> C``), which
-makes preprocessing join the siblings' clauses through a group node.
-Evidence mixes marginal, conditional and linear constraint sets.
+makes preprocessing join the siblings' clauses through a group node, and
+optionally with a second root clique and rules of its own, disconnected
+from the first tree.  Evidence mixes marginal, conditional and linear
+constraint sets.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +17,7 @@ from rcndl import (
     ConditionalConstraint,
     EvidenceSet,
     GREATEST_GRADIENT,
+    JointTable,
     LinearConstraint,
     MarginalConstraint,
     PROGRAM_ORDER,
@@ -21,7 +25,9 @@ from rcndl import (
     apply_constraint,
     parse_program,
     preprocess,
+    propagate_clause_update,
     run_reasoning,
+    scheduler,
 )
 from tests import reference_scheduler as reference
 from tests.conftest import outcome
@@ -41,6 +47,15 @@ def networks(draw):
         lines.append(f"X{parent} -> X{i} : [{draw(PROB)}, {draw(PROB)}].")
         rules.append((f"X{parent}", f"X{i}"))
     variables = [f"X{i}" for i in range(n)]
+    if draw(st.booleans()):  # a second tree, sharing no variable with X0's
+        q = draw(PROB)
+        lines[0] = lines[0][:-1] + f"; Y0 : [{1 - q!r}, {q!r}]."
+        m = draw(st.integers(1, 3))
+        for i in range(1, m):
+            parent = draw(st.integers(0, i - 1))
+            lines.append(f"Y{parent} -> Y{i} : [{draw(PROB)}, {draw(PROB)}].")
+            rules.append((f"Y{parent}", f"Y{i}"))
+        variables += [f"Y{i}" for i in range(m)]
     for u in range(draw(st.integers(0, 2))):
         hub = draw(st.sampled_from(variables))
         a, b, c = f"A{u}", f"B{u}", f"C{u}"
@@ -127,3 +142,84 @@ def test_apply_constraint_matches_edge_by_edge_reference(problem):
         return
     assert got[1] == want[1]
     assert same_tables(got[0], want[0])
+
+
+def test_network_without_edges_matches_reference():
+    net = preprocess(parse_program("?- A, B : [0.1, 0.2, 0.3, 0.4]."))
+    ev = EvidenceSet((ConditionalConstraint("B", (("A", True),), 0.5),))
+    (post, trace), (ref_post, ref_trace) = (run_reasoning(net, ev),
+                                            reference.run_reasoning(net, ev))
+    assert not net.edges
+    assert same_tables(post, ref_post)
+    assert trace.steps == ref_trace.steps
+    assert same_tables(propagate_clause_update(net, 0), net)
+
+
+def component(net, home):
+    """The nodes joined to ``home`` by edges, sorted."""
+    seen, stack = {home}, [home]
+    while stack:
+        i = stack.pop()
+        for ei in net.adjacency[i]:
+            j = net.edges[ei].other(i)
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return tuple(sorted(seen))
+
+
+@st.composite
+def reweighted_networks(draw):
+    """A network whose tables are reweighted, state by state, by integer
+    weights of 0-15, so that clauses disagree on their separators and some
+    separator events lose all their mass."""
+    text, _, _ = draw(networks())
+    net = preprocess(parse_program(text))
+    for i, t in enumerate(net.tables):
+        w = draw(st.lists(st.integers(0, 15), min_size=t.probs.size,
+                          max_size=t.probs.size))
+        p = t.probs * w
+        if p.sum() > 0:
+            net = net.with_table(i, JointTable(t.scope, p / p.sum()))
+    return net
+
+
+@settings(max_examples=100, deadline=None)
+@given(reweighted_networks())
+def test_propagation_from_every_node_matches_reference(net):
+    """From every node, group nodes included: the plan covers the node's
+    component only, and propagating matches the reference byte for byte
+    or fails with the same error."""
+    homes = range(len(net.nodes))
+    plans = scheduler._TableStore(net).compile_plans(net, list(homes))
+    for home in homes:
+        assert plans[home].touched == component(net, home)
+        got = outcome(propagate_clause_update, net, home)
+        want = outcome(reference.propagate_clause_update, net, home)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert same_tables(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_state_maps_built_once_per_edge_side(problem):
+    """A run reads each edge side's state map once, however many homes its
+    constraints have."""
+    net, ev = problem
+    calls = []
+    real = scheduler.substate_map
+
+    def counting(scope, sub):
+        calls.append((scope, sub))
+        return real(scope, sub)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheduler, "substate_map", counting)
+        outcome(run_reasoning, net, ev)
+        run_calls = len(calls)
+        scheduler._TableStore(net).compile_plans(net,
+                                                 list(range(len(net.nodes))))
+    assert run_calls <= 2 * len(net.edges)
+    assert len(calls) - run_calls == 2 * len(net.edges)

@@ -14,6 +14,13 @@ this checkout's).  The script prints one JSON object:
   overlapping), rules with heads of 1-3 variables and observations of 1-3
   variables; each accepted program's network and three ``joint_over``
   reads are hashed, each rejected one gives its error type;
+* ``program_runs``: for each accepted program, by program number, a run
+  with a marginal constraint on every observation and one conditional
+  constraint per rule clause (its body given every head variable true),
+  targets read off the prior so that the set is feasible.  At threshold 0
+  no gradient is below its threshold, so each of the two passes uses every
+  constraint and propagates from every home: plans over groups and, where
+  root cliques are disjoint, forests;
 * ``messages``: the text of every rejection, by program number;
 * ``parse``: the parsed clause list, every source position included, of
   each workload model, of N more generated programs and of mutated models
@@ -70,9 +77,10 @@ def network_digest(net) -> str:
     )
 
 
-def run_digest(rcndl, net, constraints, policy, threshold) -> str:
+def run_digest(rcndl, net, constraints, policy, threshold,
+               max_passes=100) -> str:
     ev = rcndl.EvidenceSet(tuple(constraints), policy=policy,
-                           default_threshold=threshold)
+                           max_passes=max_passes, default_threshold=threshold)
     try:
         post, trace = rcndl.run_reasoning(net, ev)
     except rcndl.RcndlError as exc:
@@ -165,10 +173,26 @@ def generated_program(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def programs(rcndl, n: int) -> tuple[dict, list, dict]:
+def program_run(rcndl, net) -> str:
+    """The ``program_runs`` entry of one accepted program."""
+    cons = []
+    for node in net.nodes:
+        prior = net.joint_over(node.scope).probs
+        if node.kind == "obs":
+            cons.append(rcndl.MarginalConstraint(node.scope, tuple(prior)))
+        elif node.kind == "rule":  # scope: the head, then the body
+            *head, body = node.scope.vars
+            cons.append(rcndl.ConditionalConstraint(
+                body, tuple((v, True) for v in head),
+                float(prior[-1] / (prior[-2] + prior[-1]))))
+    return run_digest(rcndl, net, cons, rcndl.GREATEST_GRADIENT, 0.0,
+                      max_passes=2)
+
+
+def programs(rcndl, n: int) -> tuple[dict, list, dict, dict]:
     rng = random.Random(PROGRAM_SEED)
     summary: dict[str, int] = {"count": n, "accepted": 0}
-    outcomes, messages = [], {}
+    outcomes, runs, messages = [], {}, {}
     for k in range(n):
         text = generated_program(rng)
         try:
@@ -187,7 +211,8 @@ def programs(rcndl, n: int) -> tuple[dict, list, dict]:
         outcomes.append(digest(
             network_digest(net),
             [net.joint_over(s).probs.tobytes() for s in reads]))
-    return summary, outcomes, messages
+        runs[str(k)] = program_run(rcndl, net)
+    return summary, outcomes, runs, messages
 
 
 def parse_outcome(rcndl, text: str) -> str:
@@ -246,12 +271,13 @@ def main(argv=None) -> None:
     import rcndl
 
     print(f"rcndl from {Path(rcndl.__file__).parent}", file=sys.stderr)
-    summary, outcomes, messages = programs(rcndl, args.programs)
+    summary, outcomes, runs, messages = programs(rcndl, args.programs)
     json.dump({
         "workloads": workloads(rcndl),
         "paper": paper(rcndl),
         "programs": summary,
         "program_outcomes": outcomes,
+        "program_runs": runs,
         "messages": messages,
         "parse": parses(rcndl, args.programs),
     }, sys.stdout, indent=1)
