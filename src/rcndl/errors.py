@@ -68,4 +68,5 @@ class ConvergenceError(RcndlError):
 
 
 class SizeLimitError(RcndlError):
-    """A full-joint expansion would exceed the configured state guard."""
+    """A group joint, a joint read or a full-joint expansion would span more
+    variables than its guard allows."""

@@ -38,6 +38,9 @@ from .errors import ArityError, InfeasibleEvidenceError, ProbabilityError, Scope
 
 UNIT_SUM_TOL = 1e-9
 
+# The most variables a group joint or a full-joint expansion may span.
+MAX_VARIABLES = 25
+
 # Sentinel accepted in source probability lists for "unknown".
 UNKNOWN = -1.0
 

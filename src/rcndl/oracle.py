@@ -17,6 +17,7 @@ from .errors import ConvergenceError, SizeLimitError
 from .model import (
     ConstraintSet,
     JointTable,
+    MAX_VARIABLES,
     Scope,
     lift,
     marginalize,
@@ -26,7 +27,6 @@ from .model import (
 from .preprocess import OBS, PreparedNetwork
 from .scheduler import update_table
 
-MAX_VARIABLES = 25
 DEFAULT_CYCLE_CAP = 100_000
 
 

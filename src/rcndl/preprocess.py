@@ -11,16 +11,20 @@ every clause carries a full joint table over its scope:
 
 The clauses are also arranged into a propagation tree.  When a rule's head
 (or an observation) spans several upstream clauses, those clauses (closed
-under their own upstream links) are joined through an explicit *group*
-node carrying their exact union joint; the rule then hangs off the group
-through its head separator.  This keeps every propagation edge a plain
-pairwise separator and aims to keep the represented joint exact for singly
-connected clause networks, including separator joints that the pairwise
-upstream tables alone could not express (a group joining another group
-and the rules around it can miss this; ``tests/test_oracle.py`` pins one
-case).  Upstream links inside a group give way to its member edges, and
-the edges left must form a forest: a cycle means the clause sharing
-structure is not singly connected, and the program is rejected.
+under their own upstream links, less the members of any group among them)
+are joined through an explicit *group* node carrying their exact union
+joint; the rule then hangs off the group through its head separator.  The
+join follows a maximum-overlap spanning tree of the members, each member
+entering as its conditional on what it shares with the part joined so
+far; on a clause tree that is its separator with its tree neighbour, so
+the product is exact (running intersection).  A join over more than
+``MAX_VARIABLES`` variables is refused before it is allocated.  This keeps
+every propagation edge a plain pairwise separator and the represented
+joint exact for singly connected clause networks, including separator
+joints that the pairwise upstream tables alone could not express.
+Upstream links inside a group give way to its member edges, and the edges
+left must form a forest: a cycle means the clause sharing structure is
+not singly connected, and the program is rejected.
 
 Every node's scope is indexed by variable: ``holders[v]`` lists, in
 ascending order, the nodes whose scope contains ``v``.  The smallest node
@@ -40,9 +44,11 @@ from .errors import (
     MultiplyConnectedError,
     NetworkStructureError,
     ScopeError,
+    SizeLimitError,
 )
 from .model import (
     JointTable,
+    MAX_VARIABLES,
     ObservationClause,
     QueryClause,
     RuleClause,
@@ -124,9 +130,9 @@ class PreparedNetwork:
     def joint_over(self, target: Scope) -> JointTable:
         """The network's current joint distribution over ``target``.
 
-        Served from the smallest covering node; scopes not covered by any
-        single node are assembled by elimination over the connecting
-        clauses.
+        Served from the smallest covering node; a scope that no single node
+        covers is marginalized from the exact joint of the clauses
+        connecting its variables, joined as for a group node but not kept.
         """
         best = covering_node(self.nodes, self.holders, target.vars)
         if best is not None:
@@ -134,11 +140,9 @@ class PreparedNetwork:
         for v in target.vars:
             if v not in self.introducer:
                 raise ScopeError(f"unknown variable {v!r}")
-        members = _connecting_closure(
-            self.nodes, tuple(dict.fromkeys(self.introducer[v] for v in target.vars))
-        )
-        return normalized(marginalize(_assemble(self.nodes, self.tables, members),
-                                      target))
+        _, joint = _group_joint(self.nodes, self.tables, self.introducer,
+                                target.vars, "joint_over")
+        return marginalize(joint, target)
 
 
 def covering_node(
@@ -161,13 +165,14 @@ def covering_node(
 
 
 def _connecting_closure(nodes, seeds: tuple[int, ...]) -> tuple[int, ...]:
-    """Close a seed set under upstream links until it is connected.
+    """The seeds closed under upstream links until connected, ascending.
 
-    The seeds are the introducers of at least two variables that no single
-    node covers, so there are at least two.  The set repeatedly absorbs its
-    members' parents until the members form one component under the parent
-    relation (or until no parents remain to add, which leaves genuinely
-    independent components that combine by outer product).
+    The seeds are the introducers of variables that no single node covers,
+    so there are at least two.  The set repeatedly absorbs its members'
+    parents until the members form one component under the parent relation
+    (or until no parents remain to add, which leaves independent components
+    that the join combines by outer product).  A group in the set may come
+    with its own members, which the join leaves out.
     """
     members = set(seeds)
 
@@ -194,26 +199,6 @@ def _connecting_closure(nodes, seeds: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def _drop_subsumed(nodes, members: tuple[int, ...]) -> tuple[int, ...]:
-    """Remove members another member makes redundant.
-
-    A member is redundant only when its scope lies inside that of a fellow
-    member that enters with its *full* table (a group or a separator-less
-    root clique); such members would double-count if multiplied on.
-    Members inside a fellow rule's scope stay: the rule enters as a
-    conditional on its separator, which never duplicates information.
-    """
-    return tuple(
-        i for i in sorted(members)
-        if not any(
-            j != i
-            and nodes[j].separator is None
-            and set(nodes[i].scope.vars) <= set(nodes[j].scope.vars)
-            for j in members
-        )
-    )
-
-
 def _conditional(table: JointTable, sep: Scope) -> JointTable:
     """The table divided by its own marginal over ``sep`` (0/0 -> 0)."""
     marg = marginalize(table, sep).probs[substate_map(table.scope, sep)]
@@ -221,50 +206,51 @@ def _conditional(table: JointTable, sep: Scope) -> JointTable:
     return JointTable(table.scope, out, _validate=False)
 
 
-def _assemble(nodes, tables, members: tuple[int, ...]) -> JointTable:
-    """Exact joint over a connected member set.
+def _group_joint(nodes, tables, introducer, vars: tuple[str, ...],
+                 where) -> tuple[tuple[int, ...], JointTable]:
+    """The clauses connecting the introducers of ``vars``, and their exact
+    normalized joint.
 
-    Members whose scope lies inside another member's are redundant and
-    dropped.  A member whose separator is already covered extends the
-    accumulated factor by its conditional on the separator.
-    Failing that, a member overlapping the accumulated scope extends it by
-    its conditional on the overlap: it is joined to the factor from below,
-    or through a member it subsumes.  On a clause tree the overlap is the
-    separator of that join, so the product stays exact.  A member sharing
-    no variable with the factor starts a new (disjoint) component with its
-    full table.  Consistent separator marginals across the set make the
-    result independent of which member seeds a component.
+    The members are the connecting closure less the members of any group
+    in it, which that group already joins.  They are joined like Prim's
+    algorithm: start at the lowest-index member, then repeatedly take the
+    pool member sharing the most variables with one joined member (lowest
+    index first among equals) and multiply it on as its conditional on
+    what it shares with the joint so far; a member sharing nothing starts
+    a disjoint component with its full table.  The members form a clause
+    tree, so a maximum-overlap spanning tree of them is a junction tree
+    (Jensen & Jensen, UAI 1994): each member's overlap with the joint so
+    far is its separator with its tree neighbour, and the product is exact
+    by running intersection (Lauritzen & Spiegelhalter, 1988).  A member
+    inside a joined scope multiplies on the indicator of its support.
+
+    Beyond ``MAX_VARIABLES`` variables the joint is refused, naming
+    ``where``, before anything is allocated.
     """
-    pool = list(_drop_subsumed(nodes, members))
-    acc: JointTable | None = None
-    while pool:
-        if acc is not None:
-            covered = [i for i in pool if nodes[i].separator
-                       and nodes[i].separator.issubset(acc.scope)]
-            overlapping = [i for i in pool
-                           if set(nodes[i].scope.vars) & set(acc.scope.vars)]
-            if covered or overlapping:
-                i = (covered or overlapping)[0]
-                sep = nodes[i].separator if covered else Scope(
-                    v for v in nodes[i].scope.vars if v in acc.scope)
-                acc = product(acc, _conditional(tables[i], sep))
-                pool.remove(i)
-                continue
-        # prefer a member nothing else in the pool could condition on
-        start = next(
-            (
-                i for i in pool
-                if nodes[i].separator is None or not any(
-                    j != i
-                    and set(nodes[i].separator.vars) <= set(nodes[j].scope.vars)
-                    for j in pool
-                )
-            ),
-            pool[0],
+    closure = _connecting_closure(
+        nodes, tuple(dict.fromkeys(introducer[v] for v in vars)))
+    inner = {m for g in closure if nodes[g].kind == GROUP for m in nodes[g].parents}
+    members = tuple(m for m in closure if m not in inner)
+    scopes = [set(nodes[m].scope.vars) for m in members]
+    n = len(set().union(*scopes))
+    if n > MAX_VARIABLES:
+        raise SizeLimitError(
+            f"{where}: a joint over the clauses connecting {', '.join(vars)} "
+            f"would span {n} variables, over the {MAX_VARIABLES}-variable limit"
         )
-        acc = tables[start] if acc is None else product(acc, tables[start])
-        pool.remove(start)
-    return acc
+    # each member's largest overlap with a joined member
+    weight = [len(s & scopes[0]) for s in scopes]
+    pool = list(range(1, len(members)))
+    acc = tables[members[0]]
+    while pool:
+        k = max(pool, key=weight.__getitem__)
+        pool.remove(k)
+        for j in pool:
+            weight[j] = max(weight[j], len(scopes[j] & scopes[k]))
+        table = tables[members[k]]
+        shared = [v for v in table.scope.vars if v in acc.scope]
+        acc = product(acc, _conditional(table, Scope(shared)) if shared else table)
+    return members, normalized(acc)
 
 
 # --------------------------------------------------------------------------
@@ -367,19 +353,15 @@ class _Builder:
             self.holders.setdefault(v, []).append(idx)
         return idx
 
-    def upstream_for(self, vars: tuple[str, ...]) -> int:
-        """Single node covering ``vars``, else a new group node joining the
-        connecting closure of their introducers, less the members of any
-        group in it (no earlier group covers ``vars`` either)."""
+    def upstream_for(self, vars: tuple[str, ...], where) -> int:
+        """Single node covering ``vars``, else a new group node over the
+        clauses connecting them (no earlier group covers ``vars`` either);
+        ``where`` names the clause asking."""
         best = covering_node(self.nodes, self.holders, vars, skip=OBS)
         if best is not None:
             return best
-        seeds = tuple(dict.fromkeys(self.introducer[v] for v in vars))
-        closure = _connecting_closure(self.nodes, seeds)
-        inner = {m for g in closure if self.nodes[g].kind == GROUP
-                 for m in self.nodes[g].parents}
-        members = tuple(m for m in closure if m not in inner)
-        joint = normalized(_assemble(self.nodes, self.tables, members))
+        members, joint = _group_joint(self.nodes, self.tables, self.introducer,
+                                      vars, where)
         label = "group(" + "; ".join(self.nodes[m].label for m in members) + ")"
         idx = self.add(GROUP, joint.scope, None, members, -1, label)
         self.tables.append(joint)
@@ -494,7 +476,7 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
     # Rules in dependency order, each hanging off a single covering node.
     for ci in _order_rules(program):
         rule = clauses[ci]
-        upstream = b.upstream_for(rule.head.vars)
+        upstream = b.upstream_for(rule.head.vars, rule.pos)
         head_joint = marginalize(b.tables[upstream], rule.head)
         table = multiply_condition(head_joint, _complete_cond(rule.cond), rule.body)
         idx = b.add(RULE, table.scope, rule.head, (upstream,), ci,
@@ -514,7 +496,7 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
                     f"in any clause"
                 )
         scope = Scope(clause.vars)
-        upstream = b.upstream_for(clause.vars)
+        upstream = b.upstream_for(clause.vars, clause.pos)
         table = marginalize(b.tables[upstream], scope)
         b.add(OBS, scope, scope, (upstream,), ci, ", ".join(clause.vars))
         b.tables.append(table)

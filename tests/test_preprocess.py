@@ -9,6 +9,7 @@ from rcndl import (
     PreparedNetwork,
     QueryClause,
     Scope,
+    SizeLimitError,
     SourceProgram,
     marginalize,
     parse_program,
@@ -162,6 +163,22 @@ class TestStructureErrors:
         """
         with pytest.raises(MultiplyConnectedError):
             preprocess(parse_program(text))
+
+    def test_joint_beyond_the_variable_limit_refused(self):
+        # two 13-rule chains from R: the first group, joining them under
+        # C, would span 27 variables (a 2^27-state table), and so would a
+        # read across them; both are refused before anything is allocated
+        chains = ["?- R : [0.5, 0.5]."]
+        for x in "AB":
+            names = ["R"] + [f"{x}{i}" for i in range(1, 14)]
+            chains += [f"{a} -> {b} : [0.3, 0.6]." for a, b in zip(names, names[1:])]
+        text = "\n".join(chains)
+        with pytest.raises(SizeLimitError, match=r"^28:1: .* connecting A13, "
+                           r"B13 would span 27 variables, over the 25-"):
+            preprocess(parse_program(text + "\nA13, B13 -> C : [0.1, 0.2, 0.3, 0.4]."))
+        net = preprocess(parse_program(text))
+        with pytest.raises(SizeLimitError, match="^joint_over: .* span 27 "):
+            net.joint_over(Scope(("A13", "B13")))
 
 
 @st.composite

@@ -13,7 +13,9 @@ this checkout's).  The script prints one JSON object:
 * ``programs``: N generated programs of 1-3 root cliques (some
   overlapping), rules with heads of 1-3 variables and observations of 1-3
   variables; each accepted program's network and three ``joint_over``
-  reads are hashed, each rejected one gives its error type;
+  reads are hashed, each rejected one gives its error type; ``inexact``
+  counts the accepted programs whose node tables or reads differ from
+  the program's joint, enumerated state by state, by more than 1e-12;
 * ``program_runs``: for each accepted program, by program number, a run
   with a marginal constraint on every observation and one conditional
   constraint per rule clause (its body given every head variable true),
@@ -48,8 +50,11 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_SEED = 20240601
+EXACT_TOL = 1e-12
 MUTANTS = 200  # mutated copies parsed of each model
 MUTANT_CHARS = "[],;:.%?->_ \n\r0159eE+ABX\u0661\x1c@"
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -173,6 +178,34 @@ def generated_program(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def enumeration_error(rcndl, net, reads) -> float:
+    """The largest distance of a node table or a read from the same
+    marginal of the program's joint, built state by state as every root
+    clique's prior times every rule's conditional and normalized (the
+    generated priors are uniform, so overlapping cliques only rescale it)."""
+    variables = tuple(net.introducer)
+    n = len(variables)
+    states = np.arange(1 << n)
+    bit = {v: (states >> (n - 1 - k)) & 1 for k, v in enumerate(variables)}
+
+    def config(vars):
+        return sum(bit[v] << (len(vars) - 1 - t) for t, v in enumerate(vars))
+
+    joint = np.ones(1 << n)
+    for clause in net.program.clauses:
+        if isinstance(clause, rcndl.QueryClause):
+            for scope, prior in clause.cliques:
+                joint *= np.asarray(prior)[config(scope.vars)]
+        elif isinstance(clause, rcndl.RuleClause):
+            p_true = np.asarray(clause.cond)[config(clause.head.vars)]
+            joint *= np.where(bit[clause.body] == 1, p_true, 1.0 - p_true)
+    joint /= joint.sum()
+    return max(
+        np.abs(t.probs - np.bincount(config(t.scope.vars), joint,
+                                     minlength=t.probs.size)).max()
+        for t in (*net.tables, *reads))
+
+
 def program_run(rcndl, net) -> str:
     """The ``program_runs`` entry of one accepted program."""
     cons = []
@@ -191,7 +224,7 @@ def program_run(rcndl, net) -> str:
 
 def programs(rcndl, n: int) -> tuple[dict, list, dict, dict]:
     rng = random.Random(PROGRAM_SEED)
-    summary: dict[str, int] = {"count": n, "accepted": 0}
+    summary: dict[str, int] = {"count": n, "accepted": 0, "inexact": 0}
     outcomes, runs, messages = [], {}, {}
     for k in range(n):
         text = generated_program(rng)
@@ -205,12 +238,12 @@ def programs(rcndl, n: int) -> tuple[dict, list, dict, dict]:
             continue
         summary["accepted"] += 1
         variables = list(net.introducer)
-        reads = [rcndl.Scope(rng.sample(variables,
-                                        min(rng.randint(2, 3), len(variables))))
-                 for _ in range(3)]
-        outcomes.append(digest(
-            network_digest(net),
-            [net.joint_over(s).probs.tobytes() for s in reads]))
+        reads = [net.joint_over(rcndl.Scope(
+            rng.sample(variables, min(rng.randint(2, 3), len(variables)))))
+            for _ in range(3)]
+        outcomes.append(digest(network_digest(net),
+                               [t.probs.tobytes() for t in reads]))
+        summary["inexact"] += int(enumeration_error(rcndl, net, reads) > EXACT_TOL)
         runs[str(k)] = program_run(rcndl, net)
     return summary, outcomes, runs, messages
 
