@@ -7,7 +7,7 @@ entropy to the current table subject to the constraint:
 * ``conditional_update`` -- a target for P(x | event), multiplicative
   closed form followed by renormalization.
 * ``lec_solve`` -- general linear equality rows, solved through the dual
-  with Fletcher-Reeves conjugate gradients.
+  with damped Newton steps.
 * ``constraint_gradient`` -- the dual gradient of a constraint set at the
   current table; its infinity norm is the scheduling and termination signal.
 """
@@ -119,18 +119,23 @@ def conditional_update(table: JointTable, c: ConditionalConstraint) -> JointTabl
 class SolverOptions:
     """Knobs for the dual minimization in ``lec_solve``.
 
-    ``tolerance`` bounds the infinity norm of the dual gradient (the row
-    residuals) at exit.  The caller sets it from its own stopping point,
-    never looser than the 1e-9 default: ``scheduler.update_table`` solves to
+    ``tolerance`` bounds the row residual ``|b - A p|`` (the dual gradient)
+    at exit.  The caller sets it from its own stopping point, never looser
+    than the 1e-9 default: ``scheduler.update_table`` solves to
     ``min(1e-9, tolerance)`` for the tolerance it is given, which the
     reasoning loop sets to a tenth of the constraint's gradient threshold
     and ``oracle_mce`` to its own ``tol``.
     """
 
-    tolerance: float = 1e-9        # infinity norm of the dual gradient
+    tolerance: float = 1e-9        # infinity norm of the row residual
     max_iterations: int = 10_000
-    armijo_c1: float = 1e-4
-    lambda_bound: float = 1e6      # divergence guard on the multipliers
+
+
+ARMIJO_C1 = 1e-4
+TILT_BOUND = 1e6       # divergence guard on |lambda_k| * max|a_k|
+TILT_STEP = 20.0       # largest change of a log-probability ratio per step
+MAX_HALVINGS = 60      # backtracking steps down to 2**-60 of a Newton step
+FLAT = 1e-12           # relative change that float arithmetic cannot resolve
 
 
 @dataclass
@@ -201,17 +206,38 @@ def dual_value_and_gradient(
     return value, grad, p
 
 
+def row_covariance(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The dual Hessian, the rows' covariance under ``p``, built one row at
+    a time so that no temporary of the rows' size is made."""
+    mean = rows @ p
+    h = np.empty((len(mean), len(mean)))
+    for i, row in enumerate(rows):
+        centred = row - mean[i]
+        centred *= p
+        # sum p (a_i - m_i)(a_j - m_j) for any m, exact or rounded; without
+        # the second term a state whose p rounds the mean to a_j drops out
+        h[i] = rows @ centred - mean * centred.sum()
+    return h
+
+
 def lec_solve(
     table: JointTable, c: LinearConstraint, opts: SolverOptions | None = None
 ) -> tuple[JointTable, DualState]:
     """Solve a linear-equality-constraint MCE problem by dual minimization.
 
     Returns the tilted posterior ``p_j ~ q_j exp(-(A^T l)_j)`` at the dual
-    minimum, found with Fletcher-Reeves conjugate gradients and a
-    backtracking Armijo line search.  The search direction restarts to
-    steepest descent every ``k+1`` iterations or whenever it stops being a
-    descent direction.  A restart cycle that leaves the multipliers exactly
-    as they were is followed by one Newton step.
+    minimum, found with damped Newton steps: each solves the row covariance
+    under the current tilt for the gradient and backtracks, from a step that
+    changes no log-probability ratio by more than ``TILT_STEP``, until the
+    Armijo condition holds.  Once the decrease a step promises is below what
+    the dual value resolves, the step is taken without a search and must
+    shrink the residual.
+
+    Raises ``InfeasibleEvidenceError`` when part of the gradient lies
+    outside the covariance's range (no tilt of the prior's support moves
+    those row combinations) or when the tilt diverges, and
+    ``ConvergenceError``, with the last iterate, when no step makes
+    progress or the iteration budget runs out.
     """
     opts = opts or SolverOptions()
     if not c.scope.issubset(table.scope):
@@ -222,7 +248,10 @@ def lec_solve(
     rows = (c.row_matrix if c.scope == table.scope
             else lift(c.row_matrix, c.scope, table.scope))
     rhs = np.asarray(c.rhs, dtype=float)
-    k = len(rhs)
+    # max|a_k| from the unlifted rows, without a temporary of their size;
+    # 1 for a zero row, whose multiplier never moves
+    unit = np.maximum(c.row_matrix.max(axis=1), -c.row_matrix.min(axis=1))
+    unit[unit == 0.0] = 1.0
     prior = table.probs
     restricted = restrict(prior, rows)  # shared by every evaluation
 
@@ -231,107 +260,68 @@ def lec_solve(
         # every evaluation
         return dual_value_and_gradient(prior, rows, rhs, lambdas, restricted)
 
-    lam = np.zeros(k)
-    value, grad, p = dual(lam)
-    direction = -grad
-    g_dot = float(grad @ grad)
-    iterations = 0
-    last_decrease = None
-    cycle_start = None              # lambda at the last restart
-    for it in range(opts.max_iterations):
-        gnorm = float(np.abs(grad).max()) if k else 0.0
-        if gnorm <= opts.tolerance:
-            iterations = it
-            break
-        if np.abs(lam).max() > opts.lambda_bound:
-            raise InfeasibleEvidenceError(
-                f"dual multipliers diverged (|lambda| > {opts.lambda_bound}); "
-                f"the linear system is infeasible on the prior's support"
-            )
-        if it % (k + 1) == 0:
-            if cycle_start is not None and np.array_equal(lam, cycle_start):
-                # A whole restart cycle left lambda as it was: its steps
-                # fell below what the dual value resolves, and every later
-                # cycle would repeat it exactly.  Take the Newton step on
-                # the exact dual Hessian, the row covariance under the
-                # tilted distribution, instead.
-                centred = rows - (rows @ p)[:, None]
-                newton = lam - np.linalg.lstsq(
-                    (centred * p) @ centred.T, grad, rcond=None)[0]
-                n_value, n_grad, n_p = dual(newton)
-                if float(np.abs(n_grad).max()) < gnorm:
-                    lam, value, grad, p = newton, n_value, n_grad, n_p
-                    direction, g_dot = -grad, float(grad @ grad)
-                    continue
-            cycle_start = lam
-        if it % (k + 1) == 0 or float(grad @ direction) >= 0.0:
-            direction = -grad
-        slope = float(grad @ direction)
-
-        # Initial trial step from the exact directional curvature (the dual
-        # Hessian is the row covariance under the tilted distribution), with
-        # Armijo halving as the safeguard and growth when it underestimates.
-        r = rows.T @ direction
-        curvature = float(p @ r**2 - (p @ r) ** 2)
-        if curvature > 1e-300:
-            step = -slope / curvature
-        elif last_decrease is not None and slope < 0.0:
-            step = min(1.0, 2.0 * last_decrease / -slope)
-        else:
-            step = 1.0
-        if not np.isfinite(step) or step <= 0.0:
-            step = 1.0
-        gnorm_now = float(np.abs(grad).max())
-
-        def acceptable(cand_value, cand_grad, step):
-            if cand_value <= value + opts.armijo_c1 * step * slope:
-                return True
-            # Near the optimum the theoretical decrease falls below float
-            # resolution of the dual value; accept on gradient progress.
-            flat = abs(cand_value - value) <= 1e-13 * max(1.0, abs(value))
-            return flat and float(np.abs(cand_grad).max()) < gnorm_now
-
-        cand = lam + step * direction
-        cand_value, cand_grad, cand_p = dual(cand)
-        if acceptable(cand_value, cand_grad, step):
-            # grow the step only while the decrease is clearly resolvable;
-            # in the flat terminal regime growth would chase float noise
-            resolution = 1e-12 * max(1.0, abs(value))
-            for _ in range(60):
-                if value - cand_value <= resolution:
-                    break
-                bigger = step * 2.0
-                b_value, b_grad, b_p = dual(lam + bigger * direction)
-                if not (b_value < cand_value
-                        and b_value <= value + opts.armijo_c1 * bigger * slope):
-                    break
-                step, cand_value, cand_grad, cand_p = (
-                    bigger, b_value, b_grad, b_p
-                )
-            cand = lam + step * direction
-        else:
-            while step > 1e-20:
-                step *= 0.5
-                cand = lam + step * direction
-                cand_value, cand_grad, cand_p = dual(cand)
-                if acceptable(cand_value, cand_grad, step):
-                    break
-        last_decrease = max(value - cand_value, 0.0)
-        lam, value, p = cand, cand_value, cand_p
-        new_dot = float(cand_grad @ cand_grad)
-        beta = new_dot / g_dot if g_dot > 0 else 0.0
-        direction = -cand_grad + beta * direction
-        grad, g_dot = cand_grad, new_dot
-    else:
-        state = DualState(lam, value, grad, opts.max_iterations, False)
-        raise ConvergenceError(
-            f"dual minimization did not reach tolerance {opts.tolerance} in "
-            f"{opts.max_iterations} iterations (|grad| = {np.abs(grad).max():.3e})",
+    def failure(message):
+        state = DualState(lam, value, grad, it, False)
+        return ConvergenceError(
+            f"{message} (|b - A p| = {residual:.3e}, tolerance "
+            f"{opts.tolerance})",
             best=(JointTable(table.scope, p / p.sum(), _validate=False), state),
         )
 
+    lam = np.zeros(len(rhs))
+    value, grad, p = dual(lam)
+    it = 0
+    while (residual := float(np.abs(grad).max())) > opts.tolerance:
+        if it == opts.max_iterations:
+            raise failure(f"dual minimization did not converge in {it} "
+                          f"iterations")
+        if float((np.abs(lam) * unit).max()) > TILT_BOUND:
+            raise InfeasibleEvidenceError(
+                f"dual tilt diverged (|lambda_k| max|a_k| > {TILT_BOUND}); "
+                f"the linear system is infeasible on the prior's support"
+            )
+        hessian = row_covariance(rows, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # on rows of unit scale, so that lstsq's cut of small singular
+            # values keeps rows with small coefficients
+            newton = np.linalg.lstsq(hessian / np.outer(unit, unit),
+                                     grad / unit, rcond=None)[0] / unit
+            unreduced = np.abs(grad - hessian @ newton)
+        # a residual no tilt moves (beyond rounding), or an infinite step
+        # from a covariance that underflowed while the residual did not
+        if not np.isfinite(unreduced).all() or (
+                unreduced.max() > 0.5 * residual
+                and (unreduced > FLAT * unit).any()):
+            raise InfeasibleEvidenceError(
+                "no tilt of the prior's support reduces the row residual "
+                f"(|b - A p| = {residual:.3e}); the linear system is "
+                "infeasible on the prior's support"
+            )
+        decrement = float(grad @ newton)
+        # far from the minimum a whole step can overshoot into a tilt where
+        # the covariance underflows: bound each log-probability ratio's change
+        spread = float(np.ptp(restricted.rows.T @ newton))
+        step = 1.0 if spread <= TILT_STEP else TILT_STEP / spread
+        if decrement <= FLAT * max(1.0, abs(value)):
+            # the dual value cannot tell this step from none: take it
+            # without a search, and only if it shrinks the residual
+            c_value, c_grad, c_p = dual(lam - step * newton)
+            if float(np.abs(c_grad).max()) >= residual:
+                raise failure(f"dual minimization stalled after {it} "
+                              f"iterations")
+        else:
+            for _ in range(MAX_HALVINGS):
+                c_value, c_grad, c_p = dual(lam - step * newton)
+                if c_value <= value - ARMIJO_C1 * step * decrement:
+                    break
+                step *= 0.5
+            else:
+                raise failure(f"no damped Newton step decreased the dual "
+                              f"after {it} iterations")
+        lam, value, grad, p = lam - step * newton, c_value, c_grad, c_p
+        it += 1
     posterior = JointTable(table.scope, p / p.sum(), _validate=False)
-    return posterior, DualState(lam, value, grad, iterations, True)
+    return posterior, DualState(lam, value, grad, it, True)
 
 
 def constraint_gradient(table: JointTable, c: ConstraintSet) -> np.ndarray:

@@ -15,9 +15,9 @@ class ArityError(RcndlError):
 
 class ProbabilityError(RcndlError, ValueError):
     """A value handed to the library lies outside its domain: a probability
-    outside [0, 1], a distribution not summing to 1, or an unknown ordering
-    policy.  Also a ``ValueError``, which library callers caught before it
-    existed."""
+    outside [0, 1], a distribution not summing to 1, a linear coefficient
+    that is not a finite number, or an unknown ordering policy.  Also a
+    ``ValueError``, which library callers caught before it existed."""
 
 
 class ParseError(RcndlError):

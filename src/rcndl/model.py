@@ -375,8 +375,9 @@ class MarginalConstraint:
                 f"marginal constraint over {self.scope.vars} needs "
                 f"{self.scope.n_states} targets"
             )
-        # tolerate float rounding from propagated separator marginals
-        if t.min() < -1e-12 or t.max() > 1.0 + 1e-12:
+        # tolerate float rounding from propagated separator marginals; a
+        # NaN fails both comparisons
+        if not (t.min() >= -1e-12 and t.max() <= 1.0 + 1e-12):
             raise ProbabilityError("marginal targets must lie in [0, 1]")
         if abs(t.sum() - 1.0) > UNIT_SUM_TOL:
             raise ProbabilityError(f"marginal targets sum to {t.sum()}, not 1")
@@ -438,11 +439,17 @@ class LinearConstraint:
     def __post_init__(self):
         if len(self.rows) != len(self.rhs):
             raise ArityError("row count does not match right-hand side count")
+        if not self.rows:
+            raise ArityError("a linear constraint needs at least one row")
         for r in self.rows:
             if len(r) != self.scope.n_states:
                 raise ArityError(
                     f"linear row needs {self.scope.n_states} coefficients"
                 )
+        if not (np.isfinite(self.row_matrix).all()
+                and np.isfinite(self.rhs).all()):
+            raise ProbabilityError(
+                "linear rows and right-hand sides must be finite numbers")
 
     @cached_property
     def row_matrix(self) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Reference linear kernel: the support restriction rebuilt per evaluation.
+"""Reference linear kernel: Fletcher-Reeves conjugate gradients on the dual.
 
-This is the form of ``rcndl.engine.dual_value_and_gradient`` and
-``lec_solve`` that masks the prior's support, copies ``rows[:, support]``
-and ``prior[support]`` and scatters the tilted distribution back on every
-dual evaluation.  The engine builds that restriction once per solve; it is
-kept here as the reference that the engine must reproduce bit for bit.
+This is the solver the paper names for linear systems.  Its dual
+evaluation masks the prior's support, copies ``rows[:, support]`` and
+``prior[support]`` and scatters the tilted distribution back every time;
+``rcndl.engine`` builds that restriction once per solve and minimizes the
+same dual with damped Newton steps.  The two kernels' posteriors are
+compared within a bound derived from their residuals.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import numpy as np
 from rcndl.engine import DualState, SolverOptions
 from rcndl.errors import ConvergenceError, InfeasibleEvidenceError, ScopeError
 from rcndl.model import JointTable, LinearConstraint, lift
+
+ARMIJO_C1 = 1e-4
+LAMBDA_BOUND = 1e6      # divergence guard on the multipliers
 
 
 def dual_value_and_gradient(
@@ -72,9 +76,9 @@ def lec_solve(
         if gnorm <= opts.tolerance:
             iterations = it
             break
-        if np.abs(lam).max() > opts.lambda_bound:
+        if np.abs(lam).max() > LAMBDA_BOUND:
             raise InfeasibleEvidenceError(
-                f"dual multipliers diverged (|lambda| > {opts.lambda_bound}); "
+                f"dual multipliers diverged (|lambda| > {LAMBDA_BOUND}); "
                 f"the linear system is infeasible on the prior's support"
             )
         if it % (k + 1) == 0 or float(grad @ direction) >= 0.0:
@@ -97,7 +101,7 @@ def lec_solve(
         gnorm_now = float(np.abs(grad).max())
 
         def acceptable(cand_value, cand_grad, step):
-            if cand_value <= value + opts.armijo_c1 * step * slope:
+            if cand_value <= value + ARMIJO_C1 * step * slope:
                 return True
             # Near the optimum the theoretical decrease falls below float
             # resolution of the dual value; accept on gradient progress.
@@ -120,7 +124,7 @@ def lec_solve(
                     prior, rows, rhs, lam + bigger * direction
                 )
                 if not (b_value < cand_value
-                        and b_value <= value + opts.armijo_c1 * bigger * slope):
+                        and b_value <= value + ARMIJO_C1 * bigger * slope):
                     break
                 step, cand_value, cand_grad, cand_p = (
                     bigger, b_value, b_grad, b_p

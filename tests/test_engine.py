@@ -325,10 +325,14 @@ class TestLecSolve:
             )
             np.testing.assert_allclose(sol.probs, jef.probs, atol=1e-6)
 
-    def test_infeasible_diverges_with_diagnostic(self):
+    def test_infeasible_diverges_with_diagnostic(self, monkeypatch):
+        # with one state in the support, no tilt moves the row: the first
+        # evaluation shows it, before any multiplier grows
+        calls = count_evaluations(monkeypatch)
         t = JointTable(Scope(("x",)), [1.0, 0.0])
         with pytest.raises(InfeasibleEvidenceError):
             lec_solve(t, LinearConstraint(t.scope, ((0.0, 1.0),), (0.5,)))
+        assert len(calls) == 1
 
     def test_stalled_restart_cycle_takes_a_newton_step(self):
         # Near 1e-10 every conjugate-gradient step on this feasible set was
@@ -395,56 +399,81 @@ def linear_problems(draw, case):
             SolverOptions(tolerance=tolerance))
 
 
+def sensitivity_norm(table, c, p):
+    """``||J||_inf`` for ``J = diag(p) (A - Ap)^T H^+``, the first-order
+    change of the I-projection ``p`` per unit change of the right-hand
+    sides, with ``H`` the rows' covariance under ``p``.  The inverse is
+    taken on rows of unit scale, where ``pinv`` keeps every direction that
+    small coefficients give."""
+    rows = lift(c.row_matrix, c.scope, table.scope)
+    unit = np.abs(rows).max(axis=1, keepdims=True)
+    unit[unit == 0.0] = 1.0
+    centred = (rows - (rows @ p)[:, None]) / unit
+    sensitivity = (p[:, None] * centred.T) @ np.linalg.pinv(
+        (centred * p) @ centred.T) / unit.T
+    return float(np.abs(sensitivity).sum(axis=1).max())
+
+
+def count_evaluations(monkeypatch):
+    """The arguments of every call to ``rcndl.engine.dual_value_and_gradient``
+    paired with its result, recorded by a wrapper installed on the module
+    attribute."""
+    calls = []
+    original = rcndl.engine.dual_value_and_gradient
+
+    def wrapper(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(rcndl.engine, "dual_value_and_gradient", wrapper)
+    return calls
+
+
 class TestRestrictionOncePerSolve:
     """``lec_solve`` restricts the dual to the prior's support once per
-    solve; the per-evaluation form in ``tests/reference_engine.py`` is the
-    reference it must match bit for bit."""
+    solve and minimizes it with damped Newton steps; the conjugate-gradient
+    kernel in ``tests/reference_engine.py`` is the reference it must agree
+    with."""
 
     @pytest.mark.parametrize("case", ["partial", "full", "lifted"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_matches_per_evaluation_reference(self, case, data):
+    def test_agrees_with_conjugate_gradient_reference(self, case, data):
+        # Each kernel's posterior is the exact I-projection for right-hand
+        # sides off by its residual r, so to first order the two differ by
+        # at most ||J||_inf (r_new + r_ref); the factor 2 covers the
+        # second-order term and 1e-14 the rounding of p itself.
         table, c, opts = data.draw(linear_problems(case))
-        got = outcome(lec_solve, table, c, opts)
+        post, state = lec_solve(table, c, opts)
+        assert state.converged
+        assert np.abs(constraint_gradient(post, c)).max() <= opts.tolerance
         want = outcome(reference.lec_solve, table, c, opts)
-        if want[0] is ConvergenceError and not isinstance(got[0], type):
-            # a stalled restart cycle, where the engine takes a Newton step
-            assert got[1].converged
-            return
         if isinstance(want[0], type):
-            assert got == want
+            assert want[0] is ConvergenceError, want
             return
-        (post, state), (ref_post, ref_state) = got, want
-        assert post.probs.tobytes() == ref_post.probs.tobytes()
-        assert state.lambdas.tobytes() == ref_state.lambdas.tobytes()
-        assert state.gradient.tobytes() == ref_state.gradient.tobytes()
-        assert (state.value, state.iterations, state.converged) == (
-            ref_state.value, ref_state.iterations, ref_state.converged)
+        ref_post, ref_state = want
+        residuals = (np.abs(state.gradient).max()
+                     + np.abs(ref_state.gradient).max())
+        bound = 2 * sensitivity_norm(table, c, post.probs) * residuals + 1e-14
+        assert np.abs(post.probs - ref_post.probs).max() <= bound
 
     def test_every_evaluation_goes_through_the_module_attribute(
             self, monkeypatch):
         # the benchmark tracer counts dual evaluations by patching this name
         table = JointTable(Scope(("a", "b")), [0.0, 0.3, 0.5, 0.2])
         c = LinearConstraint(Scope(("b",)), ((0.5, -1.0),), (-0.4,))
-
-        def counted(module):
-            calls = []
-            original = module.dual_value_and_gradient
-
-            def wrapper(*args, **kwargs):
-                calls.append(1)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, "dual_value_and_gradient", wrapper)
-            return calls
-
-        calls = counted(rcndl.engine)
-        ref_calls = counted(reference)
+        calls = count_evaluations(monkeypatch)
         post, state = lec_solve(table, c)
-        ref_post, ref_state = reference.lec_solve(table, c)
         assert state.iterations > 1
-        assert len(calls) == len(ref_calls) > state.iterations
-        assert post.probs.tobytes() == ref_post.probs.tobytes()
+        # the first evaluation, at least one per step, and the solution is
+        # the last one seen
+        assert len(calls) > state.iterations
+        assert not calls[0][0][3].any()
+        (*_, lambdas, _), (value, gradient, p) = calls[-1]
+        assert lambdas.tobytes() == state.lambdas.tobytes()
+        assert (value, gradient.tobytes()) == (state.value,
+                                               state.gradient.tobytes())
+        assert post.probs.tobytes() == (p / p.sum()).tobytes()
 
 
 class TestConstraintGradient:

@@ -6,6 +6,7 @@ from rcndl import (
     ConditionalConstraint,
     EvidenceSet,
     JointTable,
+    LinearConstraint,
     MarginalConstraint,
     RcndlError,
     Scope,
@@ -14,6 +15,7 @@ from rcndl import (
     multiply_condition,
     state_index,
 )
+from rcndl.errors import ProbabilityError
 
 
 class TestStateIndex:
@@ -153,6 +155,24 @@ class TestJointTable:
         ):
             with pytest.raises(RcndlError):
                 make()
+
+    @pytest.mark.parametrize("make", [
+        lambda a: MarginalConstraint(a, (np.nan, np.nan)),
+        lambda a: MarginalConstraint(a, (0.5, np.nan)),
+        lambda a: LinearConstraint(a, ((0.0, np.nan),), (0.5,)),
+        lambda a: LinearConstraint(a, ((0.0, np.inf),), (0.5,)),
+        lambda a: LinearConstraint(a, ((0.0, 1.0),), (np.nan,)),
+        lambda a: LinearConstraint(a, ((0.0, 1.0),), (-np.inf,)),
+    ])
+    def test_non_finite_constraint_numbers_rejected(self, make):
+        # accepted, they cost a run its pass or iteration budget
+        with pytest.raises(ProbabilityError):
+            make(Scope(("A",)))
+
+    def test_linear_constraint_without_rows_rejected(self):
+        # the dual of an empty set has no multipliers to solve for
+        with pytest.raises(ArityError):
+            LinearConstraint(Scope(("A",)), (), ())
 
     def test_prob_of_partial_assignment(self):
         t = JointTable(Scope(("A", "B")), [0.24, 0.06, 0.42, 0.28])

@@ -408,17 +408,40 @@ class TestThresholdBelowKernelDefault:
             assert posterior_marginal(post, v)[1] == pytest.approx(
                 marginalize(ref, Scope((v,))).probs[1], abs=1e-9)
 
+    @pytest.mark.parametrize("rows", [((0, 0, 0, 1.19e-7),),
+                                      ((0, 0, 0, 1.19e-7), (0, 1, 0, 0))])
+    def test_rows_with_tiny_coefficients_converge(self, rows):
+        # the lone row needs |lambda| near 4e7, a tilt of only about 5
+        net = preprocess(parse_program(CHAIN))
+        c = _tilted_linear(net, rows, (1.56, 0.37, 0.4, 1.66))
+        _, trace = run_reasoning(
+            net, EvidenceSet((c,), default_threshold=1e-10))
+        assert trace.converged, trace.final_gradients
+
 
 def test_stalled_linear_solve_names_its_constraint():
-    # rows whose coefficients are all tiny stall the linear kernel; the
-    # error says which set stalled and keeps the solver's best iterate
+    # no float tilt of the clause puts P(!X0, X1) at 0.33 to within 1e-18;
+    # the error says which set stalled and keeps the solver's best iterate
     net = preprocess(parse_program(CHAIN))
-    c = _tilted_linear(net, ((0, 0, 0, 1.19e-7), (0, 1, 0, 0)),
-                       (1.56, 0.37, 0.4, 1.66))
+    c = LinearConstraint(Scope(("X0", "X1")), ((0, 1, 0, 0), (0, 0, 1, 0)),
+                         (0.33, 0.12))
     with pytest.raises(ConvergenceError,
                        match=r"^linear\[2 rows on X0,X1\]: ") as err:
-        run_reasoning(net, EvidenceSet((c,)))
+        run_reasoning(net, EvidenceSet((c,), default_threshold=1e-17))
     assert err.value.best is not None
+
+
+def test_unreachable_target_fails_within_a_few_iterations():
+    # the residual stops one rounding step from 0.33, above the 1e-18
+    # tolerance; the solve says so once a step fails to shrink it
+    net = preprocess(parse_program(CHAIN))
+    c = LinearConstraint(Scope(("X0", "X1")), ((0, 1, 0, 0),), (0.33,))
+    with pytest.raises(ConvergenceError,
+                       match=r"^linear\[1 rows on X0,X1\]: .* stalled") as err:
+        run_reasoning(net, EvidenceSet((c,), default_threshold=1e-17))
+    _, state = err.value.best
+    assert state.iterations <= 10
+    assert np.abs(state.gradient).max() > 1e-18
 
 
 def _random_network(rng, n_vars=None):

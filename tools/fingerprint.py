@@ -1,7 +1,9 @@
 """Hash what ``preprocess`` and ``run_reasoning`` produce, to show that a
-change leaves them byte-identical.
+change leaves them byte-identical, and measure how close two sets of
+posteriors are where it does not.
 
-    python3 tools/fingerprint.py [--src DIR] [--programs N] > out.json
+    python3 tools/fingerprint.py [--src DIR] [--programs N] [--values F.npz] > out.json
+    python3 tools/fingerprint.py --close PARENT.npz CHANGE.npz > close.json
 
 ``--src`` names the ``src`` directory whose ``rcndl`` is imported (default:
 this checkout's).  The script prints one JSON object:
@@ -19,10 +21,13 @@ this checkout's).  The script prints one JSON object:
 * ``program_runs``: for each accepted program, by program number, a run
   with a marginal constraint on every observation and one conditional
   constraint per rule clause (its body given every head variable true),
-  targets read off the prior so that the set is feasible.  At threshold 0
-  no gradient is below its threshold, so each of the two passes uses every
+  targets read off the program's joint tilted state by state, so that the
+  set is feasible and each greatest-gradient pick is decided by a real
+  gradient, not by round-off (except where one observation's marginal
+  already fixes a later constraint).  At threshold 0 one pass uses every
   constraint and propagates from every home: plans over groups and, where
-  root cliques are disjoint, forests;
+  root cliques are disjoint, forests.  A second pass would order
+  constraints that the first left exactly met by round-off;
 * ``messages``: the text of every rejection, by program number;
 * ``parse``: the parsed clause list, every source position included, of
   each workload model, of N more generated programs and of mutated models
@@ -38,6 +43,12 @@ bytes and, for runs, the posterior tables and every trace field.  To check
 a change, run the script against a second checkout of the parent commit
 (``git worktree`` or ``git archive``) and against the change, and diff the
 two outputs.
+
+``--values`` also saves, for every ``workloads`` and ``paper`` run, the
+posterior tables, each variable's posterior P(var), and the pass and step
+counts.  ``--close`` reads two such files and prints, per run, the largest
+absolute difference of the tables and of the marginals with both sides'
+pass and step counts, and the largest differences over all runs.
 """
 
 from __future__ import annotations
@@ -82,16 +93,35 @@ def network_digest(net) -> str:
     )
 
 
-def run_digest(rcndl, net, constraints, policy, threshold,
-               max_passes=100) -> str:
+def run(rcndl, net, constraints, policy, threshold, max_passes=100):
+    """``run_reasoning``'s posterior and trace, or the error it raised."""
     ev = rcndl.EvidenceSet(tuple(constraints), policy=policy,
                            max_passes=max_passes, default_threshold=threshold)
     try:
-        post, trace = rcndl.run_reasoning(net, ev)
+        return rcndl.run_reasoning(net, ev)
     except rcndl.RcndlError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def run_digest(result) -> str:
+    if isinstance(result, str):
+        return result
+    post, trace = result
     return digest(tables_digest(post), trace.steps, trace.passes,
                   trace.converged, trace.final_gradients)
+
+
+def run_values(rcndl, result) -> dict:
+    """The arrays ``--close`` compares; none for a run that raised."""
+    if isinstance(result, str):
+        return {}
+    post, trace = result
+    return {
+        "tables": np.concatenate([t.probs for t in post.tables]),
+        "marginals": np.array([rcndl.posterior_marginal(post, v)[1]
+                               for v in post.introducer]),
+        "counts": np.array([trace.passes, len(trace.steps)]),
+    }
 
 
 def generators():
@@ -102,7 +132,7 @@ def generators():
     return generate
 
 
-def workloads(rcndl) -> dict:
+def workloads(rcndl, values: dict) -> dict:
     generate = generators()
     out = {}
     for name, gen in generate.GENERATORS.items():
@@ -113,15 +143,17 @@ def workloads(rcndl) -> dict:
                 rcndl.LinearConstraint(rcndl.Scope(scope), rows, rhs)
                 for scope, rows, rhs in generate.decode_linear(p.linear_text)
             ]
+            result = run(rcndl, net, constraints, rcndl.GREATEST_GRADIENT,
+                         p.threshold)
             out[f"{name}/{seed}"] = {
                 "network": network_digest(net),
-                "run": run_digest(rcndl, net, constraints,
-                                  rcndl.GREATEST_GRADIENT, p.threshold),
+                "run": run_digest(result),
             }
+            values[f"workloads/{name}/{seed}"] = run_values(rcndl, result)
     return out
 
 
-def paper(rcndl) -> dict:
+def paper(rcndl, values: dict) -> dict:
     demos = ROOT / "demos"
     pairs = {
         "three_vars": ["evidence_uncertain.txt"],
@@ -136,8 +168,10 @@ def paper(rcndl) -> dict:
         for name in files:
             constraints = rcndl.parse_evidence((demos / name).read_text())
             for policy in (rcndl.GREATEST_GRADIENT, rcndl.PROGRAM_ORDER):
-                out[f"{model}/{name}/{policy}"] = run_digest(
-                    rcndl, net, constraints, policy, 1e-6)
+                key = f"{model}/{name}/{policy}"
+                result = run(rcndl, net, constraints, policy, 1e-6)
+                out[key] = run_digest(result)
+                values[f"paper/{key}"] = run_values(rcndl, result)
     return out
 
 
@@ -178,11 +212,11 @@ def generated_program(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def enumeration_error(rcndl, net, reads) -> float:
-    """The largest distance of a node table or a read from the same
-    marginal of the program's joint, built state by state as every root
-    clique's prior times every rule's conditional and normalized (the
-    generated priors are uniform, so overlapping cliques only rescale it)."""
+def program_joint(rcndl, net):
+    """The program's joint, built state by state as every root clique's
+    prior times every rule's conditional and normalized (the generated
+    priors are uniform, so overlapping cliques only rescale it), and the
+    function giving each joint state's state number over a variable list."""
     variables = tuple(net.introducer)
     n = len(variables)
     states = np.arange(1 << n)
@@ -200,26 +234,37 @@ def enumeration_error(rcndl, net, reads) -> float:
             p_true = np.asarray(clause.cond)[config(clause.head.vars)]
             joint *= np.where(bit[clause.body] == 1, p_true, 1.0 - p_true)
     joint /= joint.sum()
+    return joint, config
+
+
+def enumeration_error(rcndl, net, reads) -> float:
+    """The largest distance of a node table or a read from the same
+    marginal of the program's joint."""
+    joint, config = program_joint(rcndl, net)
     return max(
         np.abs(t.probs - np.bincount(config(t.scope.vars), joint,
                                      minlength=t.probs.size)).max()
         for t in (*net.tables, *reads))
 
 
-def program_run(rcndl, net) -> str:
-    """The ``program_runs`` entry of one accepted program."""
+def program_run(rcndl, net, k: int) -> str:
+    """The ``program_runs`` entry of accepted program ``k``."""
+    joint, config = program_joint(rcndl, net)
+    joint *= np.random.default_rng(k).uniform(0.5, 1.5, joint.size)
+    joint /= joint.sum()
     cons = []
     for node in net.nodes:
-        prior = net.joint_over(node.scope).probs
+        target = np.bincount(config(node.scope.vars), joint,
+                             minlength=node.scope.n_states)
         if node.kind == "obs":
-            cons.append(rcndl.MarginalConstraint(node.scope, tuple(prior)))
+            cons.append(rcndl.MarginalConstraint(node.scope, tuple(target)))
         elif node.kind == "rule":  # scope: the head, then the body
             *head, body = node.scope.vars
             cons.append(rcndl.ConditionalConstraint(
                 body, tuple((v, True) for v in head),
-                float(prior[-1] / (prior[-2] + prior[-1]))))
-    return run_digest(rcndl, net, cons, rcndl.GREATEST_GRADIENT, 0.0,
-                      max_passes=2)
+                float(target[-1] / (target[-2] + target[-1]))))
+    return run_digest(run(rcndl, net, cons, rcndl.GREATEST_GRADIENT, 0.0,
+                          max_passes=1))
 
 
 def programs(rcndl, n: int) -> tuple[dict, list, dict, dict]:
@@ -244,7 +289,7 @@ def programs(rcndl, n: int) -> tuple[dict, list, dict, dict]:
         outcomes.append(digest(network_digest(net),
                                [t.probs.tobytes() for t in reads]))
         summary["inexact"] += int(enumeration_error(rcndl, net, reads) > EXACT_TOL)
-        runs[str(k)] = program_run(rcndl, net)
+        runs[str(k)] = program_run(rcndl, net, k)
     return summary, outcomes, runs, messages
 
 
@@ -293,21 +338,56 @@ def parses(rcndl, n: int) -> dict:
     return out
 
 
+def closeness(first: str, second: str) -> dict:
+    """Per run of two ``--values`` files: the largest absolute differences
+    of the posterior tables and marginals, and both pass and step counts.
+    A run that raised saved nothing, so where one side raised the
+    differences and that side's counts are ``null``."""
+    sides = [np.load(first), np.load(second)]
+    runs = sorted({key.split("|")[0] for side in sides for key in side.files})
+    out, worst = {}, {"table": 0.0, "marginal": 0.0}
+    for name in runs:
+        got = [{key.split("|")[1]: side[key] for key in side.files
+                if key.split("|")[0] == name} for side in sides]
+        entry = {"table": None, "marginal": None}
+        if all("tables" in g for g in got):
+            for field, arrays in (("table", "tables"),
+                                  ("marginal", "marginals")):
+                a, b = (g[arrays] for g in got)
+                if a.shape == b.shape:
+                    entry[field] = float(np.abs(a - b).max(initial=0.0))
+                    worst[field] = max(worst[field], entry[field])
+        entry["passes"] = [int(g["counts"][0]) if g else None for g in got]
+        entry["steps"] = [int(g["counts"][1]) if g else None for g in got]
+        out[name] = entry
+    return {"runs": out, "max": worst}
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the rcndl package to import")
     ap.add_argument("--programs", type=int, default=2000,
                     help="number of generated programs (default 2000)")
+    ap.add_argument("--values", metavar="FILE",
+                    help="also save the workload and paper posteriors to "
+                         "this .npz file")
+    ap.add_argument("--close", nargs=2, metavar="FILE",
+                    help="compare two --values files instead of hashing")
     args = ap.parse_args(argv)
+    if args.close:
+        json.dump(closeness(*args.close), sys.stdout, indent=1)
+        print()
+        return
     sys.path.insert(0, str(Path(args.src).resolve()))
     import rcndl
 
     print(f"rcndl from {Path(rcndl.__file__).parent}", file=sys.stderr)
     summary, outcomes, runs, messages = programs(rcndl, args.programs)
+    values: dict = {}
     json.dump({
-        "workloads": workloads(rcndl),
-        "paper": paper(rcndl),
+        "workloads": workloads(rcndl, values),
+        "paper": paper(rcndl, values),
         "programs": summary,
         "program_outcomes": outcomes,
         "program_runs": runs,
@@ -315,6 +395,10 @@ def main(argv=None) -> None:
         "parse": parses(rcndl, args.programs),
     }, sys.stdout, indent=1)
     print()
+    if args.values:
+        np.savez(args.values, **{f"{name}|{field}": array
+                                 for name, arrays in values.items()
+                                 for field, array in arrays.items()})
 
 
 if __name__ == "__main__":
