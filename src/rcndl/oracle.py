@@ -25,7 +25,7 @@ from .model import (
     product,
 )
 from .preprocess import OBS, PreparedNetwork
-from .scheduler import update_table
+from .scheduler import stacked, update_table
 
 DEFAULT_CYCLE_CAP = 100_000
 
@@ -73,22 +73,26 @@ def oracle_mce(
 ) -> JointTable:
     """MCE distribution satisfying every constraint, relative to ``joint``.
 
-    Cycles the constraint sets in the given (program) order, each cycle an
-    exact single-constraint MCE projection, until all gradients fall below
-    ``tol``; a linear set's projection is itself solved to
-    ``min(1e-9, tol)``.  Alternating projections onto the constraint
-    families converge to the joint MCE solution; the fixed order makes the
-    oracle an order-independent check of the scheduler's greatest-gradient
-    runs.
+    Cycles until every gradient is below ``tol`` at the start of a cycle.
+    A cycle is an exact single-constraint MCE projection onto each set in
+    the given (program) order; once a cycle has not halved the largest
+    gradient, the next is one projection onto all sets at once, ``stacked``
+    into one linear set over the joint, since cycling that slowly can take
+    many thousands of cycles (sets that together pin a marginal).  Only
+    then: stacking lifts every row onto the whole joint.  Linear
+    projections are solved to ``min(1e-9, tol)``.  The fixed order makes
+    the oracle an order-independent check of the scheduler's
+    greatest-gradient runs.
     """
-    current = joint
+    current, worst = joint, np.inf
     for _ in range(cycle_cap):
-        worst = 0.0
-        for c in constraints:
-            worst = max(worst, gradient_scalar(current, c))
-            current = update_table(current, c, tol)
+        last, worst = worst, max((gradient_scalar(current, c)
+                                  for c in constraints), default=0.0)
         if worst < tol:
             return current
+        for c in ([stacked(constraints, current)] if worst > last / 2
+                  else constraints):
+            current = update_table(current, c, tol)
     raise ConvergenceError(
         f"oracle did not satisfy all constraints within {tol} after "
         f"{cycle_cap} cycles",

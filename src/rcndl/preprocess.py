@@ -9,6 +9,8 @@ every clause carries a full joint table over its scope:
   variables,
 * each observation clause carries the current marginal over its variables.
 
+The tables end in one read-only flat array, which the network holds.
+
 The clauses are also arranged into a propagation tree.  When a rule's head
 (or an observation) spans several upstream clauses, those clauses (closed
 under their own upstream links, less the members of any group among them)
@@ -36,7 +38,8 @@ the number of candidates, not in the size of the network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -107,11 +110,17 @@ class Edge:
 
 @dataclass(frozen=True)
 class PreparedNetwork:
-    """A validated network whose clauses all carry joint tables."""
+    """A validated network whose clauses all carry joint tables.
+
+    The tables live in one read-only float64 array in node order: node
+    ``i``'s table is ``flat[start[i]:start[i + 1]]``.  A reasoning run
+    returns a network over a new array.
+    """
 
     program: SourceProgram
     nodes: tuple[Node, ...]
-    tables: tuple[JointTable, ...]
+    flat: np.ndarray = field(repr=False)   # every table, read-only
+    start: np.ndarray = field(repr=False)  # table offsets, len(nodes) + 1
     edges: tuple[Edge, ...]
     introducer: dict[str, int]          # variable -> node that introduces it
     holders: dict[str, tuple[int, ...]]  # variable -> nodes holding it, ascending
@@ -122,10 +131,24 @@ class PreparedNetwork:
     def variables(self) -> tuple[str, ...]:
         return tuple(self.introducer)
 
+    @cached_property
+    def tables(self) -> tuple[JointTable, ...]:
+        """The tables as ``JointTable`` views of ``flat``, made when first read."""
+        s = self.start.tolist()
+        return tuple(JointTable(n.scope, self.flat[a:b], _validate=False)
+                     for n, a, b in zip(self.nodes, s, s[1:]))
+
+    def over(self, flat: np.ndarray) -> "PreparedNetwork":
+        """The network with its tables in ``flat``, which becomes read-only."""
+        flat.setflags(write=False)
+        return replace(self, flat=flat)
+
     def with_table(self, idx: int, table: JointTable) -> "PreparedNetwork":
-        tables = list(self.tables)
-        tables[idx] = table
-        return replace(self, tables=tuple(tables))
+        """The network over a copy of ``flat`` with node ``idx``'s slice
+        replaced by ``table``."""
+        flat = self.flat.copy()
+        flat[self.start[idx]:self.start[idx + 1]] = table.probs
+        return self.over(flat)
 
     def joint_over(self, target: Scope) -> JointTable:
         """The network's current joint distribution over ``target``.
@@ -508,10 +531,15 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         adjacency[e.a].append(ei)
         adjacency[e.b].append(ei)
 
+    flat = np.concatenate([t.probs for t in b.tables])
+    start = np.cumsum([0] + [t.probs.size for t in b.tables], dtype=np.intp)
+    for a in (flat, start):
+        a.setflags(write=False)
     return PreparedNetwork(
         program=program,
         nodes=tuple(b.nodes),
-        tables=tuple(b.tables),
+        flat=flat,
+        start=start,
         edges=edges,
         introducer=dict(b.introducer),
         holders={v: tuple(h) for v, h in b.holders.items()},

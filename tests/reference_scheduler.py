@@ -28,13 +28,17 @@ from rcndl.scheduler import (
     _named,
     Step,
     home_clause,
+    joint_constraint,
     posterior_marginal,
     validate_evidence,
 )
 
 
-def propagate_clause_update(net, updated):
-    visited = {updated}
+def propagate_clause_update(net, updated, visited=None):
+    """``visited``, if given, collects the clauses the walk updates and
+    the one it starts from."""
+    visited = set() if visited is None else visited
+    visited.add(updated)
     queue = deque([updated])
     while queue:
         i = queue.popleft()
@@ -54,7 +58,7 @@ def propagate_clause_update(net, updated):
     return net
 
 
-def apply_constraint(net, c, tolerance=1e-9):
+def apply_constraint(net, c, tolerance=1e-9, visited=None):
     home = home_clause(net, c)
     table = net.tables[home]
     if isinstance(c, MarginalConstraint):
@@ -65,11 +69,11 @@ def apply_constraint(net, c, tolerance=1e-9):
         new, _ = lec_solve(table, c,
                            SolverOptions(tolerance=min(1e-9, tolerance)))
     net = net.with_table(home, new)
-    return propagate_clause_update(net, home), home
+    return propagate_clause_update(net, home, visited), home
 
 
 def run_reasoning(net, ev):
-    validate_evidence(net, ev)
+    homes = validate_evidence(net, ev)
     trace = RunTrace()
     cons = ev.constraints
     if not cons:
@@ -82,11 +86,15 @@ def run_reasoning(net, ev):
     def below_thresholds():
         return all(scalar(c) < ev.threshold(i) for i, c in enumerate(cons))
 
+    used = [(c, ev.threshold(i)) for i, c in enumerate(cons)]
     converged = False
     for pass_no in range(1, ev.max_passes + 1):
         if below_thresholds():
             converged = True
             break
+        if pass_no == 2:
+            used = [joint_constraint(net, net.flat, ev, homes, i)
+                    for i in range(len(cons))]
         unused = list(range(len(cons)))
         while unused:
             if ev.policy == GREATEST_GRADIENT:
@@ -95,21 +103,18 @@ def run_reasoning(net, ev):
                 pick = unused[0]
             unused.remove(pick)
             g_before = scalar(cons[pick])
-            before_tables = net.tables
+            visited = set()
             try:
-                net, home = apply_constraint(net, cons[pick],
-                                             ev.threshold(pick) / 10)
+                net, home = apply_constraint(net, used[pick][0],
+                                             used[pick][1] / 10, visited)
             except (InfeasibleEvidenceError, ConvergenceError) as exc:
                 raise _named(exc, cons[pick]) from exc
-            touched = tuple(
-                i for i, t in enumerate(net.tables) if t is not before_tables[i]
-            )
             trace.steps.append(Step(
                 pass_no=pass_no,
                 constraint=cons[pick].label(),
                 gradient_before=g_before,
                 home=home,
-                touched=touched,
+                touched=tuple(sorted(visited)),
                 marginals={v: posterior_marginal(net, v)[1]
                            for v in net.introducer},
             ))

@@ -191,7 +191,7 @@ def test_propagation_from_every_node_matches_reference(net):
     component only, and propagating matches the reference byte for byte
     or fails with the same error."""
     homes = range(len(net.nodes))
-    plans = scheduler._TableStore(net).compile_plans(net, list(homes))
+    plans = scheduler.compile_plans(net, list(homes))
     for home in homes:
         assert plans[home].touched == component(net, home)
         got = outcome(propagate_clause_update, net, home)
@@ -205,21 +205,28 @@ def test_propagation_from_every_node_matches_reference(net):
 @settings(max_examples=30, deadline=None)
 @given(problems())
 def test_state_maps_built_once_per_edge_side(problem):
-    """A run reads each edge side's state map once, however many homes its
-    constraints have."""
+    """A run reads each distinct state map of the edge sides once, however
+    many homes its constraints have: a map is keyed by the side's scope
+    length and the separator's positions in that scope."""
     net, ev = problem
     calls = []
     real = scheduler.substate_map
 
+    def key(scope, sub):
+        return len(scope), tuple(scope.vars.index(v) for v in sub.vars)
+
     def counting(scope, sub):
-        calls.append((scope, sub))
+        calls.append(key(scope, sub))
         return real(scope, sub)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scheduler, "substate_map", counting)
         outcome(run_reasoning, net, ev)
         run_calls = len(calls)
-        scheduler._TableStore(net).compile_plans(net,
-                                                 list(range(len(net.nodes))))
+        scheduler.compile_plans(net, list(range(len(net.nodes))))
+    keys = {key(net.nodes[n].scope, e.separator)
+            for e in net.edges for n in (e.a, e.b)}
     assert run_calls <= 2 * len(net.edges)
-    assert len(calls) - run_calls == 2 * len(net.edges)
+    compile_calls = calls[run_calls:]
+    assert len(compile_calls) == len(set(compile_calls)) == len(keys)
+    assert set(compile_calls) == keys

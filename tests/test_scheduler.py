@@ -108,6 +108,16 @@ class TestPropagation:
 
 
 class TestRunReasoningThreeVars:
+    def test_conflicting_sets_one_clause_holds_are_infeasible(
+        self, three_vars_net
+    ):
+        # P(B) must be 0.5 under both conditionals; the joint step of the
+        # second pass names the conflict instead of spending the budget
+        ev = evidence("P(B|A) = 0.5\nP(B|!A) = 0.5\nP(B) = 0.9")
+        with pytest.raises(InfeasibleEvidenceError,
+                           match=r"^P\(B\|A\)=0.5: .*infeasible"):
+            run_reasoning(three_vars_net, ev)
+
     def test_loose_threshold_trace(self, three_vars_net):
         ev = evidence("P(B) = 0.33\nP(C) = 0.95", default_threshold=0.01)
         post, trace = run_reasoning(three_vars_net, ev)
