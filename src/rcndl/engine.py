@@ -7,7 +7,7 @@ entropy to the current table subject to the constraint:
 * ``conditional_update`` -- a target for P(x | event), multiplicative
   closed form followed by renormalization.
 * ``lec_solve`` -- general linear equality rows, solved through the dual
-  with damped Newton steps.
+  on the prior's support with damped Newton steps.
 * ``constraint_gradient`` -- the dual gradient of a constraint set at the
   current table; its infinity norm is the scheduling and termination signal.
 """
@@ -15,7 +15,6 @@ entropy to the current table subject to the constraint:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -149,61 +148,31 @@ class DualState:
     converged: bool = field(default=False)
 
 
-class Restriction(NamedTuple):
-    """A prior's support and the arrays the dual reads on it.
-
-    ``support`` is None when every state has mass.  ``rows`` is the copy
-    ``rows[:, support]`` even then: its transpose is C-contiguous, and the
-    BLAS product over that layout rounds differently from one over
-    ``rows.T``.  ``prior`` is ``prior[support]``.
-    """
-
-    support: np.ndarray | None
-    rows: np.ndarray
-    prior: np.ndarray
-
-
-def restrict(prior: np.ndarray, rows: np.ndarray) -> Restriction:
-    """The dual's view of ``prior`` and ``rows``; states without mass never
-    gain any, so the dual only sums over the support."""
-    support = prior > 0.0
-    if support.all():
-        return Restriction(None, rows[:, support], prior)
-    return Restriction(support, rows[:, support], prior[support])
-
-
 def dual_value_and_gradient(
-    prior: np.ndarray, rows: np.ndarray, rhs: np.ndarray, lambdas: np.ndarray,
-    restricted: Restriction | None = None,
+    prior: np.ndarray, rows: np.ndarray, rhs: np.ndarray, lambdas: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Dual objective, its gradient, and the tilted distribution at lambda.
 
     The dual is the log-partition form
     ``D(l) = log sum_j q_j exp(-(A^T l)_j) + l . b``; its k-th partial is
     ``b_k - sum_j a_kj p_j`` with ``p`` the normalized tilted distribution,
-    i.e. exactly the violation of row k at the current iterate.
-    ``restricted`` is ``restrict(prior, rows)``, passed in by a caller that
-    evaluates the dual many times over one prior.
+    i.e. exactly the violation of row k at the current iterate.  The sums
+    run over every state given, so ``prior`` must have full support: the
+    exponent is shifted by its largest value, which a state without mass
+    could hold while every state with mass underflows.
     """
-    r = restrict(prior, rows) if restricted is None else restricted
-    # updated in place: an evaluation allocates one array besides the
-    # scatter target for a partial support
-    w = r.rows.T @ lambdas
+    # updated in place: an evaluation allocates one array of the states'
+    # size
+    w = rows.T @ lambdas
     np.negative(w, out=w)
     m = w.max() if w.size else 0.0
     w -= m
     np.exp(w, out=w)
-    w *= r.prior
+    w *= prior
     z = w.sum()
     value = float(np.log(z) + m + lambdas @ rhs)
     w /= z
-    if r.support is None:
-        p = w
-    else:
-        p = np.zeros_like(prior)
-        p[r.support] = w
-    grad = rhs - rows @ p
-    return value, grad, p
+    return value, rhs - rows @ w, w
 
 
 def row_covariance(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -226,12 +195,15 @@ def lec_solve(
     """Solve a linear-equality-constraint MCE problem by dual minimization.
 
     Returns the tilted posterior ``p_j ~ q_j exp(-(A^T l)_j)`` at the dual
-    minimum, found with damped Newton steps: each solves the row covariance
-    under the current tilt for the gradient and backtracks, from a step that
-    changes no log-probability ratio by more than ``TILT_STEP``, until the
-    Armijo condition holds.  Once the decrease a step promises is below what
-    the dual value resolves, the step is taken without a search and must
-    shrink the residual.
+    minimum.  The minimizer puts no mass where the prior has none, so states
+    without mass are dropped from the prior and the lifted rows once, and
+    the posterior is scattered back to the table's scope once, on exit.
+    The dual is minimized with damped Newton steps: each solves the row
+    covariance under the current tilt for the gradient and backtracks, from
+    a step that changes no log-probability ratio by more than
+    ``TILT_STEP``, until the Armijo condition holds.  Once the decrease a
+    step promises is below what the dual value resolves, the step is taken
+    without a search and must shrink the residual.
 
     Raises ``InfeasibleEvidenceError`` when part of the gradient lies
     outside the covariance's range (no tilt of the prior's support moves
@@ -253,19 +225,26 @@ def lec_solve(
     unit = np.maximum(c.row_matrix.max(axis=1), -c.row_matrix.min(axis=1))
     unit[unit == 0.0] = 1.0
     prior = table.probs
-    restricted = restrict(prior, rows)  # shared by every evaluation
+    support = prior > 0.0
+    if not support.all():
+        # an I-projection puts no mass where the prior has none
+        prior, rows = prior[support], rows[:, support]
 
     def dual(lambdas):
         # through the module attribute, so a wrapper installed there sees
         # every evaluation
-        return dual_value_and_gradient(prior, rows, rhs, lambdas, restricted)
+        return dual_value_and_gradient(prior, rows, rhs, lambdas)
+
+    def posterior():
+        probs = np.zeros(support.shape)
+        probs[support] = p / p.sum()
+        return JointTable(table.scope, probs, _validate=False)
 
     def failure(message):
-        state = DualState(lam, value, grad, it, False)
         return ConvergenceError(
             f"{message} (|b - A p| = {residual:.3e}, tolerance "
             f"{opts.tolerance})",
-            best=(JointTable(table.scope, p / p.sum(), _validate=False), state),
+            best=(posterior(), DualState(lam, value, grad, it, False)),
         )
 
     lam = np.zeros(len(rhs))
@@ -300,7 +279,7 @@ def lec_solve(
         decrement = float(grad @ newton)
         # far from the minimum a whole step can overshoot into a tilt where
         # the covariance underflows: bound each log-probability ratio's change
-        spread = float(np.ptp(restricted.rows.T @ newton))
+        spread = float(np.ptp(rows.T @ newton))
         step = 1.0 if spread <= TILT_STEP else TILT_STEP / spread
         if decrement <= FLAT * max(1.0, abs(value)):
             # the dual value cannot tell this step from none: take it
@@ -320,8 +299,7 @@ def lec_solve(
                               f"after {it} iterations")
         lam, value, grad, p = lam - step * newton, c_value, c_grad, c_p
         it += 1
-    posterior = JointTable(table.scope, p / p.sum(), _validate=False)
-    return posterior, DualState(lam, value, grad, it, True)
+    return posterior(), DualState(lam, value, grad, it, True)
 
 
 def constraint_gradient(table: JointTable, c: ConstraintSet) -> np.ndarray:

@@ -360,8 +360,7 @@ def _order_rules(program: SourceProgram) -> list[int]:
 
 
 class _Builder:
-    def __init__(self, program: SourceProgram):
-        self.program = program
+    def __init__(self):
         self.nodes: list[Node] = []
         self.tables: list[JointTable] = []
         self.introducer: dict[str, int] = {}
@@ -454,7 +453,7 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
                 f"{c.pos}: rule uses query variables but precedes the query"
             )
 
-    b = _Builder(program)
+    b = _Builder()
 
     # Root cliques.  Later cliques overlapping earlier ones hang off them
     # with the overlap as separator; their overlap marginals must agree.

@@ -305,7 +305,10 @@ def stacked(sets: list[ConstraintSet] | tuple[ConstraintSet, ...],
             r = np.zeros((1, scope.n_states))
             r[0, event_indices(scope, cond)] -= c.prob
             r[0, event_indices(scope, {**cond, c.target: True})] += 1.0
-            r, b = r / table.prob_of(cond), (0.0,)
+            if (mass := table.prob_of(cond)) <= 0.0:
+                raise InfeasibleEvidenceError(
+                    f"condition event of {c.label()} has zero probability")
+            r, b = r / mass, (0.0,)
         rows += r.tolist()
         rhs += b
     return LinearConstraint(scope, tuple(map(tuple, rows)), tuple(rhs))

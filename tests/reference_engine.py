@@ -3,8 +3,8 @@
 This is the solver the paper names for linear systems.  Its dual
 evaluation masks the prior's support, copies ``rows[:, support]`` and
 ``prior[support]`` and scatters the tilted distribution back every time;
-``rcndl.engine`` builds that restriction once per solve and minimizes the
-same dual with damped Newton steps.  The two kernels' posteriors are
+``rcndl.engine`` drops the states without mass once per solve and
+minimizes the same dual with damped Newton steps.  The two kernels' posteriors are
 compared within a bound derived from their residuals.
 """
 

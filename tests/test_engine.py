@@ -334,6 +334,37 @@ class TestLecSolve:
             lec_solve(t, LinearConstraint(t.scope, ((0.0, 1.0),), (0.5,)))
         assert len(calls) == 1
 
+    def test_target_outside_offset_row_diverges(self):
+        # the row's range is [1e7, 1e7 + 1]: the first Newton step moves
+        # lambda by more than 1e6 / max|a|, with the residual still open
+        t = JointTable(Scope(("x",)), [0.5, 0.5])
+        c = LinearConstraint(t.scope, ((1e7, 1e7 + 1),), (1e7 + 2,))
+        with pytest.raises(InfeasibleEvidenceError,
+                           match=r"^dual tilt diverged \(\|lambda_k\| "
+                                 r"max\|a_k\| > 1000000.0\); the linear "
+                                 r"system is infeasible on the prior's "
+                                 r"support$"):
+            lec_solve(t, c)
+
+    def test_no_damped_step_below_the_rows_rounding(self):
+        # two copies of one constant row, met exactly by every distribution:
+        # at 6e10, one unit in the last place of A p (7.6e-6) exceeds the
+        # tolerance, the covariance is rounding, and no step along its
+        # Newton direction lowers the dual
+        t = JointTable(Scope(("x", "y")), [
+            0.259959722059665, 0.3108365641128366,
+            0.35747928450113087, 0.07172442932636737])
+        row = (61796153964.142654,) * 4
+        c = LinearConstraint(t.scope, (row, row), (row[0], row[0]))
+        with pytest.raises(ConvergenceError,
+                           match=r"^no damped Newton step decreased the dual "
+                                 r"after 0 iterations \(\|b - A p\| = "
+                                 r"7\.629e-06, tolerance 1e-06\)$") as err:
+            lec_solve(t, c, SolverOptions(tolerance=1e-6))
+        post, state = err.value.best
+        assert not state.converged and not state.lambdas.any()
+        np.testing.assert_allclose(post.probs, t.probs, rtol=1e-15)
+
     def test_stalled_restart_cycle_takes_a_newton_step(self):
         # Near 1e-10 every conjugate-gradient step on this feasible set was
         # below the dual value's resolution: the per-evaluation reference
@@ -430,10 +461,10 @@ def count_evaluations(monkeypatch):
 
 
 class TestRestrictionOncePerSolve:
-    """``lec_solve`` restricts the dual to the prior's support once per
-    solve and minimizes it with damped Newton steps; the conjugate-gradient
-    kernel in ``tests/reference_engine.py`` is the reference it must agree
-    with."""
+    """``lec_solve`` drops the prior's states without mass once per solve
+    and minimizes the dual on what is left with damped Newton steps; the
+    conjugate-gradient kernel in ``tests/reference_engine.py`` is the
+    reference it must agree with."""
 
     @pytest.mark.parametrize("case", ["partial", "full", "lifted"])
     @settings(max_examples=60, deadline=None)
@@ -469,11 +500,30 @@ class TestRestrictionOncePerSolve:
         # the last one seen
         assert len(calls) > state.iterations
         assert not calls[0][0][3].any()
-        (*_, lambdas, _), (value, gradient, p) = calls[-1]
+        (*_, lambdas), (value, gradient, p) = calls[-1]
         assert lambdas.tobytes() == state.lambdas.tobytes()
         assert (value, gradient.tobytes()) == (state.value,
                                                state.gradient.tobytes())
-        assert post.probs.tobytes() == (p / p.sum()).tobytes()
+        support = table.probs > 0.0
+        assert post.probs[support].tobytes() == (p / p.sum()).tobytes()
+        assert not post.probs[~support].any()
+
+    @pytest.mark.parametrize("case", ["partial", "full"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_the_dual_sums_over_the_support_only(self, case, data):
+        table, c, opts = data.draw(linear_problems(case))
+        support = table.probs > 0.0
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_evaluations(mp)
+            post, _ = lec_solve(table, c, opts)
+        for (prior, rows, _, _), _ in calls:
+            assert prior.shape == (support.sum(),)
+            assert rows.shape == (len(c.rhs), support.sum())
+            if support.all():
+                # passed as they are, with no copy
+                assert prior is table.probs and rows is c.row_matrix
+        assert not post.probs[~support].any()
 
 
 class TestConstraintGradient:

@@ -92,6 +92,20 @@ class TestCancerPreprocess:
         assert len(groups) == 1
         assert set(groups[0].scope.vars) == {"A", "B", "C"}
 
+    def test_intermediate_form_skips_the_group_node(self, cancer_net):
+        # one line per clause of the program, in node order; the group that
+        # joins A, B and C is not a clause
+        assert render_intermediate(cancer_net) == (
+            "?- A : [0.800000, 0.200000].\n"
+            "A -> B : [0.640000, 0.160000, 0.040000, 0.160000].\n"
+            "A -> C : [0.760000, 0.040000, 0.160000, 0.040000].\n"
+            "B, C -> D : [0.608000, 0.032000, 0.008000, 0.032000, "
+            "0.056000, 0.224000, 0.008000, 0.032000].\n"
+            "C -> E : [0.368000, 0.552000, 0.016000, 0.064000].\n"
+            "D : [0.680000, 0.320000].\n"
+            "E : [0.384000, 0.616000].\n"
+        )
+
     def test_rule_table_marginal_matches_head_joint(self, cancer_net):
         for node in cancer_net.nodes:
             if node.kind != RULE:
@@ -273,6 +287,15 @@ class TestQueryCliques:
                 "?- A, B : [0.2, 0.2, 0.3, 0.3]; B, C : [0.3, 0.3, 0.2, 0.2]."
             ))
 
+    def test_clique_overlapping_two_earlier_cliques_rejected(self):
+        with pytest.raises(MultiplyConnectedError,
+                           match=r"^query clique \('A', 'B'\) overlaps more "
+                                 r"than one earlier clique$"):
+            preprocess(parse_program(
+                "?- A : [0.5, 0.5]; B : [0.5, 0.5]; "
+                "A, B : [0.25, 0.25, 0.25, 0.25]."
+            ))
+
 
 class TestUnknownCompletion:
     def test_prior_residual_spread_uniformly(self):
@@ -283,6 +306,12 @@ class TestUnknownCompletion:
     def test_prior_overfull_rejected(self):
         with pytest.raises(NetworkStructureError):
             preprocess(parse_program("?- A, B : [0.8, 0.7, -1.0, -1.0]."))
+
+    def test_prior_not_summing_to_one_rejected(self):
+        with pytest.raises(NetworkStructureError,
+                           match=r"^1:1: query clique \('A',\): prior "
+                                 r"entries sum to 1\.100000000000, not 1$"):
+            preprocess(parse_program("?- A : [0.5, 0.6]."))
 
     def test_prior_negative_entry_rejected(self):
         query = QueryClause(((Scope(("A",)), (-0.5, 1.5)),), SourcePos(3, 1))

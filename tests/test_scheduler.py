@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcndl import (
+    ConditionalConstraint,
     ConvergenceError,
     EvidenceSet,
     GREATEST_GRADIENT,
@@ -452,6 +453,22 @@ def test_unreachable_target_fails_within_a_few_iterations():
     _, state = err.value.best
     assert state.iterations <= 10
     assert np.abs(state.gradient).max() > 1e-18
+
+
+@pytest.mark.parametrize("policy", [PROGRAM_ORDER, GREATEST_GRADIENT])
+def test_joint_set_over_an_emptied_condition_is_infeasible(policy):
+    # pass 1 leaves A true without mass; under program order pass 2 stops
+    # reading gradients at the unmet P(B), so P(B|A) reaches the joint set
+    # of its home unchecked and may not divide by its condition's mass
+    net = preprocess(parse_program(
+        "?- A : [0.5, 0.5].\nA -> B : [0.3, 0.6].\nA.\nB.\n"))
+    cons = (MarginalConstraint(Scope(("B",)), (0.1, 0.9)),
+            ConditionalConstraint("B", (("A", True),), 0.5),
+            MarginalConstraint(Scope(("A",)), (1.0, 0.0)))
+    with pytest.raises(InfeasibleEvidenceError,
+                       match=r"^condition event of P\(B\|A\)=0\.5 has zero "
+                             r"probability$"):
+        run_reasoning(net, EvidenceSet(cons, policy=policy))
 
 
 def _random_network(rng, n_vars=None):

@@ -48,7 +48,8 @@ two outputs.
 posterior tables, each variable's posterior P(var), and the pass and step
 counts.  ``--close`` reads two such files and prints, per run, the largest
 absolute difference of the tables and of the marginals with both sides'
-pass and step counts, and the largest differences over all runs.
+pass and step counts, and, under ``max``, the largest differences over all
+runs and the list of runs whose pass or step counts differ.
 """
 
 from __future__ import annotations
@@ -342,10 +343,12 @@ def closeness(first: str, second: str) -> dict:
     """Per run of two ``--values`` files: the largest absolute differences
     of the posterior tables and marginals, and both pass and step counts.
     A run that raised saved nothing, so where one side raised the
-    differences and that side's counts are ``null``."""
+    differences and that side's counts are ``null``.  ``max`` holds the
+    largest differences and ``counts_differ``, the runs whose pass or step
+    counts differ (a run that raised on one side only among them)."""
     sides = [np.load(first), np.load(second)]
     runs = sorted({key.split("|")[0] for side in sides for key in side.files})
-    out, worst = {}, {"table": 0.0, "marginal": 0.0}
+    out, worst = {}, {"table": 0.0, "marginal": 0.0, "counts_differ": []}
     for name in runs:
         got = [{key.split("|")[1]: side[key] for key in side.files
                 if key.split("|")[0] == name} for side in sides]
@@ -359,6 +362,9 @@ def closeness(first: str, second: str) -> dict:
                     worst[field] = max(worst[field], entry[field])
         entry["passes"] = [int(g["counts"][0]) if g else None for g in got]
         entry["steps"] = [int(g["counts"][1]) if g else None for g in got]
+        if entry["passes"][0] != entry["passes"][1] or (
+                entry["steps"][0] != entry["steps"][1]):
+            worst["counts_differ"].append(name)
         out[name] = entry
     return {"runs": out, "max": worst}
 
