@@ -131,7 +131,7 @@ class SolverOptions:
 
 
 ARMIJO_C1 = 1e-4
-TILT_BOUND = 1e6       # divergence guard on |lambda_k| * max|a_k|
+TILT_BOUND = 1e6       # divergence guard on |lambda_k| * (max a_k - min a_k)
 TILT_STEP = 20.0       # largest change of a log-probability ratio per step
 MAX_HALVINGS = 60      # backtracking steps down to 2**-60 of a Newton step
 FLAT = 1e-12           # relative change that float arithmetic cannot resolve
@@ -220,9 +220,11 @@ def lec_solve(
     rows = (c.row_matrix if c.scope == table.scope
             else lift(c.row_matrix, c.scope, table.scope))
     rhs = np.asarray(c.rhs, dtype=float)
-    # max|a_k| from the unlifted rows, without a temporary of their size;
-    # 1 for a zero row, whose multiplier never moves
-    unit = np.maximum(c.row_matrix.max(axis=1), -c.row_matrix.min(axis=1))
+    # max|a_k| (1 for a zero row, whose multiplier never moves) and the
+    # width max a_k - min a_k, how far a unit multiplier moves a
+    # log-probability ratio, from the unlifted rows without a temporary
+    top, bottom = c.row_matrix.max(axis=1), c.row_matrix.min(axis=1)
+    unit, width = np.maximum(top, -bottom), top - bottom
     unit[unit == 0.0] = 1.0
     prior = table.probs
     support = prior > 0.0
@@ -254,10 +256,11 @@ def lec_solve(
         if it == opts.max_iterations:
             raise failure(f"dual minimization did not converge in {it} "
                           f"iterations")
-        if float((np.abs(lam) * unit).max()) > TILT_BOUND:
+        if float((np.abs(lam) * width).max()) > TILT_BOUND:
             raise InfeasibleEvidenceError(
-                f"dual tilt diverged (|lambda_k| max|a_k| > {TILT_BOUND}); "
-                f"the linear system is infeasible on the prior's support"
+                f"dual tilt diverged (|lambda_k| (max a_k - min a_k) > "
+                f"{TILT_BOUND}); the linear system is infeasible on the "
+                f"prior's support"
             )
         hessian = row_covariance(rows, p)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -266,9 +269,12 @@ def lec_solve(
             newton = np.linalg.lstsq(hessian / np.outer(unit, unit),
                                      grad / unit, rcond=None)[0] / unit
             unreduced = np.abs(grad - hessian @ newton)
-        # a residual no tilt moves (beyond rounding), or an infinite step
-        # from a covariance that underflowed while the residual did not
-        if not np.isfinite(unreduced).all() or (
+            # bound each log-probability ratio's change: far from the
+            # minimum a whole step can overshoot into an underflowing tilt
+            spread = float(np.ptp(rows.T @ newton))
+        # a residual no tilt moves (beyond rounding), or a step too large
+        # to take, from a covariance that underflowed with the residual open
+        if not (np.isfinite(unreduced).all() and np.isfinite(spread)) or (
                 unreduced.max() > 0.5 * residual
                 and (unreduced > FLAT * unit).any()):
             raise InfeasibleEvidenceError(
@@ -277,9 +283,6 @@ def lec_solve(
                 "infeasible on the prior's support"
             )
         decrement = float(grad @ newton)
-        # far from the minimum a whole step can overshoot into a tilt where
-        # the covariance underflows: bound each log-probability ratio's change
-        spread = float(np.ptp(rows.T @ newton))
         step = 1.0 if spread <= TILT_STEP else TILT_STEP / spread
         if decrement <= FLAT * max(1.0, abs(value)):
             # the dual value cannot tell this step from none: take it

@@ -382,10 +382,6 @@ class MarginalConstraint:
         if abs(t.sum() - 1.0) > UNIT_SUM_TOL:
             raise ProbabilityError(f"marginal targets sum to {t.sum()}, not 1")
 
-    @property
-    def is_bayesian(self) -> bool:
-        return all(t in (0.0, 1.0) for t in self.targets)
-
     def variables(self) -> tuple[str, ...]:
         return self.scope.vars
 
@@ -414,10 +410,6 @@ class ConditionalConstraint:
             )
         if not 0.0 <= self.prob <= 1.0:
             raise ProbabilityError("conditional target must lie in [0, 1]")
-
-    @property
-    def is_bayesian(self) -> bool:
-        return self.prob in (0.0, 1.0)
 
     def variables(self) -> tuple[str, ...]:
         return (self.target,) + tuple(v for v, _ in self.condition)
@@ -457,10 +449,6 @@ class LinearConstraint:
         a = np.asarray(self.rows, dtype=float)
         a.setflags(write=False)
         return a
-
-    @property
-    def is_bayesian(self) -> bool:
-        return False
 
     def variables(self) -> tuple[str, ...]:
         return self.scope.vars

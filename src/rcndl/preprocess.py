@@ -1,32 +1,29 @@
 """Phase 1 of the interpreter: validate, order and propagate priors.
 
 Preprocessing turns a parsed program into a ``PreparedNetwork`` in which
-every clause carries a full joint table over its scope:
+every clause carries a full joint table over its scope, in two passes.
 
-* query cliques carry their (completed) priors,
-* each rule carries ``multiply_condition(head_joint, cond, body)`` where the
-  head joint is assembled exactly from the clauses introducing the head
-  variables,
-* each observation clause carries the current marginal over its variables.
+The structural pass reads scopes only.  It makes a node per root clique,
+rule and observation, each hanging off one upstream node covering its
+separator.  When a rule's head (or an observation) spans several upstream
+clauses, those clauses (closed under their own upstream links, less the
+members of any group among them) are joined through an explicit *group*
+node, off which the rule hangs through its head separator; a join over
+more than ``MAX_VARIABLES`` variables is refused.  Upstream links inside
+a group give way to its member edges, and the edges left must form a
+forest: a cycle means the clause sharing structure is not singly
+connected, and the program is rejected before any table is computed.
 
-The tables end in one read-only flat array, which the network holds.
-
-The clauses are also arranged into a propagation tree.  When a rule's head
-(or an observation) spans several upstream clauses, those clauses (closed
-under their own upstream links, less the members of any group among them)
-are joined through an explicit *group* node carrying their exact union
-joint; the rule then hangs off the group through its head separator.  The
-join follows a maximum-overlap spanning tree of the members, each member
-entering as its conditional on what it shares with the part joined so
-far; on a clause tree that is its separator with its tree neighbour, so
-the product is exact (running intersection).  A join over more than
-``MAX_VARIABLES`` variables is refused before it is allocated.  This keeps
-every propagation edge a plain pairwise separator and the represented
-joint exact for singly connected clause networks, including separator
-joints that the pairwise upstream tables alone could not express.
-Upstream links inside a group give way to its member edges, and the edges
-left must form a forest: a cycle means the clause sharing structure is
-not singly connected, and the program is rejected.
+The numeric pass then fills the tables in node order, each from earlier
+ones: a query clique's completed prior, which must agree with an earlier
+clique on their overlap; a rule's ``multiply_condition`` of its upstream
+node's marginal over the head; an observation's upstream marginal over
+its variables; a group's exact union joint, its members multiplied on
+along a maximum-overlap spanning tree, each as its conditional on its
+separator with the part joined so far (running intersection).  So every
+propagation edge is a plain pairwise separator and the represented joint
+is exact for singly connected clause networks.  The tables end in one
+read-only flat array, which the network holds.
 
 Every node's scope is indexed by variable: ``holders[v]`` lists, in
 ascending order, the nodes whose scope contains ``v``.  The smallest node
@@ -163,9 +160,9 @@ class PreparedNetwork:
         for v in target.vars:
             if v not in self.introducer:
                 raise ScopeError(f"unknown variable {v!r}")
-        _, joint = _group_joint(self.nodes, self.tables, self.introducer,
-                                target.vars, "joint_over")
-        return marginalize(joint, target)
+        order = _join_order(self.nodes, self.introducer, target.vars,
+                            "joint_over")
+        return marginalize(_join(self.tables, order), target)
 
 
 def covering_node(
@@ -229,26 +226,22 @@ def _conditional(table: JointTable, sep: Scope) -> JointTable:
     return JointTable(table.scope, out, _validate=False)
 
 
-def _group_joint(nodes, tables, introducer, vars: tuple[str, ...],
-                 where) -> tuple[tuple[int, ...], JointTable]:
-    """The clauses connecting the introducers of ``vars``, and their exact
-    normalized joint.
+def _join_order(nodes, introducer, vars: tuple[str, ...],
+                where) -> tuple[int, ...]:
+    """The clauses connecting the introducers of ``vars``, in the order
+    ``_join`` multiplies them together.
 
     The members are the connecting closure less the members of any group
-    in it, which that group already joins.  They are joined like Prim's
+    in it, which that group already joins.  They are ordered like Prim's
     algorithm: start at the lowest-index member, then repeatedly take the
     pool member sharing the most variables with one joined member (lowest
-    index first among equals) and multiply it on as its conditional on
-    what it shares with the joint so far; a member sharing nothing starts
-    a disjoint component with its full table.  The members form a clause
-    tree, so a maximum-overlap spanning tree of them is a junction tree
-    (Jensen & Jensen, UAI 1994): each member's overlap with the joint so
-    far is its separator with its tree neighbour, and the product is exact
-    by running intersection (Lauritzen & Spiegelhalter, 1988).  A member
-    inside a joined scope multiplies on the indicator of its support.
+    index first among equals).  The members form a clause tree, so a
+    maximum-overlap spanning tree of them is a junction tree (Jensen &
+    Jensen, UAI 1994): each member's overlap with the members before it is
+    its separator with its tree neighbour.
 
-    Beyond ``MAX_VARIABLES`` variables the joint is refused, naming
-    ``where``, before anything is allocated.
+    Beyond ``MAX_VARIABLES`` variables the join is refused, naming
+    ``where``, from the scopes alone.
     """
     closure = _connecting_closure(
         nodes, tuple(dict.fromkeys(introducer[v] for v in vars)))
@@ -264,16 +257,26 @@ def _group_joint(nodes, tables, introducer, vars: tuple[str, ...],
     # each member's largest overlap with a joined member
     weight = [len(s & scopes[0]) for s in scopes]
     pool = list(range(1, len(members)))
-    acc = tables[members[0]]
+    order = [members[0]]
     while pool:
         k = max(pool, key=weight.__getitem__)
         pool.remove(k)
         for j in pool:
             weight[j] = max(weight[j], len(scopes[j] & scopes[k]))
-        table = tables[members[k]]
+        order.append(members[k])
+    return tuple(order)
+
+
+def _join(tables, order: tuple[int, ...]) -> JointTable:
+    """The normalized joint of the clauses in join ``order``, over their
+    variables in that order: each member multiplied on as its conditional
+    on what it shares with the joint so far, exact by running intersection
+    (Lauritzen & Spiegelhalter, 1988), or, sharing nothing, as its table."""
+    acc = tables[order[0]]
+    for table in (tables[m] for m in order[1:]):
         shared = [v for v in table.scope.vars if v in acc.scope]
         acc = product(acc, _conditional(table, Scope(shared)) if shared else table)
-    return members, normalized(acc)
+    return normalized(acc)
 
 
 # --------------------------------------------------------------------------
@@ -360,9 +363,11 @@ def _order_rules(program: SourceProgram) -> list[int]:
 
 
 class _Builder:
+    """The structural pass: nodes, group joins and edges, from scopes."""
+
     def __init__(self):
         self.nodes: list[Node] = []
-        self.tables: list[JointTable] = []
+        self.joins: dict[int, tuple[int, ...]] = {}  # group -> join order
         self.introducer: dict[str, int] = {}
         self.holders: dict[str, list[int]] = {}
 
@@ -382,11 +387,12 @@ class _Builder:
         best = covering_node(self.nodes, self.holders, vars, skip=OBS)
         if best is not None:
             return best
-        members, joint = _group_joint(self.nodes, self.tables, self.introducer,
-                                      vars, where)
+        order = _join_order(self.nodes, self.introducer, vars, where)
+        members = tuple(sorted(order))
         label = "group(" + "; ".join(self.nodes[m].label for m in members) + ")"
-        idx = self.add(GROUP, joint.scope, None, members, -1, label)
-        self.tables.append(joint)
+        scope = Scope(dict.fromkeys(v for m in order for v in self.nodes[m].scope))
+        idx = self.add(GROUP, scope, None, members, -1, label)
+        self.joins[idx] = order
         return idx
 
     def build_edges(self) -> tuple[Edge, ...]:
@@ -435,6 +441,36 @@ class _Builder:
         return tuple(edges)
 
 
+def _tables(program: SourceProgram, b: _Builder) -> list[JointTable]:
+    """The numeric pass: each node's table from earlier ones, in node order."""
+    query = program.query
+    tables: list[JointTable] = []
+    for node in b.nodes:
+        if node.kind == ROOT:  # the first nodes are the query's cliques
+            scope, prior = query.cliques[node.idx]
+            table = JointTable(scope, _complete_prior(
+                prior, f"{query.pos}: query clique {scope.vars}"))
+            if node.parents:  # an earlier clique's overlap marginal agrees
+                mine = marginalize(table, node.separator).probs
+                theirs = marginalize(tables[node.parents[0]], node.separator).probs
+                if np.abs(mine - theirs).max() > _OVERLAP_TOL:
+                    raise NetworkStructureError(
+                        f"query cliques disagree on overlap "
+                        f"{node.separator.vars}: {mine} vs {theirs}"
+                    )
+        elif node.kind == RULE:
+            rule = program.clauses[node.clause_idx]
+            head_joint = marginalize(tables[node.parents[0]], rule.head)
+            table = multiply_condition(head_joint, _complete_cond(rule.cond),
+                                       rule.body)
+        elif node.kind == OBS:
+            table = marginalize(tables[node.parents[0]], node.scope)
+        else:
+            table = _join(tables, b.joins[node.idx])
+        tables.append(table)
+    return tables
+
+
 def preprocess(program: SourceProgram) -> PreparedNetwork:
     """Validate the program and propagate priors so every clause has a table."""
     clauses = program.clauses
@@ -455,58 +491,32 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
 
     b = _Builder()
 
-    # Root cliques.  Later cliques overlapping earlier ones hang off them
-    # with the overlap as separator; their overlap marginals must agree.
-    clique_nodes: list[int] = []
-    for scope, prior in query.cliques:
-        table = JointTable(
-            scope, _complete_prior(prior, f"{query.pos}: query clique {scope.vars}")
-        )
-        overlap_parent = None
-        overlap_vars: tuple[str, ...] = ()
-        for j in clique_nodes:
+    # Root cliques.  A later clique overlapping an earlier one hangs off it
+    # with the overlap as separator.
+    for scope, _ in query.cliques:
+        parents, sep = (), None
+        for j in range(len(b.nodes)):
             shared = tuple(v for v in scope.vars if v in b.nodes[j].scope)
             if shared:
-                if overlap_parent is not None:
+                if parents:
                     raise MultiplyConnectedError(
                         f"query clique {scope.vars} overlaps more than one "
                         f"earlier clique"
                     )
-                overlap_parent, overlap_vars = j, shared
-        new_vars = [v for v in scope.vars if v not in b.introducer]
-        if len(new_vars) + len(overlap_vars) != len(scope):
-            raise MultiplyConnectedError(
-                f"query clique {scope.vars} repeats variables outside its "
-                f"single overlap"
-            )
-        sep = Scope(overlap_vars) if overlap_vars else None
-        parents = (overlap_parent,) if overlap_parent is not None else ()
+                parents, sep = (j,), Scope(shared)
         idx = b.add(ROOT, scope, sep, parents, qpos, ", ".join(scope.vars))
-        if overlap_parent is not None:
-            mine = marginalize(table, sep).probs
-            theirs = marginalize(b.tables[overlap_parent], sep).probs
-            if np.abs(mine - theirs).max() > _OVERLAP_TOL:
-                raise NetworkStructureError(
-                    f"query cliques disagree on overlap {sep.vars}: "
-                    f"{mine} vs {theirs}"
-                )
-        b.tables.append(table)
-        clique_nodes.append(idx)
-        for v in new_vars:
-            b.introducer[v] = idx
+        for v in scope.vars:
+            b.introducer.setdefault(v, idx)
 
     # Rules in dependency order, each hanging off a single covering node.
     for ci in _order_rules(program):
         rule = clauses[ci]
         upstream = b.upstream_for(rule.head.vars, rule.pos)
-        head_joint = marginalize(b.tables[upstream], rule.head)
-        table = multiply_condition(head_joint, _complete_cond(rule.cond), rule.body)
-        idx = b.add(RULE, table.scope, rule.head, (upstream,), ci,
-                    f"{', '.join(rule.head.vars)} -> {rule.body}")
-        b.tables.append(table)
+        idx = b.add(RULE, Scope(rule.head.vars + (rule.body,)), rule.head,
+                    (upstream,), ci, f"{', '.join(rule.head.vars)} -> {rule.body}")
         b.introducer[rule.body] = idx
 
-    # Observations: leaves carrying the current marginal over their variables.
+    # Observations: leaves over their variables, off a covering node.
     observables: set[str] = set()
     for ci, clause in enumerate(clauses):
         if not isinstance(clause, ObservationClause):
@@ -519,9 +529,7 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
                 )
         scope = Scope(clause.vars)
         upstream = b.upstream_for(clause.vars, clause.pos)
-        table = marginalize(b.tables[upstream], scope)
         b.add(OBS, scope, scope, (upstream,), ci, ", ".join(clause.vars))
-        b.tables.append(table)
         observables |= set(clause.vars)
 
     edges = b.build_edges()
@@ -530,8 +538,9 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         adjacency[e.a].append(ei)
         adjacency[e.b].append(ei)
 
-    flat = np.concatenate([t.probs for t in b.tables])
-    start = np.cumsum([0] + [t.probs.size for t in b.tables], dtype=np.intp)
+    tables = _tables(program, b)
+    flat = np.concatenate([t.probs for t in tables])
+    start = np.cumsum([0] + [t.probs.size for t in tables], dtype=np.intp)
     for a in (flat, start):
         a.setflags(write=False)
     return PreparedNetwork(

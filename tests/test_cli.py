@@ -24,7 +24,6 @@ class TestEvidenceGrammar:
         cs = parse_evidence("D = false\nE = TRUE")
         assert cs[0].targets == (1.0, 0.0)
         assert cs[1].targets == (0.0, 1.0)
-        assert all(c.is_bayesian for c in cs)
 
     def test_conditional_with_negation(self):
         (c,) = parse_evidence("P(X | Y, !Z) = 0.7")

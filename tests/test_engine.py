@@ -335,15 +335,52 @@ class TestLecSolve:
         assert len(calls) == 1
 
     def test_target_outside_offset_row_diverges(self):
-        # the row's range is [1e7, 1e7 + 1]: the first Newton step moves
-        # lambda by more than 1e6 / max|a|, with the residual still open
+        # the row's range is [1e7, 1e7 + 1] and the target beyond it: the
+        # tilt runs off until the covariance underflows and no Newton step
+        # reduces the residual
         t = JointTable(Scope(("x",)), [0.5, 0.5])
         c = LinearConstraint(t.scope, ((1e7, 1e7 + 1),), (1e7 + 2,))
         with pytest.raises(InfeasibleEvidenceError,
+                           match=r"^no tilt of the prior's support reduces "
+                                 r"the row residual \(\|b - A p\| = "
+                                 r"1\.000e\+00\); the linear system is "
+                                 r"infeasible on the prior's support$"):
+            lec_solve(t, c)
+
+    def test_target_inside_offset_row_is_met(self):
+        # the offset moves no log-probability ratio, so the multiplier of
+        # a row of width 1 may pass 1e6 / max|a| on the way
+        t = JointTable(Scope(("x",)), [0.5, 0.5])
+        c = LinearConstraint(t.scope, ((1e7, 1e7 + 1),), (1e7 + 0.9,))
+        post, state = lec_solve(t, c)
+        assert state.converged
+        np.testing.assert_allclose(post.probs, [0.1, 0.9], atol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    def test_target_beyond_the_rows_largest_value_is_infeasible(self):
+        # the row's largest value is 1: the tilt runs to state 0 until the
+        # covariance is a few subnormals and the Newton step's tilt
+        # overflows; that is infeasible, not 10,000 iterations of no step
+        t = JointTable(Scope(("x", "y")), [0.25] * 4)
+        c = LinearConstraint(t.scope, ((1, -1, -1, -2),), (1.875,))
+        with pytest.raises(InfeasibleEvidenceError,
+                           match=r"^no tilt of the prior's support reduces "
+                                 r"the row residual \(\|b - A p\| = "
+                                 r"8\.750e-01\)"):
+            lec_solve(t, c)
+
+    def test_opposite_multipliers_diverge(self):
+        # two rows 1e-5 apart ask for P(y) = 0.5 and P(x) = 0.6 on the
+        # disjoint states 1 and 2; their multipliers run off in opposite
+        # directions while the tilt they make together stays bounded
+        t = JointTable(Scope(("x", "y")), [0.25] * 4)
+        c = LinearConstraint(t.scope, ((0, 1, 0, 0), (0, 1, 1e-5, 0)),
+                             (0.5, 0.5 + 1e-5 * 0.6))
+        with pytest.raises(InfeasibleEvidenceError,
                            match=r"^dual tilt diverged \(\|lambda_k\| "
-                                 r"max\|a_k\| > 1000000.0\); the linear "
-                                 r"system is infeasible on the prior's "
-                                 r"support$"):
+                                 r"\(max a_k - min a_k\) > 1000000.0\); "
+                                 r"the linear system is infeasible on the "
+                                 r"prior's support$"):
             lec_solve(t, c)
 
     def test_no_damped_step_below_the_rows_rounding(self):

@@ -1,8 +1,13 @@
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rcndl
 from rcndl import (
     MultiplyConnectedError,
     NetworkStructureError,
@@ -20,6 +25,11 @@ from rcndl.model import SourcePos
 from rcndl.preprocess import GROUP, OBS, ROOT, RULE, _Builder
 from tests import reference_preprocess as reference
 from tests.conftest import CANCER, THREE_VARS, brute_force_cancer, outcome
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
+fingerprint = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fingerprint)
 
 
 def tables_by_label(net):
@@ -193,6 +203,53 @@ class TestStructureErrors:
         net = preprocess(parse_program(text))
         with pytest.raises(SizeLimitError, match="^joint_over: .* span 27 "):
             net.joint_over(Scope(("A13", "B13")))
+
+
+CHAIN_CYCLE = (
+    "clause sharing structure has a cycle through 'group(R; R -> B4; "
+    "group(R -> B3; group(R -> B2; group(R; R -> B0; R -> B1; B0 -> C0); "
+    "C0, B1 -> C1); C1, B2 -> C2); C2, B3 -> C3)'"
+)
+
+
+class TestChainFamily:
+    def test_four_links_exact_against_enumeration(self):
+        net = preprocess(parse_program(fingerprint.chain_program(4)))
+        assert [n.kind for n in net.nodes].count(GROUP) == 3
+        read = net.joint_over(Scope(("C3", "B0", "R")))
+        assert fingerprint.enumeration_error(rcndl, net, [read]) <= 1e-12
+
+    @pytest.mark.parametrize("k", [*range(5, 13), 13, 16])
+    def test_refused_on_scopes_alone(self, k):
+        # from k = 5 the links close a cycle, and from k = 13 the group
+        # under C12 would span 26 variables; the refusal comes before any
+        # table is computed (at k = 12 the groups built first would take
+        # half a gigabyte)
+        program = parse_program(fingerprint.chain_program(k))
+        if k < 13:
+            error, message = MultiplyConnectedError, CHAIN_CYCLE
+        else:
+            error, message = SizeLimitError, (
+                f"{k + 14}:1: a joint over the clauses connecting C11, B12 "
+                f"would span 26 variables, over the 25-variable limit")
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as info:
+                preprocess(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 2 ** 20
+
+    def test_structure_refused_before_numbers(self):
+        # a prior summing to 1.1 and an observation of an unknown variable:
+        # the structural pass reports the observation first
+        with pytest.raises(NetworkStructureError,
+                           match=r"^1:41: observed variable 'Z' does not "
+                                 r"occur in any clause$"):
+            preprocess(parse_program(
+                "?- A : [0.5, 0.6]. A -> B : [0.1, 0.2]. Z."))
 
 
 @st.composite

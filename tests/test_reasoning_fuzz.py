@@ -1,10 +1,12 @@
 """Generated programs run through reasoning with freely drawn evidence.
 
 Each draw is a program from ``tests/test_preprocess.py``'s
-``clause_programs()`` with a marginal constraint on every observation and
+``clause_programs()`` with a marginal constraint on every observation,
 one conditional constraint per rule (its body given every head variable
-true).  The targets are drawn without regard to the program, so zero
-targets, Bayesian limits, infeasible and contradictory sets all occur.
+true) and up to two linear sets over clause scopes, with rows of small
+integers.  The targets and right-hand sides are drawn without regard to
+the program, so zero targets, Bayesian limits, infeasible and
+contradictory sets all occur.
 Preprocessing must end in a network or an ``RcndlError``.  The evidence
 is well formed, so reasoning must end in a result, or in an
 ``InfeasibleEvidenceError`` or ``ConvergenceError`` that names what
@@ -22,6 +24,7 @@ from rcndl import (
     ConvergenceError,
     EvidenceSet,
     InfeasibleEvidenceError,
+    LinearConstraint,
     MarginalConstraint,
     RcndlError,
     parse_program,
@@ -29,14 +32,15 @@ from rcndl import (
     preprocess,
     run_reasoning,
 )
-from rcndl.preprocess import OBS, RULE
+from rcndl.preprocess import GROUP, OBS, RULE
 from tests.test_preprocess import clause_programs
 
 MAX_PASSES = 5
 
 
 def evidence(draw, net):
-    """A marginal set per observation and a conditional per rule."""
+    """A marginal set per observation, a conditional per rule and up to
+    two linear sets."""
     constraints = []
     for node in net.nodes:
         if node.kind == OBS:
@@ -51,6 +55,14 @@ def evidence(draw, net):
             constraints.append(ConditionalConstraint(
                 body, tuple((v, True) for v in head),
                 draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))))
+    clauses = [node.scope for node in net.nodes if node.kind != GROUP]
+    for _ in range(draw(st.integers(0, 2))):
+        scope = draw(st.sampled_from(clauses))
+        row = st.lists(st.integers(-2, 2), min_size=scope.n_states,
+                       max_size=scope.n_states).map(tuple)
+        rows = draw(st.lists(row, min_size=1, max_size=2))
+        rhs = [draw(st.floats(-2.0, 2.0)) for _ in rows]
+        constraints.append(LinearConstraint(scope, tuple(rows), tuple(rhs)))
     return EvidenceSet(
         tuple(constraints),
         policy=draw(st.sampled_from((GREATEST_GRADIENT, PROGRAM_ORDER))),

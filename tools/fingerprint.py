@@ -29,6 +29,12 @@ this checkout's).  The script prints one JSON object:
   root cliques are disjoint, forests.  A second pass would order
   constraints that the first left exactly met by round-off;
 * ``messages``: the text of every rejection, by program number;
+* ``chains``: the chain program (``?- R``, then ``R -> B_i`` for i < k,
+  ``B0 -> C0`` and ``C_{i-1}, B_i -> C_i``, then the observation
+  ``C_{k-1}``) for k = 2-14: each accepted network's hash, or the error
+  type and text.  From k = 5 the chain is multiply connected and from
+  k = 13 a group would exceed the variable limit, so this covers the
+  refusals whose cost depends on when preprocessing refuses;
 * ``parse``: the parsed clause list, every source position included, of
   each workload model, of N more generated programs and of mutated models
   (MUTANTS copies of each demo model and of seed 1 of every workload, each
@@ -294,6 +300,28 @@ def programs(rcndl, n: int) -> tuple[dict, list, dict, dict]:
     return summary, outcomes, runs, messages
 
 
+def chain_program(k: int) -> str:
+    """The chain program of ``chains``; each link's head spans two
+    branches, so the groups grow by two variables per link."""
+    lines = ["?- R : [0.5, 0.5]."]
+    lines += [f"R -> B{i} : [0.3, 0.6]." for i in range(k)]
+    lines.append("B0 -> C0 : [0.2, 0.7].")
+    lines += [f"C{i - 1}, B{i} -> C{i} : [0.1, 0.2, 0.3, 0.4]."
+              for i in range(1, k)]
+    return "\n".join(lines + [f"C{k - 1}."]) + "\n"
+
+
+def chains(rcndl) -> dict:
+    out = {}
+    for k in range(2, 15):
+        try:
+            net = rcndl.preprocess(rcndl.parse_program(chain_program(k)))
+            out[str(k)] = network_digest(net)
+        except rcndl.RcndlError as exc:
+            out[str(k)] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
 def parse_outcome(rcndl, text: str) -> str:
     try:
         return digest(repr(rcndl.parse_program(text)))  # exact floats, positions
@@ -398,6 +426,7 @@ def main(argv=None) -> None:
         "program_outcomes": outcomes,
         "program_runs": runs,
         "messages": messages,
+        "chains": chains(rcndl),
         "parse": parses(rcndl, args.programs),
     }, sys.stdout, indent=1)
     print()
