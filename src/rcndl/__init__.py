@@ -10,7 +10,6 @@ decomposed machinery.
 
 from .engine import (
     DualState,
-    SolverOptions,
     conditional_update,
     constraint_gradient,
     cross_entropy,
@@ -87,7 +86,6 @@ __all__ = [
     "Scope",
     "ScopeError",
     "SizeLimitError",
-    "SolverOptions",
     "SourceProgram",
     "apply_constraint",
     "ce_decomposition_check",

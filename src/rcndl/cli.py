@@ -150,10 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, evidence=True):
+    def add_common(p):
         p.add_argument("model", help="RCNDL model file")
-        if evidence:
-            p.add_argument("evidence", help="evidence file")
+        p.add_argument("evidence", help="evidence file")
         p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                        help="default gradient threshold "
                             f"(default {DEFAULT_THRESHOLD})")

@@ -7,7 +7,8 @@ entropy to the current table subject to the constraint:
 * ``conditional_update`` -- a target for P(x | event), multiplicative
   closed form followed by renormalization.
 * ``lec_solve`` -- general linear equality rows, solved through the dual
-  on the prior's support with damped Newton steps.
+  on the prior's support with damped Newton steps, once no target lies
+  beyond its row's range there.
 * ``constraint_gradient`` -- the dual gradient of a constraint set at the
   current table; its infinity norm is the scheduling and termination signal.
 """
@@ -114,22 +115,8 @@ def conditional_update(table: JointTable, c: ConditionalConstraint) -> JointTabl
     return JointTable(table.scope, out / total, _validate=False)
 
 
-@dataclass
-class SolverOptions:
-    """Knobs for the dual minimization in ``lec_solve``.
-
-    ``tolerance`` bounds the row residual ``|b - A p|`` (the dual gradient)
-    at exit.  The caller sets it from its own stopping point, never looser
-    than the 1e-9 default: ``scheduler.update_table`` solves to
-    ``min(1e-9, tolerance)`` for the tolerance it is given, which the
-    reasoning loop sets to a tenth of the constraint's gradient threshold
-    and ``oracle_mce`` to its own ``tol``.
-    """
-
-    tolerance: float = 1e-9        # infinity norm of the row residual
-    max_iterations: int = 10_000
-
-
+TOLERANCE = 1e-9       # infinity norm of the row residual at exit
+MAX_ITERATIONS = 10_000
 ARMIJO_C1 = 1e-4
 TILT_BOUND = 1e6       # divergence guard on |lambda_k| * (max a_k - min a_k)
 TILT_STEP = 20.0       # largest change of a log-probability ratio per step
@@ -190,28 +177,30 @@ def row_covariance(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def lec_solve(
-    table: JointTable, c: LinearConstraint, opts: SolverOptions | None = None
+    table: JointTable, c: LinearConstraint, tolerance: float = TOLERANCE
 ) -> tuple[JointTable, DualState]:
     """Solve a linear-equality-constraint MCE problem by dual minimization.
 
     Returns the tilted posterior ``p_j ~ q_j exp(-(A^T l)_j)`` at the dual
-    minimum.  The minimizer puts no mass where the prior has none, so states
-    without mass are dropped from the prior and the lifted rows once, and
-    the posterior is scattered back to the table's scope once, on exit.
-    The dual is minimized with damped Newton steps: each solves the row
+    minimum, with every row residual ``|b - A p|`` within ``tolerance``.
+    The minimizer puts no mass where the prior has none, so states without
+    mass are dropped from the prior and the lifted rows once, and the
+    posterior is scattered back to the table's scope once, on exit.  The
+    dual is minimized with damped Newton steps: each solves the row
     covariance under the current tilt for the gradient and backtracks, from
     a step that changes no log-probability ratio by more than
     ``TILT_STEP``, until the Armijo condition holds.  Once the decrease a
     step promises is below what the dual value resolves, the step is taken
     without a search and must shrink the residual.
 
-    Raises ``InfeasibleEvidenceError`` when part of the gradient lies
-    outside the covariance's range (no tilt of the prior's support moves
-    those row combinations) or when the tilt diverges, and
-    ``ConvergenceError``, with the last iterate, when no step makes
-    progress or the iteration budget runs out.
+    Raises ``InfeasibleEvidenceError`` before the first step when a
+    right-hand side lies beyond its row's range on the support by more
+    than ``tolerance``; later, when part of the gradient lies outside the
+    covariance's range (no tilt of the prior's support moves those row
+    combinations) or when the tilt diverges.  Raises ``ConvergenceError``,
+    with the last iterate, when no step makes progress or
+    ``MAX_ITERATIONS`` run out.
     """
-    opts = opts or SolverOptions()
     if not c.scope.issubset(table.scope):
         raise ScopeError(
             f"constraint scope {c.scope.vars} not within table scope "
@@ -231,6 +220,16 @@ def lec_solve(
     if not support.all():
         # an I-projection puts no mass where the prior has none
         prior, rows = prior[support], rows[:, support]
+        top, bottom = rows.max(axis=1), rows.min(axis=1)
+    # a target beyond its row's range on the support has no I-projection
+    beyond = np.maximum(rhs - top, bottom - rhs)
+    if beyond.max() > tolerance:
+        k = int(beyond.argmax())
+        raise InfeasibleEvidenceError(
+            f"right-hand side {rhs[k]:.12g} of row {k} lies outside the row's "
+            f"range [{bottom[k]:.12g}, {top[k]:.12g}]; the linear system is "
+            "infeasible on the prior's support"
+        )
 
     def dual(lambdas):
         # through the module attribute, so a wrapper installed there sees
@@ -244,16 +243,15 @@ def lec_solve(
 
     def failure(message):
         return ConvergenceError(
-            f"{message} (|b - A p| = {residual:.3e}, tolerance "
-            f"{opts.tolerance})",
+            f"{message} (|b - A p| = {residual:.3e}, tolerance {tolerance})",
             best=(posterior(), DualState(lam, value, grad, it, False)),
         )
 
     lam = np.zeros(len(rhs))
     value, grad, p = dual(lam)
     it = 0
-    while (residual := float(np.abs(grad).max())) > opts.tolerance:
-        if it == opts.max_iterations:
+    while (residual := float(np.abs(grad).max())) > tolerance:
+        if it == MAX_ITERATIONS:
             raise failure(f"dual minimization did not converge in {it} "
                           f"iterations")
         if float((np.abs(lam) * width).max()) > TILT_BOUND:

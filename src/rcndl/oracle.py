@@ -27,10 +27,10 @@ from .model import (
 from .preprocess import OBS, PreparedNetwork
 from .scheduler import stacked, update_table
 
-DEFAULT_CYCLE_CAP = 100_000
+CYCLE_CAP = 100_000
 
 
-def expand_full_joint(net: PreparedNetwork, max_vars: int = MAX_VARIABLES) -> JointTable:
+def expand_full_joint(net: PreparedNetwork) -> JointTable:
     """The exact joint over every network variable.
 
     Computed as the product of all clause and group tables divided by the
@@ -38,9 +38,9 @@ def expand_full_joint(net: PreparedNetwork, max_vars: int = MAX_VARIABLES) -> Jo
     out, being equal to their own separators).
     """
     variables = tuple(net.introducer)
-    if len(variables) > max_vars:
+    if len(variables) > MAX_VARIABLES:
         raise SizeLimitError(
-            f"{len(variables)} variables exceeds the {max_vars}-variable "
+            f"{len(variables)} variables exceeds the {MAX_VARIABLES}-variable "
             f"expansion guard"
         )
     acc: JointTable | None = None
@@ -69,23 +69,22 @@ def oracle_mce(
     joint: JointTable,
     constraints: list[ConstraintSet] | tuple[ConstraintSet, ...],
     tol: float = 1e-12,
-    cycle_cap: int = DEFAULT_CYCLE_CAP,
 ) -> JointTable:
     """MCE distribution satisfying every constraint, relative to ``joint``.
 
-    Cycles until every gradient is below ``tol`` at the start of a cycle.
-    A cycle is an exact single-constraint MCE projection onto each set in
-    the given (program) order; once a cycle has not halved the largest
-    gradient, the next is one projection onto all sets at once, ``stacked``
-    into one linear set over the joint, since cycling that slowly can take
-    many thousands of cycles (sets that together pin a marginal).  Only
-    then: stacking lifts every row onto the whole joint.  Linear
-    projections are solved to ``min(1e-9, tol)``.  The fixed order makes
-    the oracle an order-independent check of the scheduler's
-    greatest-gradient runs.
+    Cycles until every gradient is below ``tol`` at the start of a cycle,
+    for at most ``CYCLE_CAP`` cycles.  A cycle is an exact single-constraint
+    MCE projection onto each set in the given (program) order; once a cycle
+    has not halved the largest gradient, the next is one projection onto
+    all sets at once, ``stacked`` into one linear set over the joint, since
+    cycling that slowly can take many thousands of cycles (sets that
+    together pin a marginal).  Only then: stacking lifts every row onto the
+    whole joint.  Linear projections are solved to ``min(1e-9, tol)``.  The
+    fixed order makes the oracle an order-independent check of the
+    scheduler's greatest-gradient runs.
     """
     current, worst = joint, np.inf
-    for _ in range(cycle_cap):
+    for _ in range(CYCLE_CAP):
         last, worst = worst, max((gradient_scalar(current, c)
                                   for c in constraints), default=0.0)
         if worst < tol:
@@ -95,7 +94,7 @@ def oracle_mce(
             current = update_table(current, c, tol)
     raise ConvergenceError(
         f"oracle did not satisfy all constraints within {tol} after "
-        f"{cycle_cap} cycles",
+        f"{CYCLE_CAP} cycles",
         best=current,
     )
 
@@ -103,7 +102,6 @@ def oracle_mce(
 def ce_decomposition_check(
     prior_net: PreparedNetwork,
     posterior_net: PreparedNetwork,
-    max_vars: int = MAX_VARIABLES,
 ) -> tuple[float, float]:
     """Cross entropy of the full joints vs the clause-wise decomposition.
 
@@ -114,8 +112,8 @@ def ce_decomposition_check(
     two sides agree whenever both joints factor over the clause tree.
     """
     full = cross_entropy(
-        expand_full_joint(posterior_net, max_vars),
-        expand_full_joint(prior_net, max_vars),
+        expand_full_joint(posterior_net),
+        expand_full_joint(prior_net),
     )
     decomposed = 0.0
     for node in prior_net.nodes:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
-    SolverOptions,
+    TOLERANCE,
     conditional_update,
     gradient_scalar,
     jeffrey_update,
@@ -344,24 +344,22 @@ def _named(exc: InfeasibleEvidenceError | ConvergenceError,
     )
 
 
-def update_table(
-    table: JointTable, c: ConstraintSet,
-    tolerance: float = SolverOptions.tolerance,
-) -> JointTable:
+def update_table(table: JointTable, c: ConstraintSet,
+                 tolerance: float) -> JointTable:
     """The single-constraint MCE posterior of a table: the kernel for each
     kind of constraint set is chosen here and nowhere else.
 
     The closed-form kernels are exact.  The linear kernel stops once every
-    row residual is within ``min(1e-9, tolerance)``, so a caller asking
-    for a tighter gradient than the default gets it.
+    row residual is within ``min(TOLERANCE, tolerance)``, so no caller
+    solves looser than 1e-9: the reasoning loop passes a tenth of the
+    constraint's gradient threshold and ``oracle_mce`` its ``tol``.
     """
     if isinstance(c, MarginalConstraint):
         return jeffrey_update(table, c)
     if isinstance(c, ConditionalConstraint):
         return conditional_update(table, c)
     if isinstance(c, LinearConstraint):
-        opts = SolverOptions(tolerance=min(SolverOptions.tolerance, tolerance))
-        return lec_solve(table, c, opts)[0]
+        return lec_solve(table, c, min(TOLERANCE, tolerance))[0]
     raise TypeError(f"unknown constraint type {type(c).__name__}")
 
 
@@ -391,8 +389,7 @@ def apply_constraint(
     """Apply one constraint set to its home clause and propagate."""
     home = home_clause(net, c)
     flat = net.flat.copy()
-    _apply(net, flat, home, compile_plans(net, [home])[home], c,
-           SolverOptions.tolerance)
+    _apply(net, flat, home, compile_plans(net, [home])[home], c, TOLERANCE)
     return net.over(flat), home
 
 

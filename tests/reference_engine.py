@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rcndl.engine import DualState, SolverOptions
+from rcndl.engine import DualState
 from rcndl.errors import ConvergenceError, InfeasibleEvidenceError, ScopeError
 from rcndl.model import JointTable, LinearConstraint, lift
 
@@ -43,7 +43,8 @@ def dual_value_and_gradient(
 
 
 def lec_solve(
-    table: JointTable, c: LinearConstraint, opts: SolverOptions | None = None
+    table: JointTable, c: LinearConstraint, tolerance: float = 1e-9,
+    max_iterations: int = 10_000,
 ) -> tuple[JointTable, DualState]:
     """Solve a linear-equality-constraint MCE problem by dual minimization.
 
@@ -53,7 +54,6 @@ def lec_solve(
     steepest descent every ``k+1`` iterations or whenever it stops being a
     descent direction.
     """
-    opts = opts or SolverOptions()
     if not c.scope.issubset(table.scope):
         raise ScopeError(
             f"constraint scope {c.scope.vars} not within table scope "
@@ -71,9 +71,9 @@ def lec_solve(
     g_dot = float(grad @ grad)
     iterations = 0
     last_decrease = None
-    for it in range(opts.max_iterations):
+    for it in range(max_iterations):
         gnorm = float(np.abs(grad).max()) if k else 0.0
-        if gnorm <= opts.tolerance:
+        if gnorm <= tolerance:
             iterations = it
             break
         if np.abs(lam).max() > LAMBDA_BOUND:
@@ -146,10 +146,10 @@ def lec_solve(
         direction = -cand_grad + beta * direction
         grad, g_dot = cand_grad, new_dot
     else:
-        state = DualState(lam, value, grad, opts.max_iterations, False)
+        state = DualState(lam, value, grad, max_iterations, False)
         raise ConvergenceError(
-            f"dual minimization did not reach tolerance {opts.tolerance} in "
-            f"{opts.max_iterations} iterations (|grad| = {np.abs(grad).max():.3e})",
+            f"dual minimization did not reach tolerance {tolerance} in "
+            f"{max_iterations} iterations (|grad| = {np.abs(grad).max():.3e})",
             best=(JointTable(table.scope, p / p.sum(), _validate=False), state),
         )
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 
 from rcndl.engine import (
-    SolverOptions,
     conditional_update,
     gradient_scalar,
     jeffrey_update,
@@ -66,8 +65,7 @@ def apply_constraint(net, c, tolerance=1e-9, visited=None):
     elif isinstance(c, ConditionalConstraint):
         new = conditional_update(table, c)
     else:
-        new, _ = lec_solve(table, c,
-                           SolverOptions(tolerance=min(1e-9, tolerance)))
+        new, _ = lec_solve(table, c, min(1e-9, tolerance))
     net = net.with_table(home, new)
     return propagate_clause_update(net, home, visited), home
 

@@ -21,7 +21,7 @@ from rcndl import (
     lec_solve,
     marginalize,
 )
-from rcndl.engine import SolverOptions, dual_value_and_gradient
+from rcndl.engine import dual_value_and_gradient
 from rcndl.model import lift
 from tests import reference_engine as reference
 from tests.conftest import outcome
@@ -326,24 +326,22 @@ class TestLecSolve:
             np.testing.assert_allclose(sol.probs, jef.probs, atol=1e-6)
 
     def test_infeasible_diverges_with_diagnostic(self, monkeypatch):
-        # with one state in the support, no tilt moves the row: the first
-        # evaluation shows it, before any multiplier grows
+        # with one state in the support, the row's range there is [0, 0]:
+        # the target beyond it is refused before the first evaluation
         calls = count_evaluations(monkeypatch)
         t = JointTable(Scope(("x",)), [1.0, 0.0])
         with pytest.raises(InfeasibleEvidenceError):
             lec_solve(t, LinearConstraint(t.scope, ((0.0, 1.0),), (0.5,)))
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_target_outside_offset_row_diverges(self):
-        # the row's range is [1e7, 1e7 + 1] and the target beyond it: the
-        # tilt runs off until the covariance underflows and no Newton step
-        # reduces the residual
+        # the row's range is [1e7, 1e7 + 1] and the target beyond it
         t = JointTable(Scope(("x",)), [0.5, 0.5])
         c = LinearConstraint(t.scope, ((1e7, 1e7 + 1),), (1e7 + 2,))
         with pytest.raises(InfeasibleEvidenceError,
-                           match=r"^no tilt of the prior's support reduces "
-                                 r"the row residual \(\|b - A p\| = "
-                                 r"1\.000e\+00\); the linear system is "
+                           match=r"^right-hand side 10000002 of row 0 lies "
+                                 r"outside the row's range \[10000000, "
+                                 r"10000001\]; the linear system is "
                                  r"infeasible on the prior's support$"):
             lec_solve(t, c)
 
@@ -358,15 +356,75 @@ class TestLecSolve:
 
     @pytest.mark.filterwarnings("error")
     def test_target_beyond_the_rows_largest_value_is_infeasible(self):
-        # the row's largest value is 1: the tilt runs to state 0 until the
-        # covariance is a few subnormals and the Newton step's tilt
-        # overflows; that is infeasible, not 10,000 iterations of no step
+        # the row's largest value is 1: infeasible, not 10,000 iterations
+        # of a tilt running to state 0
         t = JointTable(Scope(("x", "y")), [0.25] * 4)
         c = LinearConstraint(t.scope, ((1, -1, -1, -2),), (1.875,))
         with pytest.raises(InfeasibleEvidenceError,
+                           match=r"^right-hand side 1\.875 of row 0 lies "
+                                 r"outside the row's range \[-2, 1\]"):
+            lec_solve(t, c)
+
+    @pytest.mark.parametrize("target", [3.0, -1.0])
+    def test_target_outside_a_tied_extreme_is_refused_before_any_step(
+            self, target, monkeypatch):
+        # the largest value 2 is shared by states of mass 0.1 and 0.3, so
+        # the covariance does not underflow as the tilt runs off: beyond
+        # it, the whole iteration budget used to run out
+        calls = count_evaluations(monkeypatch)
+        t = JointTable(Scope(("x", "y")), [0.1, 0.2, 0.3, 0.4])
+        c = LinearConstraint(t.scope, ((2, 0, 2, 1),), (target,))
+        with pytest.raises(InfeasibleEvidenceError,
+                           match=r"lies outside the row's range \[0, 2\]"):
+            lec_solve(t, c)
+        assert len(calls) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_targets_beyond_the_supports_range_are_refused(self, data):
+        # a prior with states without mass, one of which holds a value
+        # beyond the support's extreme, and a row whose extreme on the
+        # support is tied across two states: a target past that extreme is
+        # infeasible though the whole table's range holds it
+        n = data.draw(st.integers(2, 3))
+        size = 2 ** n
+        weights = np.array([data.draw(st.integers(1, 1000))
+                            for _ in range(size)], dtype=float)
+        massless = sorted(data.draw(st.sets(st.integers(0, size - 1),
+                                            min_size=1, max_size=size - 2)))
+        weights[massless] = 0.0
+        support = np.flatnonzero(weights)
+        row = np.array([data.draw(st.integers(-3, 3)) for _ in range(size)],
+                       dtype=float)
+        sign = data.draw(st.sampled_from((1.0, -1.0)))
+        extreme = sign * (sign * row[support]).max()
+        tied = data.draw(st.lists(st.sampled_from(support.tolist()),
+                                  min_size=2, max_size=2, unique=True))
+        row[tied] = extreme
+        row[massless[0]] = extreme + sign * 5
+        target = extreme + sign * data.draw(st.integers(1, 4999)) / 1000
+        t = JointTable(Scope(tuple(f"v{i}" for i in range(n))),
+                       weights / weights.sum())
+        c = LinearConstraint(t.scope, (tuple(row),), (target,))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_evaluations(mp)
+            with pytest.raises(InfeasibleEvidenceError,
+                               match="lies outside the row's range"):
+                lec_solve(t, c)
+        assert len(calls) == 0
+
+    def test_rows_within_their_ranges_that_no_tilt_meets_together(self):
+        # each target lies within its row's range, but the two states
+        # cannot both hold 0.8: the range check passes the set and the
+        # covariance shows that no tilt reduces the residual
+        t = JointTable(Scope(("x", "y")), [0.25] * 4)
+        c = LinearConstraint(t.scope, ((1, 0, 0, 0), (0, 1, 0, 0)),
+                             (0.8, 0.8))
+        with pytest.raises(InfeasibleEvidenceError,
                            match=r"^no tilt of the prior's support reduces "
                                  r"the row residual \(\|b - A p\| = "
-                                 r"8\.750e-01\)"):
+                                 r"3\.000e-01\); the linear system is "
+                                 r"infeasible on the prior's support$"):
             lec_solve(t, c)
 
     def test_opposite_multipliers_diverge(self):
@@ -397,12 +455,12 @@ class TestLecSolve:
                            match=r"^no damped Newton step decreased the dual "
                                  r"after 0 iterations \(\|b - A p\| = "
                                  r"7\.629e-06, tolerance 1e-06\)$") as err:
-            lec_solve(t, c, SolverOptions(tolerance=1e-6))
+            lec_solve(t, c, 1e-6)
         post, state = err.value.best
         assert not state.converged and not state.lambdas.any()
         np.testing.assert_allclose(post.probs, t.probs, rtol=1e-15)
 
-    def test_stalled_restart_cycle_takes_a_newton_step(self):
+    def test_stalled_restart_cycle_takes_a_newton_step(self, monkeypatch):
         # Near 1e-10 every conjugate-gradient step on this feasible set was
         # below the dual value's resolution: the per-evaluation reference
         # spins in place until its iteration budget runs out.
@@ -414,31 +472,32 @@ class TestLecSolve:
             (0.7216350382828047, 0.7166741349014909,
              0.10124587442660848, 0.4702062865423222),
         ), (-0.782952200182379, 0.4649540138097193))
-        opts = SolverOptions(tolerance=1e-11, max_iterations=200)
+        monkeypatch.setattr(rcndl.engine, "MAX_ITERATIONS", 200)
         with pytest.raises(ConvergenceError):
-            reference.lec_solve(t, c, opts)
-        sol, state = lec_solve(t, c, opts)
+            reference.lec_solve(t, c, tolerance=1e-11, max_iterations=200)
+        sol, state = lec_solve(t, c, 1e-11)
         assert state.converged
         assert np.abs(constraint_gradient(sol, c)).max() < 1e-11
 
-    def test_iteration_budget_respected(self):
+    def test_iteration_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(rcndl.engine, "MAX_ITERATIONS", 1)
         t = JointTable(Scope(("x", "y")), [0.25, 0.25, 0.25, 0.25])
-        opts = SolverOptions(max_iterations=1, tolerance=1e-15)
         from rcndl import ConvergenceError
         with pytest.raises(ConvergenceError) as err:
             lec_solve(
                 t,
                 LinearConstraint(t.scope, ((0.0, 1.0, 0.0, 1.0),), (0.9,)),
-                opts,
+                1e-15,
             )
         assert err.value.best is not None
 
 
 @st.composite
 def linear_problems(draw, case):
-    """A table and a linear set whose right-hand sides a tilt of the table
-    meets.  ``case`` is "partial" (some states without mass), "full" (every
-    state has mass) or "lifted" (rows over a strict sub-scope)."""
+    """A table, a linear set whose right-hand sides a tilt of the table
+    meets, and a tolerance.  ``case`` is "partial" (some states without
+    mass), "full" (every state has mass) or "lifted" (rows over a strict
+    sub-scope)."""
     n = draw(st.integers(2 if case == "lifted" else 1, 4))
     scope = Scope(tuple(f"v{i}" for i in range(n)))
     low = 0 if case != "full" else 1
@@ -463,8 +522,7 @@ def linear_problems(draw, case):
     rhs = lift(rows, sub, scope) @ (q / q.sum())
     tolerance = draw(st.sampled_from((1e-6, 1e-9, 1e-11)))
     return (table, LinearConstraint(sub, tuple(map(tuple, rows.tolist())),
-                                    tuple(rhs.tolist())),
-            SolverOptions(tolerance=tolerance))
+                                    tuple(rhs.tolist())), tolerance)
 
 
 def sensitivity_norm(table, c, p):
@@ -511,11 +569,11 @@ class TestRestrictionOncePerSolve:
         # sides off by its residual r, so to first order the two differ by
         # at most ||J||_inf (r_new + r_ref); the factor 2 covers the
         # second-order term and 1e-14 the rounding of p itself.
-        table, c, opts = data.draw(linear_problems(case))
-        post, state = lec_solve(table, c, opts)
+        table, c, tolerance = data.draw(linear_problems(case))
+        post, state = lec_solve(table, c, tolerance)
         assert state.converged
-        assert np.abs(constraint_gradient(post, c)).max() <= opts.tolerance
-        want = outcome(reference.lec_solve, table, c, opts)
+        assert np.abs(constraint_gradient(post, c)).max() <= tolerance
+        want = outcome(reference.lec_solve, table, c, tolerance)
         if isinstance(want[0], type):
             assert want[0] is ConvergenceError, want
             return
@@ -549,11 +607,11 @@ class TestRestrictionOncePerSolve:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_the_dual_sums_over_the_support_only(self, case, data):
-        table, c, opts = data.draw(linear_problems(case))
+        table, c, tolerance = data.draw(linear_problems(case))
         support = table.probs > 0.0
         with pytest.MonkeyPatch.context() as mp:
             calls = count_evaluations(mp)
-            post, _ = lec_solve(table, c, opts)
+            post, _ = lec_solve(table, c, tolerance)
         for (prior, rows, _, _), _ in calls:
             assert prior.shape == (support.sum(),)
             assert rows.shape == (len(c.rhs), support.sum())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rcndl.oracle
 from rcndl import (
     ConditionalConstraint,
     ConvergenceError,
@@ -229,9 +230,21 @@ class TestExpandFullJoint:
                 atol=1e-12, err_msg=node.label,
             )
 
-    def test_size_guard(self, three_vars_net):
-        with pytest.raises(SizeLimitError):
-            expand_full_joint(three_vars_net, max_vars=2)
+    def test_size_guard(self, monkeypatch):
+        # a 26-variable rule chain: one variable over the guard, refused
+        # before the first product of its 2**26-state joint is made
+        text = "?- X0 : [0.5, 0.5].\n" + "".join(
+            f"X{i - 1} -> X{i} : [0.3, 0.6].\n" for i in range(1, 26))
+        net = preprocess(parse_program(text))
+        assert len(net.introducer) == 26
+
+        def product(*args):
+            raise AssertionError("expansion began before the size guard")
+
+        monkeypatch.setattr(rcndl.oracle, "product", product)
+        with pytest.raises(SizeLimitError, match="^26 variables exceeds "
+                                                 "the 25-variable"):
+            expand_full_joint(net)
 
 
 class TestOracleMce:
@@ -290,13 +303,14 @@ class TestOracleMce:
                 continue
             assert cross_entropy(q, joint) >= base - 1e-9
 
-    def test_cycle_cap(self, three_vars_net):
+    def test_cycle_cap(self, three_vars_net, monkeypatch):
+        monkeypatch.setattr(rcndl.oracle, "CYCLE_CAP", 2)
         joint = expand_full_joint(three_vars_net)
         with pytest.raises(ConvergenceError) as err:
             oracle_mce(joint, [
                 MarginalConstraint(Scope(("B",)), (0.67, 0.33)),
                 MarginalConstraint(Scope(("C",)), (0.05, 0.95)),
-            ], tol=1e-12, cycle_cap=2)
+            ], tol=1e-12)
         assert err.value.best is not None
 
 

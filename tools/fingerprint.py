@@ -35,6 +35,15 @@ this checkout's).  The script prints one JSON object:
   type and text.  From k = 5 the chain is multiply connected and from
   k = 13 a group would exceed the variable limit, so this covers the
   refusals whose cost depends on when preprocessing refuses;
+* ``linear``: N seeded linear sets passed straight to ``lec_solve(table,
+  c)``: priors over 1-3 variables, some with states without mass, and 1-3
+  rows of small integers, some pairs nearly parallel and some rows scaled
+  by 1e6 or 1e-6; the right-hand sides are read off a distribution on the
+  support or drawn freely around the rows' ranges.  Each entry hashes the
+  posterior with the solver's iteration count, or gives the error type,
+  so a change to the linear kernel shows here, not only through the few
+  linear sets of ``workloads``;
+* ``linear_messages``: the text of every ``linear`` error, by number;
 * ``parse``: the parsed clause list, every source position included, of
   each workload model, of N more generated programs and of mutated models
   (MUTANTS copies of each demo model and of seed 1 of every workload, each
@@ -72,6 +81,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_SEED = 20240601
+LINEAR_SEED = 20240602
 EXACT_TOL = 1e-12
 MUTANTS = 200  # mutated copies parsed of each model
 MUTANT_CHARS = "[],;:.%?->_ \n\r0159eE+ABX\u0661\x1c@"
@@ -322,6 +332,45 @@ def chains(rcndl) -> dict:
     return out
 
 
+def linear_problem(rcndl, k: int):
+    """The table and linear set of ``linear`` entry ``k``."""
+    rng = np.random.default_rng((LINEAR_SEED, k))
+    n = int(rng.integers(1, 4))
+    size = 2 ** n
+    prior = rng.integers(1, 1001, size).astype(float)
+    if rng.random() < 0.5:
+        prior[rng.random(size) < 0.4] = 0.0
+        prior[rng.integers(size)] = 1.0
+    rows = rng.integers(-2, 3, (int(rng.integers(1, 4)), size)).astype(float)
+    if len(rows) > 1 and rng.random() < 0.3:
+        rows[1] = rows[0] + rng.choice((1e-3, 1e-5, 1e-7)) * rows[1]
+    rows *= rng.choice((1.0, 1e6, 1e-6), (len(rows), 1), p=(0.6, 0.2, 0.2))
+    if rng.random() < 0.5:
+        tilted = prior * rng.uniform(0.1, 10.0, size)
+        rhs = rows @ (tilted / tilted.sum())
+    else:
+        low, high = rows.min(axis=1), rows.max(axis=1)
+        reach = (high - low) / 2 + np.abs(rows).max(axis=1) / 4
+        rhs = rng.uniform(low - reach, high + reach)
+    table = rcndl.JointTable(rcndl.Scope(tuple(f"L{i}" for i in range(n))),
+                             prior / prior.sum())
+    return table, rcndl.LinearConstraint(
+        table.scope, tuple(map(tuple, rows.tolist())), tuple(rhs.tolist()))
+
+
+def linear(rcndl, n: int) -> tuple[dict, dict]:
+    """The ``linear`` and ``linear_messages`` sections."""
+    outcomes, messages = {}, {}
+    for k in range(n):
+        try:
+            post, state = rcndl.lec_solve(*linear_problem(rcndl, k))
+            outcomes[str(k)] = digest(post.probs.tobytes(), state.iterations)
+        except rcndl.RcndlError as exc:
+            outcomes[str(k)] = type(exc).__name__
+            messages[str(k)] = str(exc)
+    return outcomes, messages
+
+
 def parse_outcome(rcndl, text: str) -> str:
     try:
         return digest(repr(rcndl.parse_program(text)))  # exact floats, positions
@@ -402,7 +451,8 @@ def main(argv=None) -> None:
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the rcndl package to import")
     ap.add_argument("--programs", type=int, default=2000,
-                    help="number of generated programs (default 2000)")
+                    help="number of generated programs and of linear sets "
+                         "(default 2000)")
     ap.add_argument("--values", metavar="FILE",
                     help="also save the workload and paper posteriors to "
                          "this .npz file")
@@ -418,6 +468,7 @@ def main(argv=None) -> None:
 
     print(f"rcndl from {Path(rcndl.__file__).parent}", file=sys.stderr)
     summary, outcomes, runs, messages = programs(rcndl, args.programs)
+    linear_outcomes, linear_messages = linear(rcndl, args.programs)
     values: dict = {}
     json.dump({
         "workloads": workloads(rcndl, values),
@@ -427,6 +478,8 @@ def main(argv=None) -> None:
         "program_runs": runs,
         "messages": messages,
         "chains": chains(rcndl),
+        "linear": linear_outcomes,
+        "linear_messages": linear_messages,
         "parse": parses(rcndl, args.programs),
     }, sys.stdout, indent=1)
     print()
