@@ -43,6 +43,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise RcndlError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # one read() decodes the whole file
+        raise RcndlError(f"cannot read {path}: byte offset {exc.start} is not "
+                         f"UTF-8 ({exc.reason})") from exc
 
 
 def _load(model_path: str, evidence_path: str | None, args):

@@ -106,12 +106,33 @@ class Edge:
 
 
 @dataclass(frozen=True)
+class PropagationIndex:
+    """What a reasoning run reads that depends only on structure, as
+    read-only arrays.  Side ``2e`` of edge ``e`` is its end ``a``, side
+    ``2e + 1`` its end ``b``; crossing ``c`` reads side ``c`` and updates
+    side ``c ^ 1``, so both directions share one entry per side."""
+
+    ends: np.ndarray         # side -> its clause
+    flat_first: np.ndarray   # side -> its clause's first position in flat
+    sizes: np.ndarray        # side -> its clause's number of states
+    event_first: np.ndarray  # side -> where its state map starts in events
+    events: np.ndarray       # each distinct state map of a side, once
+    away: np.ndarray         # crossings by the clause they leave, edge order
+    away_start: np.ndarray   # node -> its first crossing in away; len(nodes) + 1
+    n_events: np.ndarray     # edge -> number of separator events
+    true_pos: np.ndarray     # each variable's true states in its introducer,
+    true_var: np.ndarray     # as flat positions and the variable's number
+
+
+@dataclass(frozen=True)
 class PreparedNetwork:
     """A validated network whose clauses all carry joint tables.
 
     The tables live in one read-only float64 array in node order: node
     ``i``'s table is ``flat[start[i]:start[i + 1]]``.  A reasoning run
-    returns a network over a new array.
+    returns a network over a new array.  ``index`` holds what a run reads
+    that depends only on structure; ``preprocess`` builds it once per
+    network, and every network over new tables shares it.
     """
 
     program: SourceProgram
@@ -123,6 +144,7 @@ class PreparedNetwork:
     holders: dict[str, tuple[int, ...]]  # variable -> nodes holding it, ascending
     observables: frozenset[str]
     adjacency: tuple[tuple[int, ...], ...]   # node -> incident edge indices
+    index: PropagationIndex = field(repr=False)  # shared by every posterior
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -441,6 +463,51 @@ class _Builder:
         return tuple(edges)
 
 
+def ranges(first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``first[k], ..., first[k] + sizes[k] - 1`` for each ``k`` in turn."""
+    return np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+
+
+def _propagation_index(nodes, edges, start, introducer) -> PropagationIndex:
+    """The ``PropagationIndex`` of a clause tree whose tables start at
+    ``start``.  A side's state map depends only on its scope's length and
+    the separator's positions in that scope, so it is looked up once per
+    such key."""
+    scopes = [n.scope.vars for n in nodes]
+    ends, offsets, keys, maps, size = [], [], {}, [], 0
+    for e in edges:
+        sep = e.separator.vars
+        for n in (e.a, e.b):
+            key = (len(scopes[n]), *map(scopes[n].index, sep))
+            offset = keys.get(key)
+            if offset is None:  # a new map, appended to the pool
+                offset = keys[key] = size
+                maps.append(substate_map(nodes[n].scope, e.separator))
+                size += maps[-1].size
+            ends.append(n)
+            offsets.append(offset)
+    ends = np.array(ends, dtype=np.intp)
+    intro = np.array(list(introducer.values()), dtype=np.intp)
+    shift = np.array([len(scopes[i]) - 1 - scopes[i].index(v)
+                      for v, i in introducer.items()], dtype=np.intp)
+    first, sizes = start[intro], np.diff(start)[intro]
+    pos = ranges(first, sizes)
+    var = np.repeat(np.arange(intro.size, dtype=np.intp), sizes)
+    true = ((pos - first[var]) >> shift[var] & 1).astype(bool)
+    index = PropagationIndex(
+        ends=ends, flat_first=start[ends], sizes=np.diff(start)[ends],
+        event_first=np.array(offsets, dtype=np.intp),
+        events=np.concatenate([np.empty(0, np.intp)] + maps),
+        away=np.argsort(ends, kind="stable"), away_start=np.concatenate(
+            ([0], np.cumsum(np.bincount(ends, minlength=len(nodes))))),
+        n_events=np.array([1 << len(e.separator.vars) for e in edges],
+                          dtype=np.intp),
+        true_pos=pos[true], true_var=var[true])
+    for a in vars(index).values():
+        a.setflags(write=False)
+    return index
+
+
 def _tables(program: SourceProgram, b: _Builder) -> list[JointTable]:
     """The numeric pass: each node's table from earlier ones, in node order."""
     query = program.query
@@ -538,9 +605,10 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         adjacency[e.a].append(ei)
         adjacency[e.b].append(ei)
 
-    tables = _tables(program, b)
-    flat = np.concatenate([t.probs for t in tables])
-    start = np.cumsum([0] + [t.probs.size for t in tables], dtype=np.intp)
+    start = np.cumsum([0] + [n.scope.n_states for n in b.nodes], dtype=np.intp)
+    index = _propagation_index(b.nodes, edges, start, b.introducer)
+
+    flat = np.concatenate([t.probs for t in _tables(program, b)])
     for a in (flat, start):
         a.setflags(write=False)
     return PreparedNetwork(
@@ -553,6 +621,7 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         holders={v: tuple(h) for v, h in b.holders.items()},
         observables=frozenset(observables),
         adjacency=tuple(tuple(a) for a in adjacency),
+        index=index,
     )
 
 

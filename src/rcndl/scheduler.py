@@ -19,11 +19,12 @@ exact even where a rule head spans several upstream clauses.
 
 A network holds every clause table in one read-only float64 array from
 preprocessing on.  A run copies it once and updates the copy in place; the
-posterior is the network over the copy.  A crossing index locates, for
-each side of each edge, the states of that side's clause and their
-separator events, with one state-map lookup per distinct (scope length,
-separator positions) key.  For each distinct home clause a plan gathers
-from it the breadth-first crossings away from the home, grouped by depth:
+posterior is the network over the copy.  A crossing index, built once
+per network by ``preprocess`` (``PropagationIndex``), locates for each
+side of each edge the states of that side's clause and their separator
+events, and lists each clause's crossings away.  For each distinct home
+clause a run walks the index breadth-first, one depth at a time, and
+gathers the crossings' states and events for every depth at once:
 crossings at one depth touch disjoint far clauses and read near clauses
 already final, so each depth is a few batched numpy operations.  Each
 separator event belongs to one crossing and sums its states in ascending
@@ -64,7 +65,7 @@ from .model import (
     marginalize,  # unused here; perfbench/tracer.py wraps it by this name
     substate_map,
 )
-from .preprocess import GROUP, PreparedNetwork, covering_node
+from .preprocess import GROUP, PreparedNetwork, covering_node, ranges
 
 GREATEST_GRADIENT = "greatest-gradient"
 PROGRAM_ORDER = "program-order"
@@ -180,15 +181,6 @@ class _Plan:
     levels: tuple[_Level, ...]
 
 
-def _ranges(first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``first[k], ..., first[k] + sizes[k] - 1`` for each ``k`` in turn (no
-    size zero), as one running sum of steps of 1 and jumps to each start."""
-    out = np.ones(sizes.sum(), dtype=np.intp)
-    out[np.cumsum(sizes[:-1])] = first[1:] - first[:-1] - sizes[:-1] + 1
-    out[:1] = first[:1]
-    return np.cumsum(out, out=out)
-
-
 def _table(net: PreparedNetwork, flat: np.ndarray, i: int) -> JointTable:
     """Node ``i``'s table as a read-only view of ``flat``."""
     return JointTable(net.nodes[i].scope, flat[net.start[i]:net.start[i + 1]],
@@ -196,66 +188,46 @@ def _table(net: PreparedNetwork, flat: np.ndarray, i: int) -> JointTable:
 
 
 def compile_plans(net: PreparedNetwork, homes: list[int]) -> dict[int, _Plan]:
-    """One plan per distinct home clause, gathered from a crossing index.
-    Side ``2e`` of edge ``e`` is its end ``a``, side ``2e + 1`` its end
-    ``b``; crossing ``c`` reads side ``c`` and updates side ``c ^ 1``.
-    The index places each side's states in the flat array and their events
-    in a pool that holds each state map once: a map depends only on the
-    scope's length and the separator's positions in it, so it is looked up
-    once per such key."""
-    ends, keys, maps, offsets, size = [], {}, [], [], 0  # key -> pool offset
-    for e in net.edges:
-        for n in (e.a, e.b):
-            scope = net.nodes[n].scope.vars
-            key = (len(scope), tuple(map(scope.index, e.separator.vars)))
-            if key not in keys:
-                keys[key] = size
-                maps.append(substate_map(net.nodes[n].scope, e.separator))
-                size += maps[-1].size
-            ends.append(n)
-            offsets.append(keys[key])
-    events = np.concatenate([np.empty(0, np.intp)] + maps)
-    index = (net.start[ends], np.array(offsets, np.intp),
-             np.diff(net.start)[ends], events)
-    links = [[2 * e + (ends[2 * e] != i) for e in adj]  # crossings away
-             for i, adj in enumerate(net.adjacency)]
-    n_events = np.array([e.separator.n_states for e in net.edges], np.intp)
-    return {h: _plan(h, links, ends, index, n_events)
-            for h in dict.fromkeys(homes)}
-
-
-def _plan(home: int, links, ends, index, n_events) -> _Plan:
-    """The breadth-first crossings away from ``home``, grouped by depth."""
-    seen, frontier, order, bounds = {home}, [home], [], [0]
-    while frontier:
-        reached = []
-        for i in frontier:
-            for c in links[i]:
-                if (j := ends[c ^ 1]) not in seen:
-                    seen.add(j)
-                    order.append(c)
-                    reached.append(j)
-        frontier = reached
-        bounds.append(len(order))
-    bounds.pop()  # the empty depth that ended the walk
-    crossings = np.array(order, dtype=np.intp)
+    """One plan per distinct home clause, from the network's
+    ``PropagationIndex``: a breadth-first walk from every home at once, one
+    depth at a time, then one gather of every crossing's states and events.
+    The clause tree is a forest, so each crossing away from a clause reaches
+    a new one, except the crossing back over the edge that reached it."""
+    ix, homes = net.index, list(dict.fromkeys(homes))
+    degree = np.diff(ix.away_start)
+    level = ix.away[ranges(ix.away_start[homes], degree[homes])]
+    plan = np.repeat(np.arange(len(homes)), degree[homes])  # ascends in a depth
+    found, level_of = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    while level.size:
+        level_of.append(len(found) * len(homes) + plan)  # one level per depth, plan
+        found.append(level)
+        far = ix.ends[level ^ 1]
+        onward = ix.away[ranges(ix.away_start[far], degree[far])]
+        keep = onward != np.repeat(level ^ 1, degree[far])
+        level, plan = onward[keep], np.repeat(plan, degree[far])[keep]
+    crossings, level_of = np.concatenate(found), np.concatenate(level_of)
+    bounds = np.append(np.flatnonzero(np.diff(level_of, prepend=-1)), level_of.size)
     edges = crossings >> 1
-    counted = np.concatenate(([0], np.cumsum(n_events[edges])))
+    counted = np.concatenate(([0], np.cumsum(ix.n_events[edges])))
     first = counted[bounds]  # event ids restart at each level
     offset = counted[:-1] - np.repeat(first[:-1], np.diff(bounds))
-    flat_first, side_first, side_sizes, side_events = index
     near, far = [], []
     for sides, out in ((crossings, near), (crossings ^ 1, far)):
-        sizes = side_sizes[sides]
+        sizes = ix.sizes[sides]
         cut = np.concatenate(([0], np.cumsum(sizes)))[bounds].tolist()
-        e = side_events[_ranges(side_first[sides], sizes)]
+        e = ix.events[ranges(ix.event_first[sides], sizes)]
         e += np.repeat(offset, sizes)
-        p = _ranges(flat_first[sides], sizes)
+        p = ranges(ix.flat_first[sides], sizes)
         out.extend((p[a:b], e[a:b]) for a, b in zip(cut, cut[1:]))
-    levels = tuple(
-        _Level(*near[k], *far[k], edges[a:b], int(first[k + 1] - first[k]))
-        for k, (a, b) in enumerate(zip(bounds, bounds[1:])))
-    return _Plan(tuple(sorted(seen)), levels)
+    plans = {h: ([h], []) for h in homes}  # touched clauses, levels by depth
+    reached, ids = ix.ends[crossings ^ 1].tolist(), level_of.tolist()
+    spans = bounds.tolist()
+    for k, (a, b) in enumerate(zip(spans, spans[1:])):
+        touched, levels = plans[homes[ids[a] % len(homes)]]
+        touched += reached[a:b]
+        levels.append(_Level(*near[k], *far[k], edges[a:b],
+                             int(first[k + 1] - first[k])))
+    return {h: _Plan(tuple(sorted(t)), tuple(lv)) for h, (t, lv) in plans.items()}
 
 
 def _propagate(net: PreparedNetwork, flat: np.ndarray, plan: _Plan) -> None:
@@ -269,22 +241,6 @@ def _propagate(net: PreparedNetwork, flat: np.ndarray, plan: _Plan) -> None:
         factors = event_factors(target, current,
                                 (net.edges[e].separator for e in lv.edges))
         flat[lv.far_pos] *= factors[lv.far_event]
-
-
-def _true_states(net: PreparedNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """For each variable in ``net.introducer`` order, the positions in
-    ``flat`` of the states where it is true in the clause introducing it,
-    and the variable's index at each position."""
-    intro = np.array(list(net.introducer.values()), dtype=np.intp)
-    scopes = [net.nodes[i].scope.vars for i in intro.tolist()]
-    shift = np.array([len(s) - 1 - s.index(v) for v, s in zip(net.introducer, scopes)],
-                     dtype=np.intp)
-    first = net.start[intro]
-    sizes = net.start[intro + 1] - first
-    pos = _ranges(first, sizes)
-    var = np.repeat(np.arange(intro.size, dtype=np.intp), sizes)
-    true = ((pos - first[var]) >> shift[var] & 1).astype(bool)
-    return pos[true], var[true]
 
 
 def stacked(sets: list[ConstraintSet] | tuple[ConstraintSet, ...],
@@ -415,8 +371,7 @@ def run_reasoning(
 
     flat = net.flat.copy()
     plans = compile_plans(net, homes)
-    names = list(net.introducer)
-    true_pos, true_var = _true_states(net)
+    names, ix = list(net.introducer), net.index
 
     def gradient(i: int) -> float:
         return gradient_scalar(_table(net, flat, homes[i]), cons[i])
@@ -450,7 +405,7 @@ def run_reasoning(
                 _apply(net, flat, home, plans[home], c, threshold / 10)
             except (InfeasibleEvidenceError, ConvergenceError) as exc:
                 raise _named(exc, cons[pick]) from exc
-            p_true = np.bincount(true_var, flat[true_pos], minlength=len(names))
+            p_true = np.bincount(ix.true_var, flat[ix.true_pos], minlength=len(names))
             trace.steps.append(Step(
                 pass_no=pass_no,
                 constraint=cons[pick].label(),

@@ -7,11 +7,19 @@ the updated clause, builds a ``MarginalConstraint`` from the near clause's
 separator marginal at every edge, and reads each step's marginal snapshot
 variable by variable.  A linear set is solved to a tenth of its
 threshold, never looser than the kernel's default 1e-9.
+
+``compile_plans`` builds the same propagation plans the straightforward
+way, on every call: it keys the edge sides' state maps itself and walks
+the tree breadth-first from each home in Python.  The plans that
+``rcndl.scheduler`` gathers from the network's ``PropagationIndex`` must
+equal its plans array for array.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+import numpy as np
 
 from rcndl.engine import (
     conditional_update,
@@ -20,11 +28,20 @@ from rcndl.engine import (
     lec_solve,
 )
 from rcndl.errors import ConvergenceError, InfeasibleEvidenceError
-from rcndl.model import ConditionalConstraint, MarginalConstraint, marginalize
+from rcndl.model import (
+    ConditionalConstraint,
+    MarginalConstraint,
+    marginalize,
+    substate_map,
+)
+from rcndl.preprocess import PreparedNetwork
+from rcndl.preprocess import ranges as _ranges
 from rcndl.scheduler import (
     GREATEST_GRADIENT,
     RunTrace,
+    _Level,
     _named,
+    _Plan,
     Step,
     home_clause,
     joint_constraint,
@@ -121,3 +138,66 @@ def run_reasoning(net, ev):
     trace.converged = converged or below_thresholds()
     trace.final_gradients = {c.label(): scalar(c) for c in cons}
     return net, trace
+
+
+def compile_plans(net: PreparedNetwork, homes: list[int]) -> dict[int, _Plan]:
+    """One plan per distinct home clause, gathered from a crossing index.
+    Side ``2e`` of edge ``e`` is its end ``a``, side ``2e + 1`` its end
+    ``b``; crossing ``c`` reads side ``c`` and updates side ``c ^ 1``.
+    The index places each side's states in the flat array and their events
+    in a pool that holds each state map once: a map depends only on the
+    scope's length and the separator's positions in it, so it is looked up
+    once per such key."""
+    ends, keys, maps, offsets, size = [], {}, [], [], 0  # key -> pool offset
+    for e in net.edges:
+        for n in (e.a, e.b):
+            scope = net.nodes[n].scope.vars
+            key = (len(scope), tuple(map(scope.index, e.separator.vars)))
+            if key not in keys:
+                keys[key] = size
+                maps.append(substate_map(net.nodes[n].scope, e.separator))
+                size += maps[-1].size
+            ends.append(n)
+            offsets.append(keys[key])
+    events = np.concatenate([np.empty(0, np.intp)] + maps)
+    index = (net.start[ends], np.array(offsets, np.intp),
+             np.diff(net.start)[ends], events)
+    links = [[2 * e + (ends[2 * e] != i) for e in adj]  # crossings away
+             for i, adj in enumerate(net.adjacency)]
+    n_events = np.array([e.separator.n_states for e in net.edges], np.intp)
+    return {h: _plan(h, links, ends, index, n_events)
+            for h in dict.fromkeys(homes)}
+
+
+def _plan(home: int, links, ends, index, n_events) -> _Plan:
+    """The breadth-first crossings away from ``home``, grouped by depth."""
+    seen, frontier, order, bounds = {home}, [home], [], [0]
+    while frontier:
+        reached = []
+        for i in frontier:
+            for c in links[i]:
+                if (j := ends[c ^ 1]) not in seen:
+                    seen.add(j)
+                    order.append(c)
+                    reached.append(j)
+        frontier = reached
+        bounds.append(len(order))
+    bounds.pop()  # the empty depth that ended the walk
+    crossings = np.array(order, dtype=np.intp)
+    edges = crossings >> 1
+    counted = np.concatenate(([0], np.cumsum(n_events[edges])))
+    first = counted[bounds]  # event ids restart at each level
+    offset = counted[:-1] - np.repeat(first[:-1], np.diff(bounds))
+    flat_first, side_first, side_sizes, side_events = index
+    near, far = [], []
+    for sides, out in ((crossings, near), (crossings ^ 1, far)):
+        sizes = side_sizes[sides]
+        cut = np.concatenate(([0], np.cumsum(sizes)))[bounds].tolist()
+        e = side_events[_ranges(side_first[sides], sizes)]
+        e += np.repeat(offset, sizes)
+        p = _ranges(flat_first[sides], sizes)
+        out.extend((p[a:b], e[a:b]) for a, b in zip(cut, cut[1:]))
+    levels = tuple(
+        _Level(*near[k], *far[k], edges[a:b], int(first[k + 1] - first[k]))
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])))
+    return _Plan(tuple(sorted(seen)), levels)

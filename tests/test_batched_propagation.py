@@ -8,6 +8,8 @@ from the first tree.  Evidence mixes marginal, conditional and linear
 constraint sets.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from rcndl import (
     run_reasoning,
     scheduler,
 )
+from rcndl.preprocess import _propagation_index
 from tests import reference_scheduler as reference
 from tests.conftest import outcome
 
@@ -36,8 +39,11 @@ PROB = st.integers(50, 950).map(lambda k: k / 1000)
 
 
 @st.composite
-def networks(draw):
-    """Model text plus the scope of every rule clause, as (head..., body)."""
+def networks(draw, forest=None, min_units=0):
+    """Model text plus the scope of every rule clause, as (head..., body).
+    ``forest`` True or False asks for the second tree or leaves it out,
+    and ``min_units`` sets the fewest sibling-headed units (group nodes);
+    by default both are drawn."""
     n = draw(st.integers(2, 7))
     p = draw(PROB)
     lines = [f"?- X0 : [{1 - p!r}, {p!r}]."]
@@ -47,7 +53,8 @@ def networks(draw):
         lines.append(f"X{parent} -> X{i} : [{draw(PROB)}, {draw(PROB)}].")
         rules.append((f"X{parent}", f"X{i}"))
     variables = [f"X{i}" for i in range(n)]
-    if draw(st.booleans()):  # a second tree, sharing no variable with X0's
+    if draw(st.booleans()) if forest is None else forest:
+        # a second tree, sharing no variable with X0's
         q = draw(PROB)
         lines[0] = lines[0][:-1] + f"; Y0 : [{1 - q!r}, {q!r}]."
         m = draw(st.integers(1, 3))
@@ -56,7 +63,7 @@ def networks(draw):
             lines.append(f"Y{parent} -> Y{i} : [{draw(PROB)}, {draw(PROB)}].")
             rules.append((f"Y{parent}", f"Y{i}"))
         variables += [f"Y{i}" for i in range(m)]
-    for u in range(draw(st.integers(0, 2))):
+    for u in range(draw(st.integers(min_units, 2))):
         hub = draw(st.sampled_from(variables))
         a, b, c = f"A{u}", f"B{u}", f"C{u}"
         lines.append(f"{hub} -> {a} : [{draw(PROB)}, {draw(PROB)}].")
@@ -205,9 +212,10 @@ def test_propagation_from_every_node_matches_reference(net):
 @settings(max_examples=30, deadline=None)
 @given(problems())
 def test_state_maps_built_once_per_edge_side(problem):
-    """A run reads each distinct state map of the edge sides once, however
-    many homes its constraints have: a map is keyed by the side's scope
-    length and the separator's positions in that scope."""
+    """Building the index reads each distinct state map of the edge sides
+    once: a map is keyed by the side's scope length and the separator's
+    positions in that scope.  A run, its plans, a constraint's application
+    and a clause's propagation read none."""
     net, ev = problem
     calls = []
     real = scheduler.substate_map
@@ -220,13 +228,62 @@ def test_state_maps_built_once_per_edge_side(problem):
         return real(scope, sub)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scheduler, "substate_map", counting)
+        for module in (scheduler, sys.modules["rcndl.preprocess"]):
+            mp.setattr(module, "substate_map", counting)
         outcome(run_reasoning, net, ev)
-        run_calls = len(calls)
         scheduler.compile_plans(net, list(range(len(net.nodes))))
+        outcome(apply_constraint, net, ev.constraints[0])
+        propagate_clause_update(net, len(net.nodes) - 1)
+        assert calls == []
+        index = _propagation_index(net.nodes, net.edges, net.start,
+                                   net.introducer)
     keys = {key(net.nodes[n].scope, e.separator)
             for e in net.edges for n in (e.a, e.b)}
-    assert run_calls <= 2 * len(net.edges)
-    compile_calls = calls[run_calls:]
-    assert len(compile_calls) == len(set(compile_calls)) == len(keys)
-    assert set(compile_calls) == keys
+    assert len(calls) == len(set(calls)) == len(keys)
+    assert set(calls) == keys
+    for name, a in vars(index).items():
+        assert np.array_equal(a, getattr(net.index, name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_posteriors_share_the_prior_index(problem):
+    """The index depends only on structure: every network over new tables
+    holds the prior's index object."""
+    net, ev = problem
+    derived = [net.over(net.flat.copy()), net.with_table(0, net.tables[0]),
+               propagate_clause_update(net, 0)]
+    for fn, arg in ((run_reasoning, ev), (apply_constraint, ev.constraints[0])):
+        result = outcome(fn, net, arg)
+        if not isinstance(result[0], type):
+            derived.append(result[0])
+    assert all(n.index is net.index for n in derived)
+
+
+def same_plans(got, want):
+    """Plans equal array for array: every level's positions, events,
+    edges and event count, and the clauses touched."""
+    assert got.keys() == want.keys()
+    for h in want:
+        assert got[h].touched == want[h].touched
+        assert len(got[h].levels) == len(want[h].levels)
+        for a, b in zip(got[h].levels, want[h].levels):
+            for name in ("near_pos", "near_event", "far_pos", "far_event",
+                         "edges"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+            assert a.n_events == b.n_events
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    reweighted_networks(),
+    networks(forest=True, min_units=1).map(
+        lambda drawn: preprocess(parse_program(drawn[0])))))
+def test_plans_match_reference_builder(net):
+    """From every node, group nodes included, on trees and forests: the
+    plans gathered from the index are the breadth-first plans of the
+    per-run reference builder."""
+    homes = list(range(len(net.nodes)))
+    same_plans(scheduler.compile_plans(net, homes),
+               reference.compile_plans(net, homes))

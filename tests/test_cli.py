@@ -151,6 +151,36 @@ class TestCheckCommand:
         assert "Traceback" not in res.stderr
 
 
+class TestUndecodableInput:
+    """A model or evidence file that is not UTF-8 is an input error that
+    names the file and the offset of the first bad byte."""
+
+    @pytest.mark.parametrize("command, bad", [
+        ("run", "model"), ("check", "model"), ("oracle", "model"),
+        ("run", "evidence"),
+    ])
+    def test_names_path_and_byte_offset(self, tmp_path, command, bad):
+        model, ev = tmp_path / "m.rcndl", tmp_path / "e.txt"
+        model.write_text(THREE_VARS)
+        ev.write_text("P(B) = 0.33\n")
+        (model if bad == "model" else ev).write_bytes(b"\xff?- A : [0.3].")
+        args = [str(model)] + ([str(ev)] if command != "check" else [])
+        res = run_cli(command, *args)
+        assert res.returncode == 1
+        path = model if bad == "model" else ev
+        assert res.stderr == (f"error: cannot read {path}: byte offset 0 is "
+                              f"not UTF-8 (invalid start byte)\n")
+
+    def test_offset_counts_bytes_from_the_start_of_the_file(self, tmp_path,
+                                                              capsys):
+        p = tmp_path / "long.rcndl"
+        data = b"% \xc3\xa9\r\n" * 3000 + b"?- A : [0.3, 0.7].\xe2\x82"
+        p.write_bytes(data)  # the bad byte lies past the first 8 KiB read
+        assert main(["check", str(p)]) == 1
+        offset = data.index(b"\xe2")
+        assert f"byte offset {offset} is not UTF-8" in capsys.readouterr().err
+
+
 class TestRunCommand:
     def test_converged_run(self, model_file, tmp_path, capsys):
         ev = evidence_file(tmp_path, "P(B) = 0.33\nP(C) = 0.95")

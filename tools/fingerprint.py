@@ -23,11 +23,14 @@ this checkout's).  The script prints one JSON object:
   constraint per rule clause (its body given every head variable true),
   targets read off the program's joint tilted state by state, so that the
   set is feasible and each greatest-gradient pick is decided by a real
-  gradient, not by round-off (except where one observation's marginal
-  already fixes a later constraint).  At threshold 0 one pass uses every
-  constraint and propagates from every home: plans over groups and, where
-  root cliques are disjoint, forests.  A second pass would order
-  constraints that the first left exactly met by round-off;
+  gradient, not by round-off.  A set whose variables lie inside the scope
+  of another observation kept (observations are kept widest first, unless
+  inside one kept already) is left out: that observation's marginal fixes
+  it exactly, so its gradient after that use would be round-off.  At
+  threshold 0 one pass uses every constraint and propagates from every
+  home: plans over groups and, where root cliques are disjoint, forests.
+  A second pass would order constraints that the first left exactly met
+  by round-off;
 * ``messages``: the text of every rejection, by program number;
 * ``chains``: the chain program (``?- R``, then ``R -> B_i`` for i < k,
   ``B0 -> C0`` and ``C_{i-1}, B_i -> C_i``, then the observation
@@ -269,8 +272,20 @@ def program_run(rcndl, net, k: int) -> str:
     joint, config = program_joint(rcndl, net)
     joint *= np.random.default_rng(k).uniform(0.5, 1.5, joint.size)
     joint /= joint.sum()
+    kept: list = []  # observations, widest first, each inside no other kept
+
+    def fixed(node) -> bool:  # by the marginal of another kept observation
+        return any(o is not node and set(node.scope.vars) <= set(o.scope.vars)
+                   for o in kept)
+
+    for node in sorted((n for n in net.nodes if n.kind == "obs"),
+                       key=lambda n: -len(n.scope)):
+        if not fixed(node):
+            kept.append(node)
     cons = []
     for node in net.nodes:
+        if fixed(node):
+            continue
         target = np.bincount(config(node.scope.vars), joint,
                              minlength=node.scope.n_states)
         if node.kind == "obs":
