@@ -14,16 +14,10 @@ a group give way to its member edges, and the edges left must form a
 forest: a cycle means the clause sharing structure is not singly
 connected, and the program is rejected before any table is computed.
 
-The numeric pass then fills the tables in node order, each from earlier
-ones: a query clique's completed prior, which must agree with an earlier
-clique on their overlap; a rule's ``multiply_condition`` of its upstream
-node's marginal over the head; an observation's upstream marginal over
-its variables; a group's exact union joint, its members multiplied on
-along a maximum-overlap spanning tree, each as its conditional on its
-separator with the part joined so far (running intersection).  So every
-propagation edge is a plain pairwise separator and the represented joint
-is exact for singly connected clause networks.  The tables end in one
-read-only flat array, which the network holds.
+The numeric pass (``tables``) then fills every table, depth by depth,
+straight into one flat array, which becomes read-only and which the
+network holds.  The represented joint is exact for singly connected
+clause networks.
 
 Every node's scope is indexed by variable: ``holders[v]`` lists, in
 ascending order, the nodes whose scope contains ``v``.  The smallest node
@@ -41,6 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ArityError,
     MultiplyConnectedError,
     NetworkStructureError,
     ScopeError,
@@ -53,25 +48,26 @@ from .model import (
     QueryClause,
     RuleClause,
     Scope,
-    UNIT_SUM_TOL,
-    UNKNOWN,
     marginalize,
-    multiply_condition,
-    normalized,
-    product,
-    substate_map,
 )
 from .parser import SourceProgram
-
-_OVERLAP_TOL = 1e-9
+from .tables import (
+    GROUP,
+    OBS,
+    ROOT,
+    RULE,
+    StateMaps,
+    fill,
+    fold,
+    join_pieces,
+    join_scope,
+    ranges,
+)
 
 
 # --------------------------------------------------------------------------
 # Network structure
 # --------------------------------------------------------------------------
-
-ROOT, RULE, OBS, GROUP = "root", "rule", "obs", "group"
-
 
 @dataclass(frozen=True)
 class Node:
@@ -116,7 +112,7 @@ class PropagationIndex:
     flat_first: np.ndarray   # side -> its clause's first position in flat
     sizes: np.ndarray        # side -> its clause's number of states
     event_first: np.ndarray  # side -> where its state map starts in events
-    events: np.ndarray       # each distinct state map of a side, once
+    events: np.ndarray       # each distinct state map preprocessing read, once
     away: np.ndarray         # crossings by the clause they leave, edge order
     away_start: np.ndarray   # node -> its first crossing in away; len(nodes) + 1
     n_events: np.ndarray     # edge -> number of separator events
@@ -184,7 +180,14 @@ class PreparedNetwork:
                 raise ScopeError(f"unknown variable {v!r}")
         order = _join_order(self.nodes, self.introducer, target.vars,
                             "joint_over")
-        return marginalize(_join(self.tables, order), target)
+        scope, maps = join_scope(self.nodes, order), StateMaps()
+        pieces = np.array([(0, *row) for row in
+                           join_pieces(self.nodes, order, scope, maps)],
+                          dtype=np.intp)
+        maps.pool()
+        joint = fold(self.flat, self.start, maps, pieces,
+                     np.array([scope.n_states]))
+        return marginalize(JointTable(scope, joint, _validate=False), target)
 
 
 def covering_node(
@@ -241,17 +244,10 @@ def _connecting_closure(nodes, seeds: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def _conditional(table: JointTable, sep: Scope) -> JointTable:
-    """The table divided by its own marginal over ``sep`` (0/0 -> 0)."""
-    marg = marginalize(table, sep).probs[substate_map(table.scope, sep)]
-    out = np.where(marg > 0.0, table.probs / np.where(marg > 0.0, marg, 1.0), 0.0)
-    return JointTable(table.scope, out, _validate=False)
-
-
 def _join_order(nodes, introducer, vars: tuple[str, ...],
                 where) -> tuple[int, ...]:
     """The clauses connecting the introducers of ``vars``, in the order
-    ``_join`` multiplies them together.
+    ``fold`` multiplies them together.
 
     The members are the connecting closure less the members of any group
     in it, which that group already joins.  They are ordered like Prim's
@@ -287,52 +283,6 @@ def _join_order(nodes, introducer, vars: tuple[str, ...],
             weight[j] = max(weight[j], len(scopes[j] & scopes[k]))
         order.append(members[k])
     return tuple(order)
-
-
-def _join(tables, order: tuple[int, ...]) -> JointTable:
-    """The normalized joint of the clauses in join ``order``, over their
-    variables in that order: each member multiplied on as its conditional
-    on what it shares with the joint so far, exact by running intersection
-    (Lauritzen & Spiegelhalter, 1988), or, sharing nothing, as its table."""
-    acc = tables[order[0]]
-    for table in (tables[m] for m in order[1:]):
-        shared = [v for v in table.scope.vars if v in acc.scope]
-        acc = product(acc, _conditional(table, Scope(shared)) if shared else table)
-    return normalized(acc)
-
-
-# --------------------------------------------------------------------------
-# Unknown-probability completion
-# --------------------------------------------------------------------------
-
-def _complete_prior(prior: tuple[float, ...], where: str) -> np.ndarray:
-    """Fill ``-1.0`` entries of a prior list by spreading the residual mass,
-    then check that the result is a distribution."""
-    p = np.asarray(prior, dtype=float)
-    unknown = p == UNKNOWN
-    if unknown.any():
-        known_sum = p[~unknown].sum()
-        residual = 1.0 - known_sum
-        if residual < -1e-9:
-            raise NetworkStructureError(
-                f"{where}: known prior entries sum to {known_sum}, leaving "
-                "no mass for the unknown entries"
-            )
-        p[unknown] = max(residual, 0.0) / unknown.sum()
-    if p.min() < -1e-12:
-        raise NetworkStructureError(f"{where}: negative prior entry {p.min():g}")
-    if abs(p.sum() - 1.0) > UNIT_SUM_TOL:
-        raise NetworkStructureError(
-            f"{where}: prior entries sum to {p.sum():.12f}, not 1"
-        )
-    return p
-
-
-def _complete_cond(cond: tuple[float, ...]) -> np.ndarray:
-    """Unknown conditionals default to the maximum-entropy value 1/2."""
-    c = np.asarray(cond, dtype=float)
-    c[c == UNKNOWN] = 0.5
-    return c
 
 
 # --------------------------------------------------------------------------
@@ -385,13 +335,20 @@ def _order_rules(program: SourceProgram) -> list[int]:
 
 
 class _Builder:
-    """The structural pass: nodes, group joins and edges, from scopes."""
+    """The structural pass: nodes, group joins and edges, from scopes, and
+    every state map the numeric pass and the propagation index read."""
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.joins: dict[int, tuple[int, ...]] = {}  # group -> join order
+        self.pieces: list[tuple[int, ...]] = []  # (group, *join_pieces row)
         self.introducer: dict[str, int] = {}
         self.holders: dict[str, list[int]] = {}
+        self.maps = StateMaps()
+        self.depth: list[int] = []  # node -> 0 for roots, else parents' + 1
+        # node -> its separator's map in its upstream node and in itself
+        self.up: list[int] = []
+        self.down: list[int] = []
+        self.sides: list[int] = []  # edge side -> its map, by build_edges
 
     def add(self, kind, scope, separator, parents, clause_idx, label) -> int:
         idx = len(self.nodes)
@@ -400,6 +357,16 @@ class _Builder:
         )
         for v in scope.vars:
             self.holders.setdefault(v, []).append(idx)
+        self.depth.append(0 if kind == ROOT else
+                          1 + max(map(self.depth.__getitem__, parents)))
+        if separator is None:
+            self.up.append(-1)
+            self.down.append(-1)
+        else:  # a rule's head and an observation's variables lead its scope
+            self.up.append(self.maps(self.nodes[parents[0]].scope,
+                                     separator.vars))
+            self.down.append(self.maps(scope, separator.vars) if kind == ROOT
+                             else self.maps.prefix(scope, len(separator)))
         return idx
 
     def upstream_for(self, vars: tuple[str, ...], where) -> int:
@@ -412,9 +379,10 @@ class _Builder:
         order = _join_order(self.nodes, self.introducer, vars, where)
         members = tuple(sorted(order))
         label = "group(" + "; ".join(self.nodes[m].label for m in members) + ")"
-        scope = Scope(dict.fromkeys(v for m in order for v in self.nodes[m].scope))
+        scope = join_scope(self.nodes, order)
         idx = self.add(GROUP, scope, None, members, -1, label)
-        self.joins[idx] = order
+        self.pieces += [(idx, *row) for row in
+                        join_pieces(self.nodes, order, scope, self.maps)]
         return idx
 
     def build_edges(self) -> tuple[Edge, ...]:
@@ -434,15 +402,23 @@ class _Builder:
                 for m in node.parents:
                     grouped[m] |= grouped[node.idx] | {node.idx}
 
+        # a member's side of its edge to a group maps the group's states
+        # onto its own, as the join did
+        into = {(g, m): proj for g, _, m, _, _, proj in self.pieces}
         edges: list[Edge] = []
+        sides = self.sides
         for node in self.nodes:
             if node.kind == GROUP:
-                edges += [Edge(m, node.idx, self.nodes[m].scope)
-                          for m in node.parents]
+                for m in node.parents:
+                    scope = self.nodes[m].scope
+                    edges.append(Edge(m, node.idx, scope))
+                    sides += (self.maps.prefix(scope, len(scope)),
+                              into[node.idx, m])
             elif node.parents:
                 (p,) = node.parents
                 if not grouped[p] & grouped[node.idx]:  # else via a group
                     edges.append(Edge(p, node.idx, node.separator))
+                    sides += (self.up[node.idx], self.down[node.idx])
 
         root = list(range(len(self.nodes)))  # disjoint-set forest
 
@@ -463,79 +439,31 @@ class _Builder:
         return tuple(edges)
 
 
-def ranges(first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``first[k], ..., first[k] + sizes[k] - 1`` for each ``k`` in turn."""
-    return np.arange(sizes.sum()) + np.repeat(first - np.cumsum(sizes) + sizes, sizes)
-
-
-def _propagation_index(nodes, edges, start, introducer) -> PropagationIndex:
-    """The ``PropagationIndex`` of a clause tree whose tables start at
-    ``start``.  A side's state map depends only on its scope's length and
-    the separator's positions in that scope, so it is looked up once per
-    such key."""
-    scopes = [n.scope.vars for n in nodes]
-    ends, offsets, keys, maps, size = [], [], {}, [], 0
-    for e in edges:
-        sep = e.separator.vars
-        for n in (e.a, e.b):
-            key = (len(scopes[n]), *map(scopes[n].index, sep))
-            offset = keys.get(key)
-            if offset is None:  # a new map, appended to the pool
-                offset = keys[key] = size
-                maps.append(substate_map(nodes[n].scope, e.separator))
-                size += maps[-1].size
-            ends.append(n)
-            offsets.append(offset)
-    ends = np.array(ends, dtype=np.intp)
-    intro = np.array(list(introducer.values()), dtype=np.intp)
+def _propagation_index(b: _Builder, edges, start) -> PropagationIndex:
+    """The ``PropagationIndex`` of the clause tree ``b`` built, whose
+    tables start at ``start``; each side's state map is read from the
+    builder's pool."""
+    scopes = [n.scope.vars for n in b.nodes]
+    ends = np.array([n for e in edges for n in (e.a, e.b)], dtype=np.intp)
+    intro = np.array(list(b.introducer.values()), dtype=np.intp)
     shift = np.array([len(scopes[i]) - 1 - scopes[i].index(v)
-                      for v, i in introducer.items()], dtype=np.intp)
+                      for v, i in b.introducer.items()], dtype=np.intp)
     first, sizes = start[intro], np.diff(start)[intro]
     pos = ranges(first, sizes)
     var = np.repeat(np.arange(intro.size, dtype=np.intp), sizes)
     true = ((pos - first[var]) >> shift[var] & 1).astype(bool)
     index = PropagationIndex(
         ends=ends, flat_first=start[ends], sizes=np.diff(start)[ends],
-        event_first=np.array(offsets, dtype=np.intp),
-        events=np.concatenate([np.empty(0, np.intp)] + maps),
+        event_first=b.maps.first[np.array(b.sides, dtype=np.intp)],
+        events=b.maps.events,
         away=np.argsort(ends, kind="stable"), away_start=np.concatenate(
-            ([0], np.cumsum(np.bincount(ends, minlength=len(nodes))))),
+            ([0], np.cumsum(np.bincount(ends, minlength=len(b.nodes))))),
         n_events=np.array([1 << len(e.separator.vars) for e in edges],
                           dtype=np.intp),
         true_pos=pos[true], true_var=var[true])
     for a in vars(index).values():
         a.setflags(write=False)
     return index
-
-
-def _tables(program: SourceProgram, b: _Builder) -> list[JointTable]:
-    """The numeric pass: each node's table from earlier ones, in node order."""
-    query = program.query
-    tables: list[JointTable] = []
-    for node in b.nodes:
-        if node.kind == ROOT:  # the first nodes are the query's cliques
-            scope, prior = query.cliques[node.idx]
-            table = JointTable(scope, _complete_prior(
-                prior, f"{query.pos}: query clique {scope.vars}"))
-            if node.parents:  # an earlier clique's overlap marginal agrees
-                mine = marginalize(table, node.separator).probs
-                theirs = marginalize(tables[node.parents[0]], node.separator).probs
-                if np.abs(mine - theirs).max() > _OVERLAP_TOL:
-                    raise NetworkStructureError(
-                        f"query cliques disagree on overlap "
-                        f"{node.separator.vars}: {mine} vs {theirs}"
-                    )
-        elif node.kind == RULE:
-            rule = program.clauses[node.clause_idx]
-            head_joint = marginalize(tables[node.parents[0]], rule.head)
-            table = multiply_condition(head_joint, _complete_cond(rule.cond),
-                                       rule.body)
-        elif node.kind == OBS:
-            table = marginalize(tables[node.parents[0]], node.scope)
-        else:
-            table = _join(tables, b.joins[node.idx])
-        tables.append(table)
-    return tables
 
 
 def preprocess(program: SourceProgram) -> PreparedNetwork:
@@ -578,6 +506,9 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
     # Rules in dependency order, each hanging off a single covering node.
     for ci in _order_rules(program):
         rule = clauses[ci]
+        if len(rule.cond) != rule.head.n_states:
+            raise ArityError(f"{rule.pos}: conditional list needs "
+                             f"{rule.head.n_states} entries, got {len(rule.cond)}")
         upstream = b.upstream_for(rule.head.vars, rule.pos)
         idx = b.add(RULE, Scope(rule.head.vars + (rule.body,)), rule.head,
                     (upstream,), ci, f"{', '.join(rule.head.vars)} -> {rule.body}")
@@ -605,10 +536,11 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         adjacency[e.a].append(ei)
         adjacency[e.b].append(ei)
 
+    b.maps.pool()
     start = np.cumsum([0] + [n.scope.n_states for n in b.nodes], dtype=np.intp)
-    index = _propagation_index(b.nodes, edges, start, b.introducer)
+    index = _propagation_index(b, edges, start)
 
-    flat = np.concatenate([t.probs for t in _tables(program, b)])
+    flat = fill(program, b, start)
     for a in (flat, start):
         a.setflags(write=False)
     return PreparedNetwork(

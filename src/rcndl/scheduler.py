@@ -65,7 +65,8 @@ from .model import (
     marginalize,  # unused here; perfbench/tracer.py wraps it by this name
     substate_map,
 )
-from .preprocess import GROUP, PreparedNetwork, covering_node, ranges
+from .preprocess import GROUP, PreparedNetwork, covering_node
+from .tables import ranges
 
 GREATEST_GRADIENT = "greatest-gradient"
 PROGRAM_ORDER = "program-order"
