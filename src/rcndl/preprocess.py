@@ -118,6 +118,8 @@ class PropagationIndex:
     n_events: np.ndarray     # edge -> number of separator events
     true_pos: np.ndarray     # each variable's true states in its introducer,
     true_var: np.ndarray     # as flat positions and the variable's number
+    intro: np.ndarray        # variable -> the node introducing it
+    intro_shift: np.ndarray  # variable -> its bit's place in that node's states
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,16 @@ class PreparedNetwork:
         s = self.start.tolist()
         return tuple(JointTable(n.scope, self.flat[a:b], _validate=False)
                      for n, a, b in zip(self.nodes, s, s[1:]))
+
+    @cached_property
+    def marginals(self) -> dict[str, tuple[float, float]]:
+        """``(P(not v), P(v))`` for every variable ``v``, each summed from its
+        introducer's slice of ``flat`` in ascending position order, as
+        ``marginalize`` sums a table; made when first read."""
+        ix = self.index
+        pos, var, true = _introducer_states(self.start, ix.intro, ix.intro_shift)
+        p = np.bincount(2 * var + true, self.flat[pos], minlength=2 * ix.intro.size)
+        return dict(zip(self.introducer, zip(p[0::2].tolist(), p[1::2].tolist())))
 
     def over(self, flat: np.ndarray) -> "PreparedNetwork":
         """The network with its tables in ``flat``, which becomes read-only."""
@@ -439,6 +451,15 @@ class _Builder:
         return tuple(edges)
 
 
+def _introducer_states(start, intro, shift):
+    """Every state of each variable's introducer, variable by variable:
+    its flat position, the variable's number and whether it is true there."""
+    first, sizes = start[intro], np.diff(start)[intro]
+    pos = ranges(first, sizes)
+    var = np.repeat(np.arange(intro.size, dtype=np.intp), sizes)
+    return pos, var, ((pos - first[var]) >> shift[var] & 1).astype(bool)
+
+
 def _propagation_index(b: _Builder, edges, start) -> PropagationIndex:
     """The ``PropagationIndex`` of the clause tree ``b`` built, whose
     tables start at ``start``; each side's state map is read from the
@@ -448,10 +469,7 @@ def _propagation_index(b: _Builder, edges, start) -> PropagationIndex:
     intro = np.array(list(b.introducer.values()), dtype=np.intp)
     shift = np.array([len(scopes[i]) - 1 - scopes[i].index(v)
                       for v, i in b.introducer.items()], dtype=np.intp)
-    first, sizes = start[intro], np.diff(start)[intro]
-    pos = ranges(first, sizes)
-    var = np.repeat(np.arange(intro.size, dtype=np.intp), sizes)
-    true = ((pos - first[var]) >> shift[var] & 1).astype(bool)
+    pos, var, true = _introducer_states(start, intro, shift)
     index = PropagationIndex(
         ends=ends, flat_first=start[ends], sizes=np.diff(start)[ends],
         event_first=b.maps.first[np.array(b.sides, dtype=np.intp)],
@@ -460,7 +478,7 @@ def _propagation_index(b: _Builder, edges, start) -> PropagationIndex:
             ([0], np.cumsum(np.bincount(ends, minlength=len(b.nodes))))),
         n_events=np.array([1 << len(e.separator.vars) for e in edges],
                           dtype=np.intp),
-        true_pos=pos[true], true_var=var[true])
+        true_pos=pos[true], true_var=var[true], intro=intro, intro_shift=shift)
     for a in vars(index).values():
         a.setflags(write=False)
     return index

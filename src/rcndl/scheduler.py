@@ -11,30 +11,37 @@ is applied jointly with every other set its home clause holds (one linear
 set, ``stacked``), since cyclic projections onto sets that pin a clause
 together can need thousands of passes.
 
-Propagation walks the clause tree breadth-first away from the updated
-clause, visiting each clause at most once.  Every edge carries a separator
-scope, and crossing an edge means a marginal (Jeffrey) update of the far
-clause with the near clause's separator distribution; group nodes make this
-exact even where a rule head spans several upstream clauses.
+Propagation carries the home clause's new table to every other clause of
+its component, each once, by a crossing away from the home.  Every edge
+carries a separator scope, and crossing an edge means a marginal (Jeffrey)
+update of the far clause with the near clause's separator distribution;
+group nodes make this exact even where a rule head spans several upstream
+clauses.
 
 A network holds every clause table in one read-only float64 array from
 preprocessing on.  A run copies it once and updates the copy in place; the
 posterior is the network over the copy.  A crossing index, built once
 per network by ``preprocess`` (``PropagationIndex``), locates for each
 side of each edge the states of that side's clause and their separator
-events, and lists each clause's crossings away.  For each distinct home
-clause a run walks the index breadth-first, one depth at a time, and
-gathers the crossings' states and events for every depth at once:
-crossings at one depth touch disjoint far clauses and read near clauses
-already final, so each depth is a few batched numpy operations.  Each
-separator event belongs to one crossing and sums its states in ascending
-order, as one update per edge would, so the results are bit-for-bit those
-of the edge-by-edge walk.
+events, and lists each clause's crossings away.  A run compiles one
+schedule: it roots each component of the clause forest at its lowest-index
+node, a query clique, walks the index breadth-first from those roots, one
+depth at a time, and gathers every depth's crossings' states and events
+at once: crossings at one depth touch disjoint far clauses and read near
+clauses already final, so each depth is a few batched numpy operations.
+Propagating from a home crosses the edges from the home up to its root one
+at a time, then runs the component's depths down from the root, where each
+edge of the way up gets a factor of exactly 1.0 (a depth holding no other
+crossing is left out).  Every crossing thus reads and writes what it would
+in a breadth-first walk away from the home.  Each separator event belongs
+to one crossing and sums its states in ascending order, as one update per
+edge would, so the results are bit-for-bit those of the edge-by-edge walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
@@ -66,7 +73,7 @@ from .model import (
     substate_map,
 )
 from .preprocess import GROUP, PreparedNetwork, covering_node
-from .tables import ranges
+from .tables import ROOT, ranges
 
 GREATEST_GRADIENT = "greatest-gradient"
 PROGRAM_ORDER = "program-order"
@@ -152,7 +159,7 @@ def validate_evidence(net: PreparedNetwork, ev: EvidenceSet) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# Per-home propagation plans over a network's flat array
+# One rooted propagation schedule per run, over a network's flat array
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -175,11 +182,22 @@ class _Level:
 
 
 @dataclass(frozen=True)
-class _Plan:
-    """Propagation away from one home clause."""
+class _Route:
+    """Propagation from one home clause: up to its component's root, one
+    crossing at a time, then down the component's levels from the root.
 
-    touched: tuple[int, ...]        # the home's connected component, sorted
-    levels: tuple[_Level, ...]
+    An up crossing reads and updates whole tables, so each is given as the
+    near clause's slice of the flat array and its states' separator events,
+    the same for the far clause, the separator's event count and the
+    separator.  ``down`` pairs each level, shared by every route in the
+    component, with the event range in it of the crossing that the way up
+    took the other way (empty below the home), whose far clause is final
+    already; a level of that crossing alone is left out.
+    """
+
+    touched: tuple[int, ...]        # the home's component, ascending
+    up: tuple[tuple[slice, np.ndarray, slice, np.ndarray, int, Scope], ...]
+    down: tuple[tuple[_Level, tuple[int, int]], ...]
 
 
 def _table(net: PreparedNetwork, flat: np.ndarray, i: int) -> JointTable:
@@ -188,25 +206,45 @@ def _table(net: PreparedNetwork, flat: np.ndarray, i: int) -> JointTable:
                       _validate=False)
 
 
-def compile_plans(net: PreparedNetwork, homes: list[int]) -> dict[int, _Plan]:
-    """One plan per distinct home clause, from the network's
-    ``PropagationIndex``: a breadth-first walk from every home at once, one
-    depth at a time, then one gather of every crossing's states and events.
-    The clause tree is a forest, so each crossing away from a clause reaches
-    a new one, except the crossing back over the edge that reached it."""
-    ix, homes = net.index, list(dict.fromkeys(homes))
+def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route]:
+    """The run's propagation schedule: a route for each distinct home.
+
+    Each component of the clause forest is rooted at its lowest-index node,
+    a query clique without parents (query cliques come first).  One
+    breadth-first walk of the network's ``PropagationIndex`` from every
+    such clique at once, one depth at a time, finds each node's crossing
+    from its parent; a walk that reaches a lower clique shares that
+    clique's component and is dropped, as is a component that holds no
+    home.  One gather of every crossing's states and events then makes the
+    levels that each route in a component shares.  The clause tree is a
+    forest, so each crossing away from a clause reaches a new one, except
+    the crossing back over the edge that reached it.
+    """
+    ix, homes, n = net.index, list(dict.fromkeys(homes)), len(net.nodes)
+    roots = [v.idx for v in takewhile(lambda v: v.kind == ROOT, net.nodes)
+             if not v.parents]
     degree = np.diff(ix.away_start)
-    level = ix.away[ranges(ix.away_start[homes], degree[homes])]
-    plan = np.repeat(np.arange(len(homes)), degree[homes])  # ascends in a depth
+    level = ix.away[ranges(ix.away_start[roots], degree[roots])]
+    walk = np.repeat(np.arange(len(roots)), degree[roots])  # ascends in a depth
     found, level_of = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     while level.size:
-        level_of.append(len(found) * len(homes) + plan)  # one level per depth, plan
+        level_of.append(len(found) * len(roots) + walk)  # one level per depth, walk
         found.append(level)
         far = ix.ends[level ^ 1]
         onward = ix.away[ranges(ix.away_start[far], degree[far])]
         keep = onward != np.repeat(level ^ 1, degree[far])
-        level, plan = onward[keep], np.repeat(plan, degree[far])[keep]
+        level, walk = onward[keep], np.repeat(walk, degree[far])[keep]
     crossings, level_of = np.concatenate(found), np.concatenate(level_of)
+    walk, reached = level_of % len(roots), ix.ends[crossings ^ 1]
+    component = np.full(n, len(roots))
+    component[roots] = np.arange(len(roots))
+    np.minimum.at(component, reached, walk)  # numbered by its lowest root
+    wanted = np.zeros(len(roots) + 1, bool)
+    wanted[component[homes]] = True
+    keep = wanted[walk]
+    if not keep.all():  # another walk in a component, or one without a home
+        crossings, level_of, walk, reached = (
+            a[keep] for a in (crossings, level_of, walk, reached))
     bounds = np.append(np.flatnonzero(np.diff(level_of, prepend=-1)), level_of.size)
     edges = crossings >> 1
     counted = np.concatenate(([0], np.cumsum(ix.n_events[edges])))
@@ -220,24 +258,49 @@ def compile_plans(net: PreparedNetwork, homes: list[int]) -> dict[int, _Plan]:
         e += np.repeat(offset, sizes)
         p = ranges(ix.flat_first[sides], sizes)
         out.extend((p[a:b], e[a:b]) for a, b in zip(cut, cut[1:]))
-    plans = {h: ([h], []) for h in homes}  # touched clauses, levels by depth
-    reached, ids = ix.ends[crossings ^ 1].tolist(), level_of.tolist()
+    levels = {w: [] for w in component[homes].tolist()}  # by depth
     spans = bounds.tolist()
-    for k, (a, b) in enumerate(zip(spans, spans[1:])):
-        touched, levels = plans[homes[ids[a] % len(homes)]]
-        touched += reached[a:b]
-        levels.append(_Level(*near[k], *far[k], edges[a:b],
-                             int(first[k + 1] - first[k])))
-    return {h: _Plan(tuple(sorted(t)), tuple(lv)) for h, (t, lv) in plans.items()}
+    for k, (a, b, w) in enumerate(zip(spans, spans[1:], walk[bounds[:-1]].tolist())):
+        levels[w].append(_Level(*near[k], *far[k], edges[a:b],
+                                int(first[k + 1] - first[k])))
+    parent, event = np.full(n, -1), np.zeros(n, np.intp)
+    parent[reached] = crossings ^ 1  # the crossing up from each node reached
+    event[reached] = offset  # and its first event in its level
+    touched = {w: tuple(np.flatnonzero(component == w).tolist()) for w in levels}
+
+    def side(s: int) -> tuple[slice, np.ndarray]:
+        a, size, e = ix.flat_first[s], ix.sizes[s], ix.event_first[s]
+        return slice(a, a + size), ix.events[e:e + size]
+
+    routes = {}
+    for h, w in zip(homes, component[homes].tolist()):
+        up, skip, i = [], [], h
+        while (c := parent[i]) >= 0:
+            size = int(ix.n_events[c >> 1])
+            up.append((*side(c), *side(c ^ 1), size, net.edges[c >> 1].separator))
+            skip.append((int(event[i]), int(event[i]) + size))
+            i = ix.ends[c ^ 1]
+        skip = skip[::-1] + [(0, 0)] * (len(levels[w]) - len(skip))
+        # a level that holds only a crossing of the way up has nothing to do
+        down = tuple((lv, s) for lv, s in zip(levels[w], skip)
+                     if lv.edges.size > 1 or s == (0, 0))
+        routes[h] = _Route(touched[w], tuple(up), down)
+    return routes
 
 
-def _propagate(net: PreparedNetwork, flat: np.ndarray, plan: _Plan) -> None:
+def _propagate(net: PreparedNetwork, flat: np.ndarray, route: _Route) -> None:
     """Jeffrey-update every far clause in ``flat`` to its near clause's
-    separator marginal, one depth at a time."""
-    for lv in plan.levels:
+    separator marginal: up the route one crossing at a time, then down one
+    depth at a time."""
+    for near, near_event, far, far_event, n, sep in route.up:
+        target = np.bincount(near_event, flat[near], minlength=n)
+        current = np.bincount(far_event, flat[far], minlength=n)
+        flat[far] *= event_factors(target, current, (sep,))[far_event]
+    for lv, (a, b) in route.down:
         n = lv.n_events
         target = np.bincount(lv.near_event, flat[lv.near_pos], minlength=n)
         current = np.bincount(lv.far_event, flat[lv.far_pos], minlength=n)
+        target[a:b] = current[a:b]  # crossed on the way up: a factor of 1.0
         # the separators are looked up only to word an infeasible crossing
         factors = event_factors(target, current,
                                 (net.edges[e].separator for e in lv.edges))
@@ -320,23 +383,25 @@ def update_table(table: JointTable, c: ConstraintSet,
     raise TypeError(f"unknown constraint type {type(c).__name__}")
 
 
-def _apply(net: PreparedNetwork, flat: np.ndarray, home: int, plan: _Plan,
+def _apply(net: PreparedNetwork, flat: np.ndarray, home: int, route: _Route,
            c: ConstraintSet, tolerance: float) -> None:
     """Update ``home``'s table in ``flat`` to meet ``c`` and propagate it."""
     table = update_table(_table(net, flat, home), c, tolerance)
     flat[net.start[home]:net.start[home + 1]] = table.probs
-    _propagate(net, flat, plan)
+    _propagate(net, flat, route)
 
 
 def propagate_clause_update(net: PreparedNetwork, updated: int) -> PreparedNetwork:
     """Carry one clause's new table through the rest of the clause tree.
 
-    Breadth-first from the updated clause; every clause is visited at most
-    once per propagation.  Each crossed edge applies a Jeffrey update to
-    the far clause with the near clause's current separator marginal.
+    Up from the updated clause to its component's root, then down from the
+    root over every edge not crossed on the way up, so every clause of the
+    component is updated once, by a crossing away from the updated clause.
+    Each crossed edge applies a Jeffrey update to the far clause with the
+    near clause's current separator marginal.
     """
     flat = net.flat.copy()
-    _propagate(net, flat, compile_plans(net, [updated])[updated])
+    _propagate(net, flat, compile_schedule(net, [updated])[updated])
     return net.over(flat)
 
 
@@ -346,7 +411,7 @@ def apply_constraint(
     """Apply one constraint set to its home clause and propagate."""
     home = home_clause(net, c)
     flat = net.flat.copy()
-    _apply(net, flat, home, compile_plans(net, [home])[home], c, TOLERANCE)
+    _apply(net, flat, home, compile_schedule(net, [home])[home], c, TOLERANCE)
     return net.over(flat), home
 
 
@@ -359,7 +424,9 @@ def run_reasoning(
     greatest-gradient policy the next constraint within a pass is the
     not-yet-used one with the largest current gradient magnitude (ties in
     program order); under program order they run in the order given.
-    Convergence is checked at pass boundaries.  The prior's ``flat`` is
+    Convergence is checked at pass boundaries.  A gradient is evaluated
+    at most once between two updates, so the check at a pass's start, its
+    first pick and the final gradients share values.  The prior's ``flat`` is
     copied once and the copy updated in place; the posterior is a network
     over it.
     """
@@ -371,11 +438,14 @@ def run_reasoning(
         return net, trace
 
     flat = net.flat.copy()
-    plans = compile_plans(net, homes)
+    routes = compile_schedule(net, homes)
     names, ix = list(net.introducer), net.index
+    known: dict[int, float] = {}  # gradients on the tables as they stand
 
     def gradient(i: int) -> float:
-        return gradient_scalar(_table(net, flat, homes[i]), cons[i])
+        if i not in known:
+            known[i] = gradient_scalar(_table(net, flat, homes[i]), cons[i])
+        return known[i]
 
     def below_thresholds() -> bool:
         return all(gradient(i) < ev.threshold(i) for i in range(len(cons)))
@@ -403,16 +473,17 @@ def run_reasoning(
             home, (c, threshold) = homes[pick], used[pick]
             try:
                 # solved to a tenth of the threshold its gradient must meet
-                _apply(net, flat, home, plans[home], c, threshold / 10)
+                _apply(net, flat, home, routes[home], c, threshold / 10)
             except (InfeasibleEvidenceError, ConvergenceError) as exc:
                 raise _named(exc, cons[pick]) from exc
+            known.clear()
             p_true = np.bincount(ix.true_var, flat[ix.true_pos], minlength=len(names))
             trace.steps.append(Step(
                 pass_no=pass_no,
                 constraint=cons[pick].label(),
                 gradient_before=g_before,
                 home=home,
-                touched=plans[home].touched,
+                touched=routes[home].touched,
                 marginals=dict(zip(names, p_true.tolist())),
             ))
         trace.passes = pass_no
@@ -435,8 +506,7 @@ def posterior_marginal(net: PreparedNetwork, var: str) -> tuple[float, float]:
     """``[P(not var), P(var)]`` read from the clause introducing the variable."""
     if var not in net.introducer:
         raise ScopeError(f"unknown variable {var!r}")
-    p = _marginal(net, net.introducer[var], Scope((var,)))
-    return float(p[0]), float(p[1])
+    return net.marginals[var]
 
 
 def marginal_spread(net: PreparedNetwork, var: str) -> float:

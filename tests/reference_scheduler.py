@@ -2,17 +2,23 @@
 
 This is the straightforward form of the scheduler's propagation, kept as
 the reference that the batched implementation in ``rcndl.scheduler`` must
-reproduce bit for bit.  It walks the clause tree breadth-first away from
-the updated clause, builds a ``MarginalConstraint`` from the near clause's
-separator marginal at every edge, and reads each step's marginal snapshot
-variable by variable.  A linear set is solved to a tenth of its
-threshold, never looser than the kernel's default 1e-9.
+reproduce bit for bit.  It roots the updated clause's component at its
+lowest-index node, crosses the edges from the updated clause up to that
+root one at a time, then walks breadth-first down from the root, crossing
+every edge but those of the way up.  At every edge it builds a
+``MarginalConstraint`` from the near clause's separator marginal, and it
+reads each step's marginal snapshot variable by variable.  A linear set
+is solved to a tenth of its threshold, never looser than the kernel's
+default 1e-9.  ``propagate_breadth_first`` is the walk breadth-first away
+from the updated clause; on a consistent network both walks give the same
+bytes, since every crossing reads a final near clause and a far clause
+not yet updated.
 
-``compile_plans`` builds the same propagation plans the straightforward
-way, on every call: it keys the edge sides' state maps itself and walks
-the tree breadth-first from each home in Python.  The plans that
-``rcndl.scheduler`` gathers from the network's ``PropagationIndex`` must
-equal its plans array for array.
+``compile_schedule`` builds the same routes the straightforward way, on
+every call: it keys the edge sides' state maps itself, roots each
+component by a walk in Python and walks it breadth-first from the root.
+The routes that ``rcndl.scheduler`` gathers from the network's
+``PropagationIndex`` must equal its routes array for array.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from rcndl.scheduler import (
     RunTrace,
     _Level,
     _named,
-    _Plan,
+    _Route,
     Step,
     home_clause,
     joint_constraint,
@@ -50,7 +56,20 @@ from rcndl.scheduler import (
 )
 
 
-def propagate_clause_update(net, updated, visited=None):
+def _cross(net, i, ei):
+    """``net`` with the clause across edge ``ei`` from clause ``i``
+    Jeffrey-updated to ``i``'s separator marginal."""
+    edge = net.edges[ei]
+    j = edge.other(i)
+    sep_dist = marginalize(net.tables[i], edge.separator)
+    refreshed = jeffrey_update(
+        net.tables[j],
+        MarginalConstraint(edge.separator, tuple(sep_dist.probs)),
+    )
+    return net.with_table(j, refreshed)
+
+
+def propagate_breadth_first(net, updated, visited=None):
     """``visited``, if given, collects the clauses the walk updates and
     the one it starts from."""
     visited = set() if visited is None else visited
@@ -59,18 +78,61 @@ def propagate_clause_update(net, updated, visited=None):
     while queue:
         i = queue.popleft()
         for ei in net.adjacency[i]:
-            edge = net.edges[ei]
-            j = edge.other(i)
+            j = net.edges[ei].other(i)
             if j in visited:
                 continue
-            sep_dist = marginalize(net.tables[i], edge.separator)
-            refreshed = jeffrey_update(
-                net.tables[j],
-                MarginalConstraint(edge.separator, tuple(sep_dist.probs)),
-            )
-            net = net.with_table(j, refreshed)
+            net = _cross(net, i, ei)
             visited.add(j)
             queue.append(j)
+    return net
+
+
+def _down(net, node):
+    """The lowest-index node of ``node``'s component and the crossings
+    breadth-first down from it, as (near clause, edge) pairs."""
+    seen, stack = {node}, [node]
+    while stack:
+        for ei in net.adjacency[stack.pop()]:
+            for j in (net.edges[ei].a, net.edges[ei].b):
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    root = min(seen)
+    seen, queue, order = {root}, deque([root]), []
+    while queue:
+        i = queue.popleft()
+        for ei in net.adjacency[i]:
+            j = net.edges[ei].other(i)
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+                order.append((i, ei))
+    return root, order
+
+
+def _way_up(net, updated, order):
+    """The (clause, edge) crossings from ``updated`` up to its root."""
+    parent = {net.edges[ei].other(i): (i, ei) for i, ei in order}
+    up, i = [], updated
+    while i in parent:
+        p, ei = parent[i]
+        up.append((i, ei))
+        i = p
+    return up
+
+
+def propagate_clause_update(net, updated, visited=None):
+    """``visited``, if given, collects the clauses of the component."""
+    root, order = _down(net, updated)
+    up = _way_up(net, updated, order)
+    for i, ei in up:
+        net = _cross(net, i, ei)
+    path = {ei for _, ei in up}
+    for i, ei in order:
+        if ei not in path:
+            net = _cross(net, i, ei)
+    if visited is not None:
+        visited |= {root, *(net.edges[ei].other(i) for i, ei in order)}
     return net
 
 
@@ -140,8 +202,8 @@ def run_reasoning(net, ev):
     return net, trace
 
 
-def compile_plans(net: PreparedNetwork, homes: list[int]) -> dict[int, _Plan]:
-    """One plan per distinct home clause, gathered from a crossing index.
+def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route]:
+    """One route per distinct home clause, gathered from a crossing index.
     Side ``2e`` of edge ``e`` is its end ``a``, side ``2e + 1`` its end
     ``b``; crossing ``c`` reads side ``c`` and updates side ``c ^ 1``.
     The index places each side's states in the flat array and their events
@@ -165,13 +227,35 @@ def compile_plans(net: PreparedNetwork, homes: list[int]) -> dict[int, _Plan]:
     links = [[2 * e + (ends[2 * e] != i) for e in adj]  # crossings away
              for i, adj in enumerate(net.adjacency)]
     n_events = np.array([e.separator.n_states for e in net.edges], np.intp)
-    return {h: _plan(h, links, ends, index, n_events)
-            for h in dict.fromkeys(homes)}
+    routes = {}
+    for h in dict.fromkeys(homes):
+        root, order = _down(net, h)
+        touched, levels = _levels(root, links, ends, index, n_events)
+        way, up, down = _way_up(net, h, order), [], []
+        for i, ei in way:
+            sep, p = net.edges[ei].separator, net.edges[ei].other(i)
+            up.append((slice(net.start[i], net.start[i + 1]),
+                       substate_map(net.nodes[i].scope, sep),
+                       slice(net.start[p], net.start[p + 1]),
+                       substate_map(net.nodes[p].scope, sep),
+                       sep.n_states, sep))
+        path = [ei for _, ei in way][::-1]  # top down
+        for d, lv in enumerate(levels):
+            crossed = lv.edges.tolist()
+            if d >= len(path):
+                down.append((lv, (0, 0)))
+            elif len(crossed) > 1:  # else the way up's crossing alone
+                k = crossed.index(path[d])
+                a = int(n_events[crossed[:k]].sum())
+                down.append((lv, (a, a + int(n_events[path[d]]))))
+        routes[h] = _Route(touched, tuple(up), tuple(down))
+    return routes
 
 
-def _plan(home: int, links, ends, index, n_events) -> _Plan:
-    """The breadth-first crossings away from ``home``, grouped by depth."""
-    seen, frontier, order, bounds = {home}, [home], [], [0]
+def _levels(root: int, links, ends, index, n_events):
+    """The clauses of ``root``'s component, ascending, and the
+    breadth-first crossings away from ``root``, grouped by depth."""
+    seen, frontier, order, bounds = {root}, [root], [], [0]
     while frontier:
         reached = []
         for i in frontier:
@@ -200,4 +284,4 @@ def _plan(home: int, links, ends, index, n_events) -> _Plan:
     levels = tuple(
         _Level(*near[k], *far[k], edges[a:b], int(first[k + 1] - first[k]))
         for k, (a, b) in enumerate(zip(bounds, bounds[1:])))
-    return _Plan(tuple(sorted(seen)), levels)
+    return tuple(sorted(seen)), levels

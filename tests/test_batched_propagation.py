@@ -4,7 +4,8 @@ Networks are single-parent trees, optionally with units in which a rule
 is headed by two siblings (``P -> A``, ``P -> B``, ``A, B -> C``), which
 makes preprocessing join the siblings' clauses through a group node, and
 optionally with a second root clique and rules of its own, disconnected
-from the first tree.  Evidence mixes marginal, conditional and linear
+from the first tree or, on request, joined to it by a rule headed by both
+root variables.  Evidence mixes marginal, conditional and linear
 constraint sets.
 """
 
@@ -25,6 +26,7 @@ from rcndl import (
     PROGRAM_ORDER,
     Scope,
     apply_constraint,
+    jeffrey_update,
     parse_program,
     preprocess,
     propagate_clause_update,
@@ -38,11 +40,14 @@ PROB = st.integers(50, 950).map(lambda k: k / 1000)
 
 
 @st.composite
-def networks(draw, forest=None, min_units=0):
+def networks(draw, forest=None, min_units=0, bridge=False):
     """Model text plus the scope of every rule clause, as (head..., body).
     ``forest`` True or False asks for the second tree or leaves it out,
     and ``min_units`` sets the fewest sibling-headed units (group nodes);
-    by default both are drawn."""
+    by default both are drawn.  ``bridge`` joins a second tree to the
+    first by a rule headed by both root variables, through a group over
+    the two root cliques: two query cliques without parents, one
+    component."""
     n = draw(st.integers(2, 7))
     p = draw(PROB)
     lines = [f"?- X0 : [{1 - p!r}, {p!r}]."]
@@ -62,6 +67,11 @@ def networks(draw, forest=None, min_units=0):
             lines.append(f"Y{parent} -> Y{i} : [{draw(PROB)}, {draw(PROB)}].")
             rules.append((f"Y{parent}", f"Y{i}"))
         variables += [f"Y{i}" for i in range(m)]
+        if bridge:
+            cond = ", ".join(str(draw(PROB)) for _ in range(4))
+            lines.append(f"X0, Y0 -> J : [{cond}].")
+            rules.append(("X0", "Y0", "J"))
+            variables.append("J")
     for u in range(draw(st.integers(min_units, 2))):
         hub = draw(st.sampled_from(variables))
         a, b, c = f"A{u}", f"B{u}", f"C{u}"
@@ -193,13 +203,13 @@ def reweighted_networks(draw):
 @settings(max_examples=100, deadline=None)
 @given(reweighted_networks())
 def test_propagation_from_every_node_matches_reference(net):
-    """From every node, group nodes included: the plan covers the node's
-    component only, and propagating matches the reference byte for byte
-    or fails with the same error."""
+    """From every node, group nodes included: the route covers the node's
+    component only, and propagating matches the rooted reference byte for
+    byte or fails with the same error."""
     homes = range(len(net.nodes))
-    plans = scheduler.compile_plans(net, list(homes))
+    routes = scheduler.compile_schedule(net, list(homes))
     for home in homes:
-        assert plans[home].touched == component(net, home)
+        assert routes[home].touched == component(net, home)
         got = outcome(propagate_clause_update, net, home)
         want = outcome(reference.propagate_clause_update, net, home)
         if isinstance(want, tuple):
@@ -231,7 +241,7 @@ def test_state_maps_built_once_per_edge_side(problem):
                        sys.modules["rcndl.tables"]):
             mp.setattr(module, "substate_map", counting, raising=False)
         outcome(run_reasoning, net, ev)
-        scheduler.compile_plans(net, list(range(len(net.nodes))))
+        scheduler.compile_schedule(net, list(range(len(net.nodes))))
         outcome(apply_constraint, net, ev.constraints[0])
         propagate_clause_update(net, len(net.nodes) - 1)
         assert calls == []
@@ -265,30 +275,63 @@ def test_posteriors_share_the_prior_index(problem):
     assert all(n.index is net.index for n in derived)
 
 
-def same_plans(got, want):
-    """Plans equal array for array: every level's positions, events,
-    edges and event count, and the clauses touched."""
+def same_routes(got, want):
+    """Routes equal array for array: the clauses touched; every up
+    crossing's slices, events, event count and separator; and every down
+    level's positions, events, edges and event count, with the events it
+    skips."""
     assert got.keys() == want.keys()
     for h in want:
         assert got[h].touched == want[h].touched
-        assert len(got[h].levels) == len(want[h].levels)
-        for a, b in zip(got[h].levels, want[h].levels):
+        assert len(got[h].up) == len(want[h].up)
+        for a, b in zip(got[h].up, want[h].up):
+            near, near_event, far, far_event, n, sep = a
+            assert (near, far, n, sep) == (b[0], b[2], b[4], b[5])
+            for x, y in ((near_event, b[1]), (far_event, b[3])):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert len(got[h].down) == len(want[h].down)
+        for (a, skip), (b, want_skip) in zip(got[h].down, want[h].down):
             for name in ("near_pos", "near_event", "far_pos", "far_event",
                          "edges"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and np.array_equal(x, y), name
             assert a.n_events == b.n_events
+            assert skip == want_skip
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(
     reweighted_networks(),
-    networks(forest=True, min_units=1).map(
+    st.one_of(networks(forest=True, min_units=1),
+              networks(forest=True, bridge=True)).map(
         lambda drawn: preprocess(parse_program(drawn[0])))))
-def test_plans_match_reference_builder(net):
-    """From every node, group nodes included, on trees and forests: the
-    plans gathered from the index are the breadth-first plans of the
-    per-run reference builder."""
+def test_schedule_matches_reference_builder(net):
+    """From every node, group nodes included, on trees, forests and trees
+    with two query cliques without parents: the routes gathered from the
+    index are those of the per-run reference builder, which roots each
+    component by a walk in Python."""
     homes = list(range(len(net.nodes)))
-    same_plans(scheduler.compile_plans(net, homes),
-               reference.compile_plans(net, homes))
+    same_routes(scheduler.compile_schedule(net, homes),
+                reference.compile_schedule(net, homes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(networks(forest=True), networks(min_units=1), networks(),
+                 networks(forest=True, bridge=True))
+       .map(lambda drawn: preprocess(parse_program(drawn[0]))), st.data())
+def test_rooted_and_breadth_first_references_agree(net, data):
+    """From every node of a consistent network with groups, forests or
+    both, after a Jeffrey update of the node's first variable (so the
+    network stays consistent, as every run keeps it): the rooted walk and
+    the breadth-first walk away from the node give the same bytes, since
+    either way every crossing reads a near clause already final and a far
+    clause not yet updated."""
+    for home, table in enumerate(net.tables):
+        v = data.draw(PROB)
+        target = MarginalConstraint(Scope(table.scope.vars[:1]), (1.0 - v, v))
+        updated = net.with_table(home, jeffrey_update(table, target))
+        rooted, breadth_first = set(), set()
+        assert same_tables(
+            reference.propagate_clause_update(updated, home, rooted),
+            reference.propagate_breadth_first(updated, home, breadth_first))
+        assert rooted == breadth_first == set(component(net, home))
