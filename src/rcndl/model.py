@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ MAX_VARIABLES = 25
 UNKNOWN = -1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scope:
     """An ordered tuple of distinct variable names."""
 
@@ -80,6 +80,13 @@ class Scope:
     @property
     def n_states(self) -> int:
         return 1 << len(self.vars)
+
+
+def trusted_scope(vars: tuple[str, ...]) -> Scope:
+    """The ``Scope`` over ``vars``, a tuple of distinct names, unchecked."""
+    scope = object.__new__(Scope)
+    object.__setattr__(scope, "vars", vars)
+    return scope
 
 
 def state_index(scope: Scope, assignment: Mapping[str, bool]) -> int:
@@ -318,8 +325,10 @@ def event_factors(
 # Parsed clause forms
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SourcePos:
+# A parse makes one of each per clause, so they are named tuples: about a
+# third of the cost of a frozen dataclass, with the same repr.
+
+class SourcePos(NamedTuple):
     line: int
     column: int
 
@@ -327,16 +336,14 @@ class SourcePos:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class QueryClause:
+class QueryClause(NamedTuple):
     """``?- c1 : [..]; c2 : [..].`` -- the root cliques with their priors."""
 
     cliques: tuple[tuple[Scope, tuple[float, ...]], ...]
     pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
-class RuleClause:
+class RuleClause(NamedTuple):
     """``h1, h2 -> b : [..].`` -- conditionals P(body | head config)."""
 
     head: Scope
@@ -345,8 +352,7 @@ class RuleClause:
     pos: SourcePos | None = None
 
 
-@dataclass(frozen=True)
-class ObservationClause:
+class ObservationClause(NamedTuple):
     """``v1, v2.`` -- declares observable variables."""
 
     vars: tuple[str, ...]

@@ -11,11 +11,14 @@ underscores.  ``%`` starts a comment running to end of line.  Probability
 literals must lie in [0, 1]; the sentinel ``-1.0`` is accepted to mean
 "unknown" and is resolved later by the preprocessor.
 
-The lexer is one ``finditer`` pass yielding ``(kind, text, offset)``; line
-and column are computed only for a clause's position or an error.  A
-well-formed probability list (numbers and commas in brackets, whitespace and
-comments between) is one token, converted with one ``split``; a list that
-fails a check is read again token by token, for the same error either way.
+The lexer is one pass yielding ``(kind, text, offset)``; line and column are
+computed only for a clause's position or an error.  A well-formed rule or
+observation clause (names, arrow, brackets and numbers with only whitespace
+between) is one token, matched where a clause starts and converted with
+``split``; so is a well-formed probability list (comments allowed).  Any
+other clause is lexed token by token up to its period, and a clause or list
+that fails a check is read again token by token, for the same error either
+way.
 """
 
 from __future__ import annotations
@@ -32,13 +35,19 @@ from .model import (
     Scope,
     SourcePos,
     UNKNOWN,
+    trusted_scope,
 )
 
 _SKIP = r"(?:\s|%[^\n]*(?![^\n]))*"  # a comment ends at a newline, never earlier
 _NUMBER = r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_CLAUSE_RE = re.compile(  # a rule or observation clause, no comment inside
+    rf"{_SKIP}(?P<names>{_NAME}(?:\s*,\s*{_NAME})*)\s*(?:->\s*(?P<body>{_NAME})"
+    rf"\s*:\s*\[(?P<cond>\s*{_NUMBER}(?:\s*,\s*{_NUMBER})*)\s*\]\s*)?\."
+)
 _TOKEN_RE = re.compile(  # a token with the whitespace after it
     rf"""(?:
-      (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      (?P<ident>{_NAME})
     | (?P<list>\[{_SKIP}{_NUMBER}(?:{_SKIP},{_SKIP}{_NUMBER})*{_SKIP}\])
     | (?P<punct>[\[\],;:.])
     | (?P<arrow>->)
@@ -66,24 +75,46 @@ class SourceProgram:
 
 
 class _Parser:
-    """Tokens are ``(kind, text, offset)``; a punctuation mark is its own kind."""
+    """Tokens are ``(kind, text, offset)``, a ``clause`` token holding its
+    match in place of its text; a punctuation mark is its own kind."""
 
     def __init__(self, text: str):
         self.src = text
         self.line, self.bol, self.mark, self.i = 1, 0, 0, 0
-        self.tokens = self.lex(0, len(text)) + [("eof", "", len(text))]
+        self.tokens = self.lex(0, len(text), True) + [("eof", "", len(text))]
 
-    def lex(self, start: int, end: int) -> list[tuple[str, str, int]]:
-        tokens = []
-        for m in _TOKEN_RE.finditer(self.src, start, end):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise ParseError(f"unexpected character {m.group(kind)!r}",
-                                 *self.where(m.start()))
-            if kind:  # not whitespace or a comment
-                text = m.group(kind)
-                tokens.append((text if kind == "punct" else kind, text, m.start()))
+    def lex(self, start: int, end: int, clauses: bool = False) -> list[tuple]:
+        """The tokens from ``start`` to ``end``.  With ``clauses``, a clause
+        start (``start``, or after a period) may give one ``clause`` token,
+        its match in place of its text; a period ends the clause."""
+        tokens, at = [], start
+        while at < end:
+            m = clauses and _CLAUSE_RE.match(self.src, at, end)
+            if m:
+                tokens.append(("clause", m, m.start("names")))
+                at = m.end()
+                continue
+            for m in _TOKEN_RE.finditer(self.src, at, end):
+                kind = m.lastgroup
+                if kind == "bad":
+                    raise ParseError(f"unexpected character {m.group(kind)!r}",
+                                     *self.where(m.start()))
+                if kind:  # not whitespace or a comment
+                    text = m.group(kind)
+                    tokens.append((text if kind == "punct" else kind, text, m.start()))
+                    if text == "." and clauses:
+                        break
+            at = m.end()
         return tokens
+
+    def alone(self, tokens: list[tuple], end: int, read):
+        """``read()`` over ``tokens`` alone, then go on after them.  The
+        file's tokens are set aside, not spliced: linear time."""
+        outer, self.tokens, self.i = (self.tokens, self.i + 1), [
+            *tokens, ("eof", "", end)], 0
+        value = read()
+        self.tokens, self.i = outer
+        return value
 
     def where(self, at: int) -> tuple[int, int]:
         """Line and column of ``at``, counted on from the offset asked before,
@@ -122,8 +153,14 @@ class _Parser:
         return SourceProgram(tuple(clauses))
 
     def clause(self) -> Clause:
-        kind, _, at = self.tokens[self.i]
+        kind, m, at = self.tokens[self.i]
         pos = SourcePos(*self.where(at))
+        if kind == "clause":
+            clause = one_token_clause(m, pos)
+            if clause is None:  # read it alone token by token, for the message
+                return self.alone(self.lex(at, m.end()), m.end(), self.clause)
+            self.i += 1
+            return clause
         if kind == "query":
             self.i += 1
             cliques = [self.clique(pos)]
@@ -157,7 +194,7 @@ class _Parser:
     def scope(self, names: list[str], what: str, pos: SourcePos) -> Scope:
         if len(set(names)) != len(names):
             raise ParseError(f"duplicate variable in {what}", pos.line, pos.column)
-        return Scope(names)
+        return trusted_scope(tuple(names))
 
     def proposition_list(self) -> list[str]:
         names = [self.expect("ident")[1]]
@@ -169,21 +206,14 @@ class _Parser:
     def pr_list(self, expected: int, what: str) -> tuple[float, ...]:
         kind, text, at = self.tokens[self.i]
         if kind == "list":
-            try:
-                values = tuple(map(float, text[1:-1].split(",")))
-            except ValueError:  # a comment, or a space float() does not strip
-                values = ()
-            if len(values) == expected and all(
-                    0.0 <= v <= 1.0 or v == UNKNOWN for v in values):
+            values = checked_values(text[1:-1], expected)
+            if values is not None:
                 self.i += 1
                 return values
             # otherwise read it alone token by token, for the same message
-            outer, end = (self.tokens, self.i + 1), at + len(text)
-            self.tokens = [("[", "[", at), *self.lex(at + 1, end), ("eof", "", end)]
-            self.i = 0
-            values = self.pr_list(expected, what)
-            self.tokens, self.i = outer  # set aside, not spliced: linear time
-            return values
+            end = at + len(text)
+            return self.alone([("[", "[", at), *self.lex(at + 1, end)], end,
+                              lambda: self.pr_list(expected, what))
         open_at = self.expect("[")[2]
         values = [self.pr()]
         while self.tokens[self.i][0] == ",":
@@ -202,6 +232,31 @@ class _Parser:
             raise ParseError(f"probability literal {text} outside [0, 1]",
                              *self.where(at))
         return value
+
+
+def one_token_clause(m: re.Match, pos: SourcePos) -> Clause | None:
+    """The clause of a ``clause`` token, or None where a check fails."""
+    names, body, cond = m.group("names", "body", "cond")
+    names = tuple(map(str.strip, names.split(",")))
+    if len(names) > 1 and len(set(names)) != len(names):
+        return None
+    if cond is None:
+        return ObservationClause(names, pos)
+    values = checked_values(cond, 1 << len(names))
+    return None if values is None else RuleClause(trusted_scope(names), body,
+                                                  values, pos)
+
+
+def checked_values(text: str, expected: int) -> tuple[float, ...] | None:
+    """The ``expected`` probabilities between commas in ``text``, or None
+    where a check fails."""
+    try:
+        values = tuple(map(float, text.split(",")))
+    except ValueError:  # a comment, or a space float() does not strip
+        return None
+    in_range = 0.0 <= min(values) and max(values) <= 1.0 or all(
+        0.0 <= v <= 1.0 or v == UNKNOWN for v in values)
+    return values if in_range and len(values) == expected else None
 
 
 def parse_program(text: str) -> SourceProgram:

@@ -20,17 +20,20 @@ network holds.  The represented joint is exact for singly connected
 clause networks.
 
 Every node's scope is indexed by variable: ``holders[v]`` lists, in
-ascending order, the nodes whose scope contains ``v``.  The smallest node
-covering a variable set is then found among the holders of its rarest
-variable (``covering_node``), so hanging each clause off its upstream
-node, finding an evidence home clause and reading a joint all cost time in
-the number of candidates, not in the size of the network.
+ascending order, the nodes whose scope contains ``v``, and ``covers[v]``
+lists them by scope length, then index.  The smallest node covering a
+variable set is then the first that holds them all among the covers of
+its rarest variable (``covering_node``), so hanging each clause off its
+upstream node, finding an evidence home clause and reading a joint stop
+at the smallest cover, however many larger nodes hold the variable.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .model import (
     RuleClause,
     Scope,
     marginalize,
+    trusted_scope,
 )
 from .parser import SourceProgram
 from .tables import (
@@ -69,8 +73,7 @@ from .tables import (
 # Network structure
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One propagation node: a root clique, rule, observation, or group.
 
     ``separator`` is the scope shared with the single upstream neighbor:
@@ -89,8 +92,7 @@ class Node:
     label: str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """An undirected propagation edge with its separator scope."""
 
     a: int
@@ -140,6 +142,7 @@ class PreparedNetwork:
     edges: tuple[Edge, ...]
     introducer: dict[str, int]          # variable -> node that introduces it
     holders: dict[str, tuple[int, ...]]  # variable -> nodes holding it, ascending
+    covers: dict[str, tuple[int, ...]] = field(repr=False)  # by scope length
     observables: frozenset[str]
     adjacency: tuple[tuple[int, ...], ...]   # node -> incident edge indices
     index: PropagationIndex = field(repr=False)  # shared by every posterior
@@ -184,7 +187,7 @@ class PreparedNetwork:
         covers is marginalized from the exact joint of the clauses
         connecting its variables, joined as for a group node but not kept.
         """
-        best = covering_node(self.nodes, self.holders, target.vars)
+        best = covering_node(self.nodes, self.covers, target.vars)
         if best is not None:
             return marginalize(self.tables[best], target)
         for v in target.vars:
@@ -203,25 +206,26 @@ class PreparedNetwork:
 
 
 def covering_node(
-    nodes, holders, vars: tuple[str, ...], skip: str | None = None
+    nodes, covers, vars: tuple[str, ...], skip: str | None = None
 ) -> int | None:
     """The smallest-scope node whose scope contains every variable in
     ``vars``, lowest index first among equals, leaving out nodes of kind
     ``skip``; None if there is none.
 
-    Candidates come from the shortest holder list among ``vars``.
+    ``covers[v]`` lists the nodes holding ``v`` by scope length, then
+    index, so the answer is the first candidate from the shortest such
+    list among ``vars`` that holds them all.
     """
-    needed = set(vars)
-    best = None
-    for i in min((holders.get(v, ()) for v in vars), key=len):
+    held = [covers.get(v, ()) for v in vars]
+    for i in min(held, key=len):
         node = nodes[i]
-        if (node.kind != skip and needed <= set(node.scope.vars)
-                and (best is None or len(node.scope) < len(nodes[best].scope))):
-            best = i
-    return best
+        if node.kind != skip and (len(held) == 1 or all(
+                v in node.scope.vars for v in vars)):
+            return i
+    return None
 
 
-def _connecting_closure(nodes, seeds: tuple[int, ...]) -> tuple[int, ...]:
+def _connecting_closure(nodes, seeds) -> tuple[int, ...]:
     """The seeds closed under upstream links until connected, ascending.
 
     The seeds are the introducers of variables that no single node covers,
@@ -229,30 +233,34 @@ def _connecting_closure(nodes, seeds: tuple[int, ...]) -> tuple[int, ...]:
     parents until the members form one component under the parent relation
     (or until no parents remain to add, which leaves independent components
     that the join combines by outer product).  A group in the set may come
-    with its own members, which the join leaves out.
+    with its own members, which the join leaves out.  A disjoint-set forest
+    counts the components, and each round links only the parent links it
+    added, so the closure costs time in its size.
     """
-    members = set(seeds)
-
-    def connected() -> bool:
-        comp = {next(iter(members))}
-        frontier = list(comp)
-        while frontier:
-            i = frontier.pop()
-            for j in members:
-                if j in comp:
-                    continue
-                if j in nodes[i].parents or i in nodes[j].parents:
-                    comp.add(j)
-                    frontier.append(j)
-        return len(comp) == len(members)
-
-    while not connected():
-        expanded = set(members)
-        for i in members:
-            expanded.update(nodes[i].parents)
-        if expanded == members:
+    members = frontier = set(seeds)
+    links = [(i, p) for i in members for p in nodes[i].parents if p in members]
+    root: dict[int, int] = {}  # a disjoint-set forest over the members
+    parts = len(members)
+    while True:
+        for i, j in links:
+            while i in root:
+                i = root[i]
+            while j in root:
+                j = root[j]
+            if i != j:
+                root[i] = j
+                parts -= 1
+        if parts == 1:
+            break
+        # only the members added last can have parents outside the set
+        new = {p for i in frontier for p in nodes[i].parents} - members
+        if not new:
             break  # independent components; disjoint by construction
-        members = expanded
+        members = members | new
+        parts += len(new)
+        links = [(i, p) for i in frontier for p in nodes[i].parents if p in new]
+        links += [(i, p) for i in new for p in nodes[i].parents if p in members]
+        frontier = new
     return tuple(sorted(members))
 
 
@@ -273,8 +281,7 @@ def _join_order(nodes, introducer, vars: tuple[str, ...],
     Beyond ``MAX_VARIABLES`` variables the join is refused, naming
     ``where``, from the scopes alone.
     """
-    closure = _connecting_closure(
-        nodes, tuple(dict.fromkeys(introducer[v] for v in vars)))
+    closure = _connecting_closure(nodes, {introducer[v] for v in vars})
     inner = {m for g in closure if nodes[g].kind == GROUP for m in nodes[g].parents}
     members = tuple(m for m in closure if m not in inner)
     scopes = [set(nodes[m].scope.vars) for m in members]
@@ -302,13 +309,21 @@ def _join_order(nodes, introducer, vars: tuple[str, ...],
 # --------------------------------------------------------------------------
 
 def _order_rules(program: SourceProgram) -> list[int]:
-    """Topological order of rule clause indices, stable in program order."""
+    """Rule clause indices pass by pass, in program order, each pass taking
+    every rule whose head the query or an earlier rule introduces, rules
+    earlier in the same pass included.
+
+    The first pass is one walk in program order.  A later rule's pass is
+    the latest pass of the rules introducing its head, one later for each
+    that comes after it in the program, so the later passes are found in
+    one walk over the rules they hold in dependency order.
+    """
     clauses = program.clauses
     query = program.query
     introduced: set[str] = set()
     if query is not None:
         for scope, _ in query.cliques:
-            introduced |= set(scope.vars)
+            introduced.update(scope.vars)
 
     rule_idx = [i for i, c in enumerate(clauses) if isinstance(c, RuleClause)]
     bodies: dict[str, int] = {}
@@ -326,24 +341,39 @@ def _order_rules(program: SourceProgram) -> list[int]:
             )
         bodies[body] = i
 
-    ordered: list[int] = []
-    remaining = list(rule_idx)
-    while remaining:
-        progressed = False
-        for i in list(remaining):
-            if set(clauses[i].head.vars) <= introduced:
-                ordered.append(i)
-                remaining.remove(i)
-                introduced.add(clauses[i].body)
-                progressed = True
-        if not progressed:
-            bad = clauses[remaining[0]]
-            missing = sorted(set(bad.head.vars) - introduced)
-            raise NetworkStructureError(
-                f"{bad.pos}: head variables {missing} of rule for "
-                f"{bad.body!r} are never introduced (undefined or cyclic)"
-            )
-    return ordered
+    first, later = [], []  # the first pass, and the rules it leaves
+    for i in rule_idx:
+        if introduced.issuperset(clauses[i].head.vars):
+            first.append(i)
+            introduced.add(clauses[i].body)
+        else:
+            later.append(i)
+    # a later rule's pass is at least 2, whatever the first pass gives it
+    passes = dict.fromkeys(later, 2)
+    waiting: dict[int, int] = {}  # rule -> head variables still to come
+    users: dict[int, list[int]] = {}  # rule -> rules whose head it introduces
+    for i in later:  # -1 introduces what no rule does: it never comes
+        deps = {bodies.get(v, -1) for v in clauses[i].head.vars
+                if v not in introduced}
+        waiting[i] = len(deps)
+        for j in deps:
+            users.setdefault(j, []).append(i)
+    done = [i for i in later if not waiting[i]]
+    for j in done:  # grows while it is read
+        for i in users.get(j, ()):
+            passes[i] = max(passes[i], passes[j] + (j > i))
+            waiting[i] -= 1
+            if not waiting[i]:
+                done.append(i)
+    if len(done) < len(later):
+        bad = clauses[min(i for i in later if waiting[i])]
+        introduced.update(clauses[i].body for i in done)
+        missing = sorted(set(bad.head.vars) - introduced)
+        raise NetworkStructureError(
+            f"{bad.pos}: head variables {missing} of rule for "
+            f"{bad.body!r} are never introduced (undefined or cyclic)"
+        )
+    return first + sorted(sorted(done), key=passes.__getitem__)
 
 
 class _Builder:
@@ -354,7 +384,8 @@ class _Builder:
         self.nodes: list[Node] = []
         self.pieces: list[tuple[int, ...]] = []  # (group, *join_pieces row)
         self.introducer: dict[str, int] = {}
-        self.holders: dict[str, list[int]] = {}
+        self.covers: dict[str, list[int]] = {}  # as PreparedNetwork.covers
+        self.width: list[int] = []  # node -> its number of variables
         self.maps = StateMaps()
         self.depth: list[int] = []  # node -> 0 for roots, else parents' + 1
         # node -> its separator's map in its upstream node and in itself
@@ -364,28 +395,26 @@ class _Builder:
 
     def add(self, kind, scope, separator, parents, clause_idx, label) -> int:
         idx = len(self.nodes)
-        self.nodes.append(
-            Node(idx, kind, scope, separator, parents, clause_idx, label)
-        )
+        nodes, depth, width = self.nodes, self.depth, self.width
+        nodes.append(Node(idx, kind, scope, separator, parents, clause_idx, label))
+        width.append(len(scope.vars))
         for v in scope.vars:
-            self.holders.setdefault(v, []).append(idx)
-        self.depth.append(0 if kind == ROOT else
-                          1 + max(map(self.depth.__getitem__, parents)))
+            insort(self.covers.setdefault(v, []), idx, key=width.__getitem__)
+        depth.append(0 if kind == ROOT else 1 + max(map(depth.__getitem__, parents)))
         if separator is None:
             self.up.append(-1)
             self.down.append(-1)
         else:  # a rule's head and an observation's variables lead its scope
-            self.up.append(self.maps(self.nodes[parents[0]].scope,
-                                     separator.vars))
+            self.up.append(self.maps(nodes[parents[0]].scope, separator.vars))
             self.down.append(self.maps(scope, separator.vars) if kind == ROOT
-                             else self.maps.prefix(scope, len(separator)))
+                             else self.maps.prefix(scope, len(separator.vars)))
         return idx
 
     def upstream_for(self, vars: tuple[str, ...], where) -> int:
         """Single node covering ``vars``, else a new group node over the
         clauses connecting them (no earlier group covers ``vars`` either);
         ``where`` names the clause asking."""
-        best = covering_node(self.nodes, self.holders, vars, skip=OBS)
+        best = covering_node(self.nodes, self.covers, vars, skip=OBS)
         if best is not None:
             return best
         order = _join_order(self.nodes, self.introducer, vars, where)
@@ -408,11 +437,12 @@ class _Builder:
         # transitive membership: a clause inside an inner group is also
         # connected through every group containing that inner group.  A
         # group's index exceeds its members', so one downward pass will do.
-        grouped: list[set[int]] = [set() for _ in self.nodes]
+        grouped: dict[int, set[int]] = {}
         for node in reversed(self.nodes):
             if node.kind == GROUP:
+                outer = grouped.get(node.idx, set()) | {node.idx}
                 for m in node.parents:
-                    grouped[m] |= grouped[node.idx] | {node.idx}
+                    grouped.setdefault(m, set()).update(outer)
 
         # a member's side of its edge to a group maps the group's states
         # onto its own, as the join did
@@ -428,7 +458,8 @@ class _Builder:
                               into[node.idx, m])
             elif node.parents:
                 (p,) = node.parents
-                if not grouped[p] & grouped[node.idx]:  # else via a group
+                inner = grouped.get(node.idx)
+                if not inner or inner.isdisjoint(grouped.get(p, ())):
                     edges.append(Edge(p, node.idx, node.separator))
                     sides += (self.up[node.idx], self.down[node.idx])
 
@@ -508,15 +539,16 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
     # with the overlap as separator.
     for scope, _ in query.cliques:
         parents, sep = (), None
-        for j in range(len(b.nodes)):
-            shared = tuple(v for v in scope.vars if v in b.nodes[j].scope)
-            if shared:
-                if parents:
-                    raise MultiplyConnectedError(
-                        f"query clique {scope.vars} overlaps more than one "
-                        f"earlier clique"
-                    )
-                parents, sep = (j,), Scope(shared)
+        earlier = {j for v in scope.vars for j in b.covers.get(v, ())}
+        if len(earlier) > 1:
+            raise MultiplyConnectedError(
+                f"query clique {scope.vars} overlaps more than one "
+                f"earlier clique"
+            )
+        if earlier:
+            parents = tuple(earlier)
+            held = b.nodes[parents[0]].scope.vars
+            sep = trusted_scope(tuple(v for v in scope.vars if v in held))
         idx = b.add(ROOT, scope, sep, parents, qpos, ", ".join(scope.vars))
         for v in scope.vars:
             b.introducer.setdefault(v, idx)
@@ -524,12 +556,14 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
     # Rules in dependency order, each hanging off a single covering node.
     for ci in _order_rules(program):
         rule = clauses[ci]
-        if len(rule.cond) != rule.head.n_states:
+        head = rule.head.vars
+        if len(rule.cond) != 1 << len(head):
             raise ArityError(f"{rule.pos}: conditional list needs "
                              f"{rule.head.n_states} entries, got {len(rule.cond)}")
-        upstream = b.upstream_for(rule.head.vars, rule.pos)
-        idx = b.add(RULE, Scope(rule.head.vars + (rule.body,)), rule.head,
-                    (upstream,), ci, f"{', '.join(rule.head.vars)} -> {rule.body}")
+        upstream = b.upstream_for(head, rule.pos)
+        # the body is not in the head: _order_rules refuses such a rule
+        idx = b.add(RULE, trusted_scope(head + (rule.body,)), rule.head,
+                    (upstream,), ci, f"{', '.join(head)} -> {rule.body}")
         b.introducer[rule.body] = idx
 
     # Observations: leaves over their variables, off a covering node.
@@ -555,7 +589,7 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         adjacency[e.b].append(ei)
 
     b.maps.pool()
-    start = np.cumsum([0] + [n.scope.n_states for n in b.nodes], dtype=np.intp)
+    start = np.cumsum([0, *(1 << w for w in b.width)], dtype=np.intp)
     index = _propagation_index(b, edges, start)
 
     flat = fill(program, b, start)
@@ -568,7 +602,8 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         start=start,
         edges=edges,
         introducer=dict(b.introducer),
-        holders={v: tuple(h) for v, h in b.holders.items()},
+        holders={v: tuple(sorted(c)) for v, c in b.covers.items()},
+        covers={v: tuple(c) for v, c in b.covers.items()},
         observables=frozenset(observables),
         adjacency=tuple(tuple(a) for a in adjacency),
         index=index,

@@ -131,7 +131,7 @@ def home_clause(net: PreparedNetwork, c: ConstraintSet) -> int:
     """Smallest-scope node containing all constrained variables."""
     needed = c.variables()
     # evidence lands on clauses, not internal group joints
-    best = covering_node(net.nodes, net.holders, needed, skip=GROUP)
+    best = covering_node(net.nodes, net.covers, needed, skip=GROUP)
     if best is None:
         raise ScopeError(
             f"no clause scope contains the constrained variables {sorted(needed)}"

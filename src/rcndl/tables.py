@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ArityError, NetworkStructureError
-from .model import UNIT_SUM_TOL, UNKNOWN, Scope, substate_map
+from .model import UNIT_SUM_TOL, UNKNOWN, Scope, substate_map, trusted_scope
 from .parser import SourceProgram
 
 # the kinds of clause-tree node
@@ -91,7 +91,8 @@ class StateMaps:
 
 def join_scope(nodes, order: tuple[int, ...]) -> Scope:
     """The variables of a join, in the order its members bring them."""
-    return Scope(dict.fromkeys(v for m in order for v in nodes[m].scope))
+    return trusted_scope(tuple(dict.fromkeys(
+        v for m in order for v in nodes[m].scope.vars)))
 
 
 def join_pieces(nodes, order: tuple[int, ...], scope: Scope,

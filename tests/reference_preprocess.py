@@ -1,5 +1,12 @@
 """Reference passes of ``preprocess``, one clause at a time.
 
+``_order_rules``, ``covering_node`` and ``_connecting_closure`` are the
+structural lookups as they were before they were made to cost time in the
+size of what they find rather than of the network: rules ordered by whole
+passes over the remaining list, every holder of the rarest variable
+scanned, and the closure's connectivity re-walked pair by pair each round.
+The faster ones must return the same or raise the same error.
+
 ``build_edges`` is the clause-tree edge rule as a function of a node list:
 group membership closed by a fixpoint, and a depth-first search over a
 private adjacency for the cycle test.  The builder's ``build_edges`` must
@@ -20,6 +27,7 @@ import numpy as np
 
 from rcndl.errors import MultiplyConnectedError, NetworkStructureError
 from rcndl.model import (
+    RuleClause,
     JointTable,
     Scope,
     marginalize,
@@ -140,3 +148,94 @@ def _tables(program: SourceProgram, b: _Builder) -> list[JointTable]:
             table = _join(tables, joins[node.idx])
         tables.append(table)
     return tables
+
+
+def _order_rules(program: SourceProgram) -> list[int]:
+    """Topological order of rule clause indices, stable in program order."""
+    clauses = program.clauses
+    query = program.query
+    introduced: set[str] = set()
+    if query is not None:
+        for scope, _ in query.cliques:
+            introduced |= set(scope.vars)
+
+    rule_idx = [i for i, c in enumerate(clauses) if isinstance(c, RuleClause)]
+    bodies: dict[str, int] = {}
+    for i in rule_idx:
+        body = clauses[i].body
+        if body in bodies:
+            raise NetworkStructureError(
+                f"{clauses[i].pos}: variable {body!r} is defined by more "
+                f"than one rule"
+            )
+        if body in introduced:
+            raise NetworkStructureError(
+                f"{clauses[i].pos}: variable {body!r} is already introduced "
+                f"by the query"
+            )
+        bodies[body] = i
+
+    ordered: list[int] = []
+    remaining = list(rule_idx)
+    while remaining:
+        progressed = False
+        for i in list(remaining):
+            if set(clauses[i].head.vars) <= introduced:
+                ordered.append(i)
+                remaining.remove(i)
+                introduced.add(clauses[i].body)
+                progressed = True
+        if not progressed:
+            bad = clauses[remaining[0]]
+            missing = sorted(set(bad.head.vars) - introduced)
+            raise NetworkStructureError(
+                f"{bad.pos}: head variables {missing} of rule for "
+                f"{bad.body!r} are never introduced (undefined or cyclic)"
+            )
+    return ordered
+
+
+def covering_node(
+    nodes, holders, vars: tuple[str, ...], skip: str | None = None
+) -> int | None:
+    """The smallest-scope node whose scope contains every variable in
+    ``vars``, lowest index first among equals, leaving out nodes of kind
+    ``skip``; None if there is none.
+
+    Candidates come from the shortest holder list among ``vars``.
+    """
+    needed = set(vars)
+    best = None
+    for i in min((holders.get(v, ()) for v in vars), key=len):
+        node = nodes[i]
+        if (node.kind != skip and needed <= set(node.scope.vars)
+                and (best is None or len(node.scope) < len(nodes[best].scope))):
+            best = i
+    return best
+
+
+def _connecting_closure(nodes, seeds: tuple[int, ...]) -> tuple[int, ...]:
+    """The seeds closed under upstream links until connected, ascending."""
+    members = set(seeds)
+
+    def connected() -> bool:
+        comp = {next(iter(members))}
+        frontier = list(comp)
+        while frontier:
+            i = frontier.pop()
+            for j in members:
+                if j in comp:
+                    continue
+                if j in nodes[i].parents or i in nodes[j].parents:
+                    comp.add(j)
+                    frontier.append(j)
+        return len(comp) == len(members)
+
+    while not connected():
+        expanded = set(members)
+        for i in members:
+            expanded.update(nodes[i].parents)
+        if expanded == members:
+            break  # independent components; disjoint by construction
+        members = expanded
+    return tuple(sorted(members))

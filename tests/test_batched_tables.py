@@ -73,7 +73,7 @@ def same_joint(net, vars):
     """``joint_over`` a scope no node covers reads the reference join
     marginalized, byte for byte, or fails as the join order does."""
     target = Scope(vars)
-    if covering_node(net.nodes, net.holders, target.vars) is not None:
+    if covering_node(net.nodes, net.covers, target.vars) is not None:
         return
     got = outcome(net.joint_over, target)
     order = outcome(_join_order, net.nodes, net.introducer, target.vars,
@@ -90,7 +90,7 @@ def uncovered_pairs(net):
     """Every pair of variables that no single node holds together."""
     vs = list(net.introducer)
     return [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
-            if covering_node(net.nodes, net.holders, (a, b)) is None]
+            if covering_node(net.nodes, net.covers, (a, b)) is None]
 
 
 @pytest.mark.parametrize("text", FIXED)

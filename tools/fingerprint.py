@@ -38,6 +38,10 @@ this checkout's).  The script prints one JSON object:
   type and text.  From k = 5 the chain is multiply connected and from
   k = 13 a group would exceed the variable limit, so this covers the
   refusals whose cost depends on when preprocessing refuses;
+* ``shapes``: the networks of four programs whose setup once grew as the
+  square of their length (``shape_program``), at 50 and 300 clauses: a
+  chain of rules listed last first, one-variable query cliques, a star of
+  rules off a one-variable root, and the same star off a rule's body;
 * ``linear``: N seeded linear sets passed straight to ``lec_solve(table,
   c)``: priors over 1-3 variables, some with states without mass, and 1-3
   rows of small integers, some pairs nearly parallel and some rows scaled
@@ -347,6 +351,33 @@ def chains(rcndl) -> dict:
     return out
 
 
+SHAPES = ("reverse-chain", "cliques", "star", "hub")
+
+
+def shape_program(shape: str, n: int) -> str:
+    """A program in one of ``SHAPES`` with ``n`` rules or cliques:
+    ``X_{k} -> X_{k+1}`` for k from n - 1 down to 0 under ``?- X0``;
+    ``?- V0; ...; V_{n-1}``; ``R -> B_i`` for i < n under ``?- R``; or the
+    same rules under ``?- X`` and ``X -> R``, where no one-variable clause
+    holds ``R``."""
+    if shape == "cliques":
+        return "?- " + "; ".join(f"V{i} : [0.25, 0.75]" for i in range(n)) + ".\n"
+    if shape == "reverse-chain":
+        lines = ["?- X0 : [0.5, 0.5]."]
+        lines += [f"X{k} -> X{k + 1} : [0.3, 0.6]." for k in reversed(range(n))]
+    else:
+        lines = (["?- R : [0.5, 0.5]."] if shape == "star" else
+                 ["?- X : [0.5, 0.5].", "X -> R : [0.2, 0.9]."])
+        lines += [f"R -> B{i} : [0.3, 0.6]." for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def shapes(rcndl) -> dict:
+    return {f"{shape}/{n}": network_digest(
+                rcndl.preprocess(rcndl.parse_program(shape_program(shape, n))))
+            for shape in SHAPES for n in (50, 300)}
+
+
 def linear_problem(rcndl, k: int):
     """The table and linear set of ``linear`` entry ``k``."""
     rng = np.random.default_rng((LINEAR_SEED, k))
@@ -493,6 +524,7 @@ def main(argv=None) -> None:
         "program_runs": runs,
         "messages": messages,
         "chains": chains(rcndl),
+        "shapes": shapes(rcndl),
         "linear": linear_outcomes,
         "linear_messages": linear_messages,
         "parse": parses(rcndl, args.programs),
