@@ -8,15 +8,8 @@ scheduling.  A desk-scale oracle over the expanded full joint validates the
 decomposed machinery.
 """
 
-from .engine import (
-    DualState,
-    conditional_update,
-    constraint_gradient,
-    cross_entropy,
-    gradient_scalar,
-    jeffrey_update,
-    lec_solve,
-)
+from importlib import import_module
+
 from .errors import (
     ArityError,
     ConvergenceError,
@@ -28,8 +21,9 @@ from .errors import (
     ScopeError,
     SizeLimitError,
 )
-from .evidence import parse_evidence
 from .model import (
+    GREATEST_GRADIENT,
+    PROGRAM_ORDER,
     ConditionalConstraint,
     JointTable,
     LinearConstraint,
@@ -42,23 +36,37 @@ from .model import (
     multiply_condition,
     state_index,
 )
-from .oracle import ce_decomposition_check, expand_full_joint, oracle_mce
 from .parser import SourceProgram, parse_program, render_program
-from .preprocess import (
-    PreparedNetwork,
-    preprocess,
-    render_intermediate,
-)
-from .scheduler import (
-    GREATEST_GRADIENT,
-    PROGRAM_ORDER,
-    EvidenceSet,
-    RunTrace,
-    apply_constraint,
-    posterior_marginal,
-    propagate_clause_update,
-    run_reasoning,
-)
+from .preprocess import PreparedNetwork, preprocess, render_intermediate
+
+# The other submodules and the names they define load on first access, so
+# importing the package loads only the parse and preprocess path and each
+# command of the command line pays for the modules it runs.
+_LAZY = {
+    "engine": "engine", "DualState": "engine", "conditional_update": "engine",
+    "constraint_gradient": "engine", "cross_entropy": "engine",
+    "gradient_scalar": "engine", "jeffrey_update": "engine", "lec_solve": "engine",
+    "evidence": "evidence", "parse_evidence": "evidence",
+    "oracle": "oracle", "ce_decomposition_check": "oracle",
+    "expand_full_joint": "oracle", "oracle_mce": "oracle",
+    "scheduler": "scheduler", "EvidenceSet": "scheduler", "RunTrace": "scheduler",
+    "apply_constraint": "scheduler", "posterior_marginal": "scheduler",
+    "propagate_clause_update": "scheduler", "run_reasoning": "scheduler",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -6,31 +6,22 @@
 
 Text reports print probabilities with six decimals; ``--json`` emits every
 number at full precision.  Exit codes: 0 converged (or nothing to do),
-1 input error, 2 non-convergence within the pass budget.
+1 input error, 2 non-convergence within the pass budget.  Each command
+imports the modules it runs: ``check`` loads no reasoning module, ``run``
+no oracle.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
 from .errors import RcndlError
-from .evidence import parse_evidence
-from .oracle import expand_full_joint, oracle_mce
-from .model import Scope, marginalize
+from .model import (DEFAULT_MAX_PASSES, DEFAULT_THRESHOLD, GREATEST_GRADIENT,
+                    PROGRAM_ORDER, Scope, marginalize)
 from .parser import parse_program
 from .preprocess import preprocess, render_intermediate
-from .scheduler import (
-    DEFAULT_MAX_PASSES,
-    DEFAULT_THRESHOLD,
-    GREATEST_GRADIENT,
-    PROGRAM_ORDER,
-    EvidenceSet,
-    posterior_marginal,
-    run_reasoning,
-)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -49,6 +40,9 @@ def _read(path: str) -> str:
 
 
 def _load(model_path: str, evidence_path: str | None, args):
+    from .evidence import parse_evidence
+    from .scheduler import EvidenceSet
+
     net = preprocess(parse_program(_read(model_path)))
     constraints = parse_evidence(_read(evidence_path)) if evidence_path else []
     ev = EvidenceSet(
@@ -60,20 +54,16 @@ def _load(model_path: str, evidence_path: str | None, args):
     return net, ev
 
 
-def _marginal_lines(net) -> list[str]:
-    return [
-        f"  P({v}) = {posterior_marginal(net, v)[1]:.6f}"
-        for v in net.introducer
-    ]
-
-
 def cmd_run(args) -> int:
+    from .scheduler import posterior_marginal, run_reasoning
+
     net, ev = _load(args.model, args.evidence, args)
     if args.dump_intermediate:
         print(render_intermediate(net), end="")
     posterior, trace = run_reasoning(net, ev)
 
     if args.json:
+        import json
         payload = {
             "converged": trace.converged,
             "passes": trace.passes,
@@ -102,8 +92,8 @@ def cmd_run(args) -> int:
         state = "converged" if trace.converged else "did not converge"
         print(f"{state} after {trace.passes} pass(es)")
         print("posterior marginals:")
-        for line in _marginal_lines(posterior):
-            print(line)
+        for v in posterior.introducer:
+            print(f"  P({v}) = {posterior_marginal(posterior, v)[1]:.6f}")
         print("final gradients:")
         for label, g in trace.final_gradients.items():
             print(f"  {label}: {g:.6f}")
@@ -117,6 +107,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import expand_full_joint, oracle_mce
+    from .scheduler import posterior_marginal, run_reasoning
+
     net, ev = _load(args.model, args.evidence, args)
     posterior, trace = run_reasoning(net, ev)
     joint = expand_full_joint(net)
@@ -129,6 +122,7 @@ def cmd_oracle(args) -> int:
         rows.append((v, mine, ref, abs(mine - ref)))
 
     if args.json:
+        import json
         print(json.dumps({
             "converged": trace.converged,
             "passes": trace.passes,

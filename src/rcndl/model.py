@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +44,13 @@ MAX_VARIABLES = 25
 
 # Sentinel accepted in source probability lists for "unknown".
 UNKNOWN = -1.0
+
+# The scheduler's ordering policies and run defaults, defined here so that
+# the command line reads them without loading the scheduler.
+GREATEST_GRADIENT = "greatest-gradient"
+PROGRAM_ORDER = "program-order"
+DEFAULT_THRESHOLD = 1e-3
+DEFAULT_MAX_PASSES = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -452,7 +460,8 @@ class LinearConstraint:
     @cached_property
     def row_matrix(self) -> np.ndarray:
         """The rows as a read-only ``(k, n_states)`` float array, built once."""
-        a = np.asarray(self.rows, dtype=float)
+        k, n = len(self.rows), self.scope.n_states
+        a = np.fromiter(chain.from_iterable(self.rows), float, k * n).reshape(k, n)
         a.setflags(write=False)
         return a
 

@@ -25,7 +25,8 @@ lists them by scope length, then index.  The smallest node covering a
 variable set is then the first that holds them all among the covers of
 its rarest variable (``covering_node``), so hanging each clause off its
 upstream node, finding an evidence home clause and reading a joint stop
-at the smallest cover, however many larger nodes hold the variable.
+at the smallest cover, however many larger nodes hold the variable.  No
+clause hangs off an observation: the structural pass lists them apart.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ class Edge(NamedTuple):
         return self.b if i == self.a else self.a
 
 
-@dataclass(frozen=True)
-class PropagationIndex:
+class PropagationIndex(NamedTuple):
     """What a reasoning run reads that depends only on structure, as
     read-only arrays.  Side ``2e`` of edge ``e`` is its end ``a``, side
     ``2e + 1`` its end ``b``; crossing ``c`` reads side ``c`` and updates
@@ -384,7 +384,10 @@ class _Builder:
         self.nodes: list[Node] = []
         self.pieces: list[tuple[int, ...]] = []  # (group, *join_pieces row)
         self.introducer: dict[str, int] = {}
-        self.covers: dict[str, list[int]] = {}  # as PreparedNetwork.covers
+        # as PreparedNetwork.covers, but the observations, which no clause
+        # hangs off, are held apart until the structure is complete
+        self.covers: dict[str, list[int]] = {}
+        self.observed: dict[str, list[int]] = {}
         self.width: list[int] = []  # node -> its number of variables
         self.maps = StateMaps()
         self.depth: list[int] = []  # node -> 0 for roots, else parents' + 1
@@ -398,8 +401,9 @@ class _Builder:
         nodes, depth, width = self.nodes, self.depth, self.width
         nodes.append(Node(idx, kind, scope, separator, parents, clause_idx, label))
         width.append(len(scope.vars))
+        held = self.observed if kind == OBS else self.covers
         for v in scope.vars:
-            insort(self.covers.setdefault(v, []), idx, key=width.__getitem__)
+            insort(held.setdefault(v, []), idx, key=width.__getitem__)
         depth.append(0 if kind == ROOT else 1 + max(map(depth.__getitem__, parents)))
         if separator is None:
             self.up.append(-1)
@@ -414,7 +418,7 @@ class _Builder:
         """Single node covering ``vars``, else a new group node over the
         clauses connecting them (no earlier group covers ``vars`` either);
         ``where`` names the clause asking."""
-        best = covering_node(self.nodes, self.covers, vars, skip=OBS)
+        best = covering_node(self.nodes, self.covers, vars)
         if best is not None:
             return best
         order = _join_order(self.nodes, self.introducer, vars, where)
@@ -510,7 +514,7 @@ def _propagation_index(b: _Builder, edges, start) -> PropagationIndex:
         n_events=np.array([1 << len(e.separator.vars) for e in edges],
                           dtype=np.intp),
         true_pos=pos[true], true_var=var[true], intro=intro, intro_shift=shift)
-    for a in vars(index).values():
+    for a in index:
         a.setflags(write=False)
     return index
 
@@ -588,6 +592,8 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         adjacency[e.a].append(ei)
         adjacency[e.b].append(ei)
 
+    for v, seen in b.observed.items():  # every observed variable is covered
+        b.covers[v] = sorted(sorted(b.covers[v] + seen), key=b.width.__getitem__)
     b.maps.pool()
     start = np.cumsum([0, *(1 << w for w in b.width)], dtype=np.intp)
     index = _propagation_index(b, edges, start)

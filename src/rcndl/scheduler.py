@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import takewhile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,10 @@ from .errors import (
     ScopeError,
 )
 from .model import (
+    DEFAULT_MAX_PASSES,
+    DEFAULT_THRESHOLD,
+    GREATEST_GRADIENT,
+    PROGRAM_ORDER,
     ConditionalConstraint,
     ConstraintSet,
     JointTable,
@@ -74,12 +79,6 @@ from .model import (
 )
 from .preprocess import GROUP, PreparedNetwork, covering_node
 from .tables import ROOT, ranges
-
-GREATEST_GRADIENT = "greatest-gradient"
-PROGRAM_ORDER = "program-order"
-
-DEFAULT_THRESHOLD = 1e-3
-DEFAULT_MAX_PASSES = 100
 
 
 @dataclass(frozen=True)
@@ -162,8 +161,7 @@ def validate_evidence(net: PreparedNetwork, ev: EvidenceSet) -> list[int]:
 # One rooted propagation schedule per run, over a network's flat array
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(NamedTuple):
     """Every edge crossing at one depth of a propagation, concatenated.
 
     ``near_*`` list the states of the clauses crossed from, ``far_*`` those
@@ -181,8 +179,7 @@ class _Level:
     n_events: int
 
 
-@dataclass(frozen=True)
-class _Route:
+class _Route(NamedTuple):
     """Propagation from one home clause: up to its component's root, one
     crossing at a time, then down the component's levels from the root.
 

@@ -256,7 +256,7 @@ def test_state_maps_built_once_per_edge_side(problem):
         assert np.array_equal(
             ix.events[first:first + ix.sizes[side]],
             real(net.nodes[end].scope, net.edges[side >> 1].separator))
-    for name, a in vars(again.index).items():
+    for name, a in again.index._asdict().items():
         assert np.array_equal(a, getattr(ix, name))
 
 

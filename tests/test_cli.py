@@ -91,12 +91,17 @@ def cancer_file(tmp_path):
     return str(p)
 
 
-def run_cli(*args):
-    """``python -m rcndl.cli`` in a subprocess, importing this package."""
+def python(*argv):
+    """``python *argv`` in a fresh interpreter importing this package."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(rcndl.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-m", "rcndl.cli", *args],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_cli(*args):
+    """``python -m rcndl.cli`` in a subprocess, importing this package."""
+    return python("-m", "rcndl.cli", *args)
 
 
 def evidence_file(tmp_path, text):
@@ -323,3 +328,56 @@ class TestVersionFlag:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+# Runs the command line on its arguments, then lists the rcndl modules loaded.
+LOADED = """
+import sys
+from rcndl.cli import main
+code = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith("rcndl")), file=sys.stderr)
+sys.exit(code)
+"""
+
+REASONING = {"rcndl.engine", "rcndl.evidence", "rcndl.scheduler", "rcndl.oracle"}
+
+
+class TestLoadedModules:
+    """Each command loads the modules it runs, and the package serves the
+    names of the others on first access."""
+
+    def test_check_loads_no_reasoning_module(self, model_file):
+        res = python("-c", LOADED, "check", model_file)
+        assert res.returncode == 0
+        assert "B : [0.660000, 0.340000]." in res.stdout
+        assert REASONING.isdisjoint(res.stderr.split())
+
+    def test_run_loads_no_oracle(self, model_file, tmp_path):
+        ev = evidence_file(tmp_path, "P(B) = 0.33\nP(C) = 0.95")
+        res = python("-c", LOADED, "run", model_file, ev, "--json")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["converged"] is True
+        loaded = set(res.stderr.split())
+        assert "rcndl.scheduler" in loaded and "rcndl.oracle" not in loaded
+
+    def test_star_import_resolves_every_name(self):
+        res = python("-c", "from rcndl import *\nimport rcndl\n"
+                     "print(*(n for n in rcndl.__all__ if n not in globals()))\n"
+                     "print(*sorted(set(rcndl.__all__) - set(dir(rcndl))))")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "\n\n"
+
+    def test_package_attributes(self):
+        res = python("-c", "import types, rcndl\n"
+                     "assert isinstance(rcndl.scheduler, types.ModuleType)\n"
+                     "assert rcndl.run_reasoning is rcndl.scheduler.run_reasoning\n"
+                     "import rcndl.preprocess\n"
+                     "assert isinstance(rcndl.preprocess, types.FunctionType)\n")
+        assert res.returncode == 0, res.stderr
+
+    def test_unknown_attribute(self):
+        res = python("-c", "import rcndl\n"
+                     "try:\n    rcndl.no_such_name\n"
+                     "except AttributeError as exc:\n    print(exc)\n")
+        assert res.stdout == "module 'rcndl' has no attribute 'no_such_name'\n"
+        assert not hasattr(rcndl, "no_such_name")

@@ -1,9 +1,10 @@
 """Setup (parse and preprocess) costs time in the number of clauses.
 
-The four shapes of ``tools/fingerprint.py``'s ``shape_program`` each once
+The five shapes of ``tools/fingerprint.py``'s ``shape_program`` each once
 took time growing as the square of their length: rules listed after the
-rules they depend on, many query cliques, and a variable held by many
-rules, with and without a one-variable clause holding it.  The faster
+rules they depend on, many query cliques, a variable held by many rules,
+with and without a one-variable clause holding it, and a variable
+observed many times.  The faster
 structural lookups must agree with the old ones in
 ``tests/reference_preprocess.py``.
 """

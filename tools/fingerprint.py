@@ -38,10 +38,11 @@ this checkout's).  The script prints one JSON object:
   type and text.  From k = 5 the chain is multiply connected and from
   k = 13 a group would exceed the variable limit, so this covers the
   refusals whose cost depends on when preprocessing refuses;
-* ``shapes``: the networks of four programs whose setup once grew as the
+* ``shapes``: the networks of five programs whose setup once grew as the
   square of their length (``shape_program``), at 50 and 300 clauses: a
   chain of rules listed last first, one-variable query cliques, a star of
-  rules off a one-variable root, and the same star off a rule's body;
+  rules off a one-variable root, the same star off a rule's body, and
+  repeated observations of a rule's body;
 * ``linear``: N seeded linear sets passed straight to ``lec_solve(table,
   c)``: priors over 1-3 variables, some with states without mass, and 1-3
   rows of small integers, some pairs nearly parallel and some rows scaled
@@ -57,7 +58,11 @@ this checkout's).  The script prints one JSON object:
   with one to three characters inserted, replaced, deleted or swapped, or
   names renamed to the name before them, which may repeat a variable in a
   clause); a mutant that does not parse gives its error type and text
-  instead.
+  instead;
+* ``cli``: the stdout and exit code of ``python -m rcndl.cli`` run on the
+  ``paper`` models and evidence files: ``check``, ``run --json``, ``run
+  --trace`` and ``oracle --json``, each in a fresh interpreter that imports
+  the ``rcndl`` under ``--src``.
 
 Each hash covers node kinds, scopes, separators, parents, clause indices,
 labels, edges in order, adjacency, the variable indices, every table's
@@ -80,7 +85,9 @@ import argparse
 import hashlib
 import json
 import random
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -177,25 +184,47 @@ def workloads(rcndl, values: dict) -> dict:
     return out
 
 
+DEMOS = ROOT / "demos"
+PAPER = {
+    "three_vars": ["evidence_uncertain.txt"],
+    "cancer": ["evidence_cancer_bayesian.txt", "evidence_cancer_uncertain.txt"],
+}
+
+
 def paper(rcndl, values: dict) -> dict:
-    demos = ROOT / "demos"
-    pairs = {
-        "three_vars": ["evidence_uncertain.txt"],
-        "cancer": ["evidence_cancer_bayesian.txt",
-                   "evidence_cancer_uncertain.txt"],
-    }
     out = {}
-    for model, files in pairs.items():
-        text = (demos / "models" / f"{model}.rcndl").read_text()
+    for model, files in PAPER.items():
+        text = (DEMOS / "models" / f"{model}.rcndl").read_text()
         net = rcndl.preprocess(rcndl.parse_program(text))
         out[model] = network_digest(net)
         for name in files:
-            constraints = rcndl.parse_evidence((demos / name).read_text())
+            constraints = rcndl.parse_evidence((DEMOS / name).read_text())
             for policy in (rcndl.GREATEST_GRADIENT, rcndl.PROGRAM_ORDER):
                 key = f"{model}/{name}/{policy}"
                 result = run(rcndl, net, constraints, policy, 1e-6)
                 out[key] = run_digest(result)
                 values[f"paper/{key}"] = run_values(rcndl, result)
+    return out
+
+
+def cli(src: Path) -> dict:
+    """The ``cli`` section: each command's stdout and exit code, hashed."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def command(*args) -> str:
+        res = subprocess.run([sys.executable, "-m", "rcndl.cli", *map(str, args)],
+                             capture_output=True, env=env, timeout=120)
+        return digest(res.stdout, res.returncode)
+
+    out = {}
+    for model, files in PAPER.items():
+        path = DEMOS / "models" / f"{model}.rcndl"
+        out[f"check/{model}"] = command("check", path)
+        for name in files:
+            flags = (path, DEMOS / name, "--threshold", "1e-6")
+            out[f"run/{model}/{name}"] = command("run", *flags, "--json")
+            out[f"run-trace/{model}/{name}"] = command("run", *flags, "--trace")
+            out[f"oracle/{model}/{name}"] = command("oracle", *flags, "--json")
     return out
 
 
@@ -351,7 +380,7 @@ def chains(rcndl) -> dict:
     return out
 
 
-SHAPES = ("reverse-chain", "cliques", "star", "hub")
+SHAPES = ("reverse-chain", "cliques", "star", "hub", "observed")
 
 
 def shape_program(shape: str, n: int) -> str:
@@ -359,9 +388,12 @@ def shape_program(shape: str, n: int) -> str:
     ``X_{k} -> X_{k+1}`` for k from n - 1 down to 0 under ``?- X0``;
     ``?- V0; ...; V_{n-1}``; ``R -> B_i`` for i < n under ``?- R``; or the
     same rules under ``?- X`` and ``X -> R``, where no one-variable clause
-    holds ``R``."""
+    holds ``R``; or ``n`` observations ``R.`` under ``?- X`` and
+    ``X -> R``."""
     if shape == "cliques":
         return "?- " + "; ".join(f"V{i} : [0.25, 0.75]" for i in range(n)) + ".\n"
+    if shape == "observed":
+        return "?- X : [0.5, 0.5].\nX -> R : [0.2, 0.9].\n" + "R.\n" * n
     if shape == "reverse-chain":
         lines = ["?- X0 : [0.5, 0.5]."]
         lines += [f"X{k} -> X{k + 1} : [0.3, 0.6]." for k in reversed(range(n))]
@@ -509,7 +541,8 @@ def main(argv=None) -> None:
         json.dump(closeness(*args.close), sys.stdout, indent=1)
         print()
         return
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
     import rcndl
 
     print(f"rcndl from {Path(rcndl.__file__).parent}", file=sys.stderr)
@@ -528,6 +561,7 @@ def main(argv=None) -> None:
         "linear": linear_outcomes,
         "linear_messages": linear_messages,
         "parse": parses(rcndl, args.programs),
+        "cli": cli(src),
     }, sys.stdout, indent=1)
     print()
     if args.values:
