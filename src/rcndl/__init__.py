@@ -33,8 +33,6 @@ from .model import (
     RuleClause,
     Scope,
     marginalize,
-    multiply_condition,
-    state_index,
 )
 from .parser import SourceProgram, parse_program, render_program
 from .preprocess import PreparedNetwork, preprocess, render_intermediate
@@ -105,7 +103,6 @@ __all__ = [
     "jeffrey_update",
     "lec_solve",
     "marginalize",
-    "multiply_condition",
     "oracle_mce",
     "parse_evidence",
     "parse_program",
@@ -115,5 +112,4 @@ __all__ = [
     "render_intermediate",
     "render_program",
     "run_reasoning",
-    "state_index",
 ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -95,26 +95,6 @@ def trusted_scope(vars: tuple[str, ...]) -> Scope:
     scope = object.__new__(Scope)
     object.__setattr__(scope, "vars", vars)
     return scope
-
-
-def state_index(scope: Scope, assignment: Mapping[str, bool]) -> int:
-    """Index of the state in which each scope variable takes the given value.
-
-    The assignment must cover exactly the scope's variables.
-    """
-    if set(assignment) != set(scope.vars):
-        missing = set(scope.vars) - set(assignment)
-        extra = set(assignment) - set(scope.vars)
-        raise ScopeError(
-            f"assignment does not match scope: missing {sorted(missing)}, "
-            f"extra {sorted(extra)}"
-        )
-    n = len(scope)
-    j = 0
-    for k, v in enumerate(scope.vars):
-        if assignment[v]:
-            j |= 1 << (n - 1 - k)
-    return j
 
 
 def event_label(scope: Scope, state: int) -> str:
@@ -266,27 +246,6 @@ def marginalize(table: JointTable, sub: Scope) -> JointTable:
     out = np.bincount(substate_map(table.scope, sub), table.probs,
                       minlength=sub.n_states)
     return JointTable(sub, out, _validate=False)
-
-
-def multiply_condition(
-    head_joint: JointTable, cond: Sequence[float], body: str
-) -> JointTable:
-    """Extend a joint over the head scope by a conditional for one new variable.
-
-    ``cond[i]`` is the probability that ``body`` is true given head
-    configuration ``i``; the result ranges over ``head ++ [body]``.
-    """
-    n = head_joint.scope.n_states
-    c = np.asarray(cond, dtype=float)
-    if c.shape != (n,):
-        raise ArityError(f"conditional list needs {n} entries, got {c.shape}")
-    if body in head_joint.scope:
-        raise ScopeError(f"body variable {body!r} already occurs in the head")
-    out = np.empty(2 * n)
-    out[0::2] = head_joint.probs * (1.0 - c)
-    out[1::2] = head_joint.probs * c
-    return JointTable(Scope(tuple(head_joint.scope.vars) + (body,)), out,
-                      _validate=False)
 
 
 def scale_events(

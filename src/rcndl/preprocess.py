@@ -19,14 +19,13 @@ straight into one flat array, which becomes read-only and which the
 network holds.  The represented joint is exact for singly connected
 clause networks.
 
-Every node's scope is indexed by variable: ``holders[v]`` lists, in
-ascending order, the nodes whose scope contains ``v``, and ``covers[v]``
-lists them by scope length, then index.  The smallest node covering a
-variable set is then the first that holds them all among the covers of
-its rarest variable (``covering_node``), so hanging each clause off its
-upstream node, finding an evidence home clause and reading a joint stop
-at the smallest cover, however many larger nodes hold the variable.  No
-clause hangs off an observation: the structural pass lists them apart.
+Every node's scope is indexed by variable: ``covers[v]`` lists the nodes
+whose scope contains ``v`` by scope length, then index.  The smallest node
+covering a variable set is then the first that holds them all among the
+covers of its rarest variable (``covering_node``), so hanging each clause
+off its upstream node, finding an evidence home clause and reading a joint
+stop at the smallest cover, however many larger nodes hold the variable.
+No clause hangs off an observation: the structural pass lists them apart.
 """
 
 from __future__ import annotations
@@ -100,9 +99,6 @@ class Edge(NamedTuple):
     b: int
     separator: Scope
 
-    def other(self, i: int) -> int:
-        return self.b if i == self.a else self.a
-
 
 class PropagationIndex(NamedTuple):
     """What a reasoning run reads that depends only on structure, as
@@ -118,10 +114,9 @@ class PropagationIndex(NamedTuple):
     away: np.ndarray         # crossings by the clause they leave, edge order
     away_start: np.ndarray   # node -> its first crossing in away; len(nodes) + 1
     n_events: np.ndarray     # edge -> number of separator events
-    true_pos: np.ndarray     # each variable's true states in its introducer,
-    true_var: np.ndarray     # as flat positions and the variable's number
-    intro: np.ndarray        # variable -> the node introducing it
-    intro_shift: np.ndarray  # variable -> its bit's place in that node's states
+    false_pos: np.ndarray    # variable by variable, the flat positions of its
+    true_pos: np.ndarray     # false and of its true states in its introducer
+    true_var: np.ndarray     # each position's variable, the same in both
 
 
 @dataclass(frozen=True)
@@ -141,10 +136,8 @@ class PreparedNetwork:
     start: np.ndarray = field(repr=False)  # table offsets, len(nodes) + 1
     edges: tuple[Edge, ...]
     introducer: dict[str, int]          # variable -> node that introduces it
-    holders: dict[str, tuple[int, ...]]  # variable -> nodes holding it, ascending
     covers: dict[str, tuple[int, ...]] = field(repr=False)  # by scope length
     observables: frozenset[str]
-    adjacency: tuple[tuple[int, ...], ...]   # node -> incident edge indices
     index: PropagationIndex = field(repr=False)  # shared by every posterior
 
     @property
@@ -163,10 +156,10 @@ class PreparedNetwork:
         """``(P(not v), P(v))`` for every variable ``v``, each summed from its
         introducer's slice of ``flat`` in ascending position order, as
         ``marginalize`` sums a table; made when first read."""
-        ix = self.index
-        pos, var, true = _introducer_states(self.start, ix.intro, ix.intro_shift)
-        p = np.bincount(2 * var + true, self.flat[pos], minlength=2 * ix.intro.size)
-        return dict(zip(self.introducer, zip(p[0::2].tolist(), p[1::2].tolist())))
+        ix, n = self.index, len(self.introducer)
+        false, true = (np.bincount(ix.true_var, self.flat[pos], minlength=n).tolist()
+                       for pos in (ix.false_pos, ix.true_pos))
+        return dict(zip(self.introducer, zip(false, true)))
 
     def over(self, flat: np.ndarray) -> "PreparedNetwork":
         """The network with its tables in ``flat``, which becomes read-only."""
@@ -486,15 +479,6 @@ class _Builder:
         return tuple(edges)
 
 
-def _introducer_states(start, intro, shift):
-    """Every state of each variable's introducer, variable by variable:
-    its flat position, the variable's number and whether it is true there."""
-    first, sizes = start[intro], np.diff(start)[intro]
-    pos = ranges(first, sizes)
-    var = np.repeat(np.arange(intro.size, dtype=np.intp), sizes)
-    return pos, var, ((pos - first[var]) >> shift[var] & 1).astype(bool)
-
-
 def _propagation_index(b: _Builder, edges, start) -> PropagationIndex:
     """The ``PropagationIndex`` of the clause tree ``b`` built, whose
     tables start at ``start``; each side's state map is read from the
@@ -504,7 +488,11 @@ def _propagation_index(b: _Builder, edges, start) -> PropagationIndex:
     intro = np.array(list(b.introducer.values()), dtype=np.intp)
     shift = np.array([len(scopes[i]) - 1 - scopes[i].index(v)
                       for v, i in b.introducer.items()], dtype=np.intp)
-    pos, var, true = _introducer_states(start, intro, shift)
+    # every state of each variable's introducer, variable by variable
+    first, sizes = start[intro], np.diff(start)[intro]
+    pos = ranges(first, sizes)
+    var = np.repeat(np.arange(intro.size, dtype=np.intp), sizes)
+    true = ((pos - first[var]) >> shift[var] & 1).astype(bool)
     index = PropagationIndex(
         ends=ends, flat_first=start[ends], sizes=np.diff(start)[ends],
         event_first=b.maps.first[np.array(b.sides, dtype=np.intp)],
@@ -513,7 +501,7 @@ def _propagation_index(b: _Builder, edges, start) -> PropagationIndex:
             ([0], np.cumsum(np.bincount(ends, minlength=len(b.nodes))))),
         n_events=np.array([1 << len(e.separator.vars) for e in edges],
                           dtype=np.intp),
-        true_pos=pos[true], true_var=var[true], intro=intro, intro_shift=shift)
+        false_pos=pos[~true], true_pos=pos[true], true_var=var[true])
     for a in index:
         a.setflags(write=False)
     return index
@@ -587,11 +575,6 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         observables |= set(clause.vars)
 
     edges = b.build_edges()
-    adjacency: list[list[int]] = [[] for _ in b.nodes]
-    for ei, e in enumerate(edges):
-        adjacency[e.a].append(ei)
-        adjacency[e.b].append(ei)
-
     for v, seen in b.observed.items():  # every observed variable is covered
         b.covers[v] = sorted(sorted(b.covers[v] + seen), key=b.width.__getitem__)
     b.maps.pool()
@@ -608,10 +591,8 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         start=start,
         edges=edges,
         introducer=dict(b.introducer),
-        holders={v: tuple(sorted(c)) for v, c in b.covers.items()},
         covers={v: tuple(c) for v, c in b.covers.items()},
         observables=frozenset(observables),
-        adjacency=tuple(tuple(a) for a in adjacency),
         index=index,
     )
 

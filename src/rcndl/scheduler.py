@@ -75,7 +75,6 @@ from .model import (
     event_indices,
     lift,
     marginalize,  # unused here; perfbench/tracer.py wraps it by this name
-    substate_map,
 )
 from .preprocess import GROUP, PreparedNetwork, covering_node
 from .tables import ROOT, ranges
@@ -492,24 +491,8 @@ def run_reasoning(
     return net.over(flat), trace
 
 
-def _marginal(net: PreparedNetwork, i: int, sub: Scope) -> np.ndarray:
-    """Node ``i``'s marginal over the one-variable ``sub``, summed from its
-    slice of ``flat`` as ``marginalize`` sums a table."""
-    return np.bincount(substate_map(net.nodes[i].scope, sub),
-                       net.flat[net.start[i]:net.start[i + 1]], minlength=2)
-
-
 def posterior_marginal(net: PreparedNetwork, var: str) -> tuple[float, float]:
     """``[P(not var), P(var)]`` read from the clause introducing the variable."""
     if var not in net.introducer:
         raise ScopeError(f"unknown variable {var!r}")
     return net.marginals[var]
-
-
-def marginal_spread(net: PreparedNetwork, var: str) -> float:
-    """Largest disagreement on P(var) across the nodes containing it."""
-    if var not in net.introducer:
-        raise ScopeError(f"unknown variable {var!r}")
-    sub = Scope((var,))
-    values = [_marginal(net, i, sub)[1] for i in net.holders[var]]
-    return max(values) - min(values)

@@ -14,24 +14,28 @@ give the same edges in the same order, or reject the same node lists as
 multiply connected.
 
 ``_tables`` is the numeric pass node by node, through ``JointTable``s:
-each rule a ``multiply_condition`` of its upstream marginal, each group a
-``_join`` of its members, two tables at a time, in the join order the
-builder's pieces record.  The batched pass must
-write the same tables byte for byte, and ``joint_over`` must read the
-same joint as ``_join``.
+each rule a ``multiply_condition`` of its upstream marginal (the
+conditional step, kept here), each group a ``_join`` of its members, two
+tables at a time, in the join order the builder's pieces record.  The
+batched pass must write the same tables byte for byte, and
+``joint_over`` must read the same joint as ``_join``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rcndl.errors import MultiplyConnectedError, NetworkStructureError
+from rcndl.errors import (
+    ArityError,
+    MultiplyConnectedError,
+    NetworkStructureError,
+    ScopeError,
+)
 from rcndl.model import (
     RuleClause,
     JointTable,
     Scope,
     marginalize,
-    multiply_condition,
     normalized,
     product,
     substate_map,
@@ -39,6 +43,25 @@ from rcndl.model import (
 from rcndl.parser import SourceProgram
 from rcndl.preprocess import GROUP, OBS, ROOT, RULE, Edge, _Builder
 from rcndl.tables import _OVERLAP_TOL, _complete_cond, _complete_prior
+
+
+def multiply_condition(head_joint, cond, body):
+    """Extend a joint over the head scope by a conditional for one new variable.
+
+    ``cond[i]`` is the probability that ``body`` is true given head
+    configuration ``i``; the result ranges over ``head ++ [body]``.
+    """
+    n = head_joint.scope.n_states
+    c = np.asarray(cond, dtype=float)
+    if c.shape != (n,):
+        raise ArityError(f"conditional list needs {n} entries, got {c.shape}")
+    if body in head_joint.scope:
+        raise ScopeError(f"body variable {body!r} already occurs in the head")
+    out = np.empty(2 * n)
+    out[0::2] = head_joint.probs * (1.0 - c)
+    out[1::2] = head_joint.probs * c
+    return JointTable(Scope(tuple(head_joint.scope.vars) + (body,)), out,
+                      _validate=False)
 
 
 def build_edges(nodes):

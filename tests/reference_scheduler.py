@@ -19,6 +19,9 @@ every call: it keys the edge sides' state maps itself, roots each
 component by a walk in Python and walks it breadth-first from the root.
 The routes that ``rcndl.scheduler`` gathers from the network's
 ``PropagationIndex`` must equal its routes array for array.
+
+``marginal_spread`` measures how far the clauses holding a variable
+disagree on its marginal, which propagation must keep within round-off.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from rcndl.engine import (
     jeffrey_update,
     lec_solve,
 )
-from rcndl.errors import ConvergenceError, InfeasibleEvidenceError
+from rcndl.errors import ConvergenceError, InfeasibleEvidenceError, ScopeError
 from rcndl.model import (
     ConditionalConstraint,
     MarginalConstraint,
+    Scope,
     marginalize,
     substate_map,
 )
@@ -56,11 +60,25 @@ from rcndl.scheduler import (
 )
 
 
+def adjacency(net):
+    """Each node's incident edges, in edge order."""
+    out = [[] for _ in net.nodes]
+    for ei, e in enumerate(net.edges):
+        out[e.a].append(ei)
+        out[e.b].append(ei)
+    return out
+
+
+def far_end(net, ei, i):
+    """The end of edge ``ei`` that is not clause ``i``."""
+    return net.edges[ei].a + net.edges[ei].b - i
+
+
 def _cross(net, i, ei):
     """``net`` with the clause across edge ``ei`` from clause ``i``
     Jeffrey-updated to ``i``'s separator marginal."""
     edge = net.edges[ei]
-    j = edge.other(i)
+    j = far_end(net, ei, i)
     sep_dist = marginalize(net.tables[i], edge.separator)
     refreshed = jeffrey_update(
         net.tables[j],
@@ -74,11 +92,11 @@ def propagate_breadth_first(net, updated, visited=None):
     the one it starts from."""
     visited = set() if visited is None else visited
     visited.add(updated)
-    queue = deque([updated])
+    queue, adj = deque([updated]), adjacency(net)
     while queue:
         i = queue.popleft()
-        for ei in net.adjacency[i]:
-            j = net.edges[ei].other(i)
+        for ei in adj[i]:
+            j = far_end(net, ei, i)
             if j in visited:
                 continue
             net = _cross(net, i, ei)
@@ -90,9 +108,9 @@ def propagate_breadth_first(net, updated, visited=None):
 def _down(net, node):
     """The lowest-index node of ``node``'s component and the crossings
     breadth-first down from it, as (near clause, edge) pairs."""
-    seen, stack = {node}, [node]
+    seen, stack, adj = {node}, [node], adjacency(net)
     while stack:
-        for ei in net.adjacency[stack.pop()]:
+        for ei in adj[stack.pop()]:
             for j in (net.edges[ei].a, net.edges[ei].b):
                 if j not in seen:
                     seen.add(j)
@@ -101,8 +119,8 @@ def _down(net, node):
     seen, queue, order = {root}, deque([root]), []
     while queue:
         i = queue.popleft()
-        for ei in net.adjacency[i]:
-            j = net.edges[ei].other(i)
+        for ei in adj[i]:
+            j = far_end(net, ei, i)
             if j not in seen:
                 seen.add(j)
                 queue.append(j)
@@ -112,7 +130,7 @@ def _down(net, node):
 
 def _way_up(net, updated, order):
     """The (clause, edge) crossings from ``updated`` up to its root."""
-    parent = {net.edges[ei].other(i): (i, ei) for i, ei in order}
+    parent = {far_end(net, ei, i): (i, ei) for i, ei in order}
     up, i = [], updated
     while i in parent:
         p, ei = parent[i]
@@ -132,7 +150,7 @@ def propagate_clause_update(net, updated, visited=None):
         if ei not in path:
             net = _cross(net, i, ei)
     if visited is not None:
-        visited |= {root, *(net.edges[ei].other(i) for i, ei in order)}
+        visited |= {root, *(far_end(net, ei, i) for i, ei in order)}
     return net
 
 
@@ -225,7 +243,7 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
     index = (net.start[ends], np.array(offsets, np.intp),
              np.diff(net.start)[ends], events)
     links = [[2 * e + (ends[2 * e] != i) for e in adj]  # crossings away
-             for i, adj in enumerate(net.adjacency)]
+             for i, adj in enumerate(adjacency(net))]
     n_events = np.array([e.separator.n_states for e in net.edges], np.intp)
     routes = {}
     for h in dict.fromkeys(homes):
@@ -233,7 +251,7 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
         touched, levels = _levels(root, links, ends, index, n_events)
         way, up, down = _way_up(net, h, order), [], []
         for i, ei in way:
-            sep, p = net.edges[ei].separator, net.edges[ei].other(i)
+            sep, p = net.edges[ei].separator, far_end(net, ei, i)
             up.append((slice(net.start[i], net.start[i + 1]),
                        substate_map(net.nodes[i].scope, sep),
                        slice(net.start[p], net.start[p + 1]),
@@ -285,3 +303,12 @@ def _levels(root: int, links, ends, index, n_events):
         _Level(*near[k], *far[k], edges[a:b], int(first[k + 1] - first[k]))
         for k, (a, b) in enumerate(zip(bounds, bounds[1:])))
     return tuple(sorted(seen)), levels
+
+
+def marginal_spread(net, var):
+    """Largest disagreement on P(var) across the nodes containing it."""
+    if var not in net.introducer:
+        raise ScopeError(f"unknown variable {var!r}")
+    sub = Scope((var,))
+    values = [marginalize(net.tables[i], sub).probs[1] for i in net.covers[var]]
+    return max(values) - min(values)

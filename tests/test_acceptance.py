@@ -36,8 +36,9 @@ from rcndl import (
 )
 from rcndl.cli import main
 from rcndl.engine import constraint_gradient, dual_value_and_gradient
-from rcndl.scheduler import home_clause, marginal_spread
+from rcndl.scheduler import home_clause
 from tests.conftest import CANCER, THREE_VARS
+from tests.reference_scheduler import marginal_spread
 
 TABLE_ROWS = [(0.33, 0.95), (1.0, 0.15), (0.15, 0.67),
               (0.27, 0.05), (0.65, 0.85), (0.95, 0.85)]

@@ -173,11 +173,11 @@ def test_network_without_edges_matches_reference():
 
 def component(net, home):
     """The nodes joined to ``home`` by edges, sorted."""
-    seen, stack = {home}, [home]
+    seen, stack, adj = {home}, [home], reference.adjacency(net)
     while stack:
         i = stack.pop()
-        for ei in net.adjacency[i]:
-            j = net.edges[ei].other(i)
+        for ei in adj[i]:
+            j = reference.far_end(net, ei, i)
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
@@ -227,7 +227,7 @@ def test_state_maps_built_once_per_edge_side(problem):
     application and a clause's propagation make none."""
     net, ev = problem
     calls = []
-    real = scheduler.substate_map
+    real = sys.modules["rcndl.model"].substate_map
 
     def key(scope, sub):
         return len(scope), tuple(scope.vars.index(v) for v in sub.vars)

@@ -184,10 +184,10 @@ def test_joint_over_reweighted_tables_matches_reference(net):
 
 def test_no_per_node_table_work(monkeypatch):
     """One preprocess of a 2,001-clause network makes as many
-    ``JointTable``s and calls ``marginalize`` and ``multiply_condition``
-    as often, through the preprocessing modules, as one of 251 clauses."""
+    ``JointTable``s and calls ``marginalize`` as often, through the
+    preprocessing modules, as one of 251 clauses."""
     calls = Counter()
-    for name in ("marginalize", "multiply_condition", "JointTable"):
+    for name in ("marginalize", "JointTable"):
         def spy(*args, _real=getattr(model, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)

@@ -22,9 +22,8 @@ from rcndl import (
     marginalize,
     parse_program,
     preprocess,
-    state_index,
 )
-from rcndl.model import lift, product, substate_map
+from rcndl.model import event_indices, lift, product, substate_map
 from rcndl.preprocess import GROUP, OBS, RULE
 from rcndl.scheduler import home_clause
 from tests.test_batched_propagation import constraint, networks
@@ -118,7 +117,7 @@ def test_substate_map_matches_bit_definition():
         values = [{v: (j >> (n - 1 - t)) & 1 for t, v in enumerate(ab.scope.vars)}
                   for j in range(1 << n)]
         assert ab.probs.tolist() == [
-            a.probs[state_index(sub, {v: x[v] for v in sub.vars})]
-            * b.probs[state_index(scope, x)]
+            a.probs[event_indices(sub, {v: x[v] for v in sub.vars})[0]]
+            * b.probs[event_indices(scope, x)[0]]
             for x in values
         ], (n, positions)

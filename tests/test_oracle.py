@@ -27,9 +27,8 @@ from rcndl import (
     parse_program,
     preprocess,
     run_reasoning,
-    state_index,
 )
-from rcndl.model import QueryClause, RuleClause, substate_map
+from rcndl.model import QueryClause, RuleClause, event_indices, substate_map
 from tests.conftest import brute_force_cancer, brute_force_three_vars
 from tests.test_batched_propagation import PROB, networks
 
@@ -378,7 +377,7 @@ def tilted_problems(draw):
                 st.lists(st.sampled_from(head), min_size=1, unique=True)))
             scope = Scope(tuple(v for v, _ in condition) + (body,))
             m = marginal(scope)
-            true, false = (m[state_index(scope, {**dict(condition), body: b})]
+            true, false = (m[event_indices(scope, {**dict(condition), body: b})[0]]
                            for b in (True, False))
             cons.append(ConditionalConstraint(body, condition,
                                               float(true / (true + false))))

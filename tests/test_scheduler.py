@@ -30,8 +30,9 @@ from rcndl import (
 )
 from rcndl.engine import gradient_scalar
 from rcndl.errors import ProbabilityError
-from rcndl.scheduler import home_clause, marginal_spread
+from rcndl.scheduler import home_clause
 from tests.conftest import CANCER, THREE_VARS
+from tests.reference_scheduler import marginal_spread
 
 
 def node_by_label(net, label):

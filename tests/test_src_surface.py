@@ -1,0 +1,116 @@
+"""Every function, method and network field in ``src/rcndl`` is there
+because the program reads it.
+
+A definition is live when code that runs reads it: code run on import, or
+the body of a live function.  Functions in ``rcndl.__all__``, special
+methods and the entries of ``ALLOWED`` are live from the start.  A
+function counts as read by a name or an attribute that spells it, a method
+or a field of ``PreparedNetwork`` or ``PropagationIndex`` by an attribute.
+Matching is by spelling alone: a read of another thing of the same name
+keeps a definition live, and a read through a string (``getattr``) is not
+seen, so names reached that way are exported or allowed.  A definition
+that only tests, reference modules or tools read is dead: such a reader
+works it out from what stays, or keeps a copy.
+"""
+
+import ast
+from pathlib import Path
+
+import rcndl
+
+SRC = Path(rcndl.__file__).parent
+FIELDS_OF = ("PreparedNetwork", "PropagationIndex")
+
+# Definitions kept although no code in the package reads them, each with
+# its reason.
+ALLOWED = {
+    "preprocess.PreparedNetwork.joint_over":
+        "public: the joint over any variable set, which callers read; the "
+        "benchmark reads each constraint's gradient off it",
+    "preprocess.PreparedNetwork.with_table":
+        "perfbench/tracer.py counts its calls by this name until the tracer "
+        "reads run statistics instead (ROADMAP item 1, step B)",
+}
+
+
+def _collect(tree, module):
+    """Every definition in ``tree``, as qualified name -> (how it is read,
+    its name), and every read, as the definition whose body holds it (None
+    for code run on import) -> a set of (how, name)."""
+    defs, reads = {}, {}
+
+    def visit(node, owner, cls=None):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            key = f"{cls or owner or module}.{node.name}"
+            defs[key] = ("attr" if cls else "name", node.name)
+            for part in (*node.decorator_list, node.args):
+                visit(part, owner)
+            for stmt in node.body:
+                visit(stmt, key)
+            return
+        if isinstance(node, ast.ClassDef):
+            for part in (*node.decorator_list, *node.bases, *node.keywords):
+                visit(part, owner)
+            for stmt in node.body:
+                visit(stmt, owner, f"{module}.{node.name}")
+            return
+        if (cls and cls.split(".")[1] in FIELDS_OF
+                and isinstance(node, ast.AnnAssign)):
+            defs[f"{cls}.{node.target.id}"] = ("attr", node.target.id)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(owner, set()).add(("name", node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(owner, set()).add(("attr", node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for stmt in tree.body:
+        visit(stmt, None)
+    return defs, reads
+
+
+def _package():
+    defs, reads = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        d, r = _collect(ast.parse(path.read_text()), path.stem)
+        defs.update(d)
+        for owner, names in r.items():
+            reads.setdefault(owner, set()).update(names)
+    return defs, reads
+
+
+def _dead(defs, reads, allowed):
+    """The definitions that no live code reads."""
+    readers = {}  # (how, name) -> the definitions that read resolves to
+    for key, (how, name) in defs.items():
+        readers.setdefault(("attr", name), []).append(key)
+        if how == "name":
+            readers.setdefault(("name", name), []).append(key)
+    todo = [None, *allowed]
+    todo += [k for k, (how, name) in defs.items()
+             if name.startswith("__") and name.endswith("__")
+             or (how == "name" and k.count(".") == 1 and name in rcndl.__all__)]
+    live = set()
+    while todo:
+        owner = todo.pop()
+        if owner in live:
+            continue
+        live.add(owner)
+        for read in reads.get(owner, ()):
+            todo += readers.get(read, ())
+    return sorted(set(defs) - live)
+
+
+def test_every_definition_is_read_by_code_that_runs():
+    defs, reads = _package()
+    # the check sees the fields it is about
+    assert {"preprocess.PreparedNetwork.flat",
+            "preprocess.PropagationIndex.ends"} <= set(defs)
+    assert _dead(defs, reads, ALLOWED) == []
+
+
+def test_every_allowed_definition_is_needed():
+    """An entry of ``ALLOWED`` names a definition that the package has and
+    that nothing else keeps live."""
+    defs, reads = _package()
+    assert set(ALLOWED) <= set(_dead(defs, reads, ()))

@@ -65,7 +65,8 @@ this checkout's).  The script prints one JSON object:
   the ``rcndl`` under ``--src``.
 
 Each hash covers node kinds, scopes, separators, parents, clause indices,
-labels, edges in order, adjacency, the variable indices, every table's
+labels, edges in order, each node's incident edges, the variable indices
+(each variable's introducer and its nodes, ascending), every table's
 bytes and, for runs, the posterior tables and every trace field.  To check
 a change, run the script against a second checkout of the parent commit
 (``git worktree`` or ``git archive``) and against the change, and diff the
@@ -114,13 +115,18 @@ def tables_digest(net) -> str:
 
 
 def network_digest(net) -> str:
+    adjacency = [[] for _ in net.nodes]  # node -> incident edges, in order
+    for ei, e in enumerate(net.edges):
+        adjacency[e.a].append(ei)
+        adjacency[e.b].append(ei)
     return digest(
         [(n.idx, n.kind, n.scope.vars,
           None if n.separator is None else n.separator.vars,
           n.parents, n.clause_idx, n.label) for n in net.nodes],
         [(e.a, e.b, e.separator.vars) for e in net.edges],
-        net.adjacency, net.introducer, net.holders, sorted(net.observables),
-        tables_digest(net),
+        tuple(map(tuple, adjacency)), net.introducer,
+        {v: tuple(sorted(c)) for v, c in net.covers.items()},
+        sorted(net.observables), tables_digest(net),
     )
 
 
