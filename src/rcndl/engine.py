@@ -206,13 +206,12 @@ def lec_solve(
             f"constraint scope {c.scope.vars} not within table scope "
             f"{table.scope.vars}"
         )
-    rows = (c.row_matrix if c.scope == table.scope
-            else lift(c.row_matrix, c.scope, table.scope))
-    rhs = np.asarray(c.rhs, dtype=float)
+    rows = c.rows if c.scope == table.scope else lift(c.rows, c.scope, table.scope)
+    rhs = c.rhs
     # max|a_k| (1 for a zero row, whose multiplier never moves) and the
     # width max a_k - min a_k, how far a unit multiplier moves a
     # log-probability ratio, from the unlifted rows without a temporary
-    top, bottom = c.row_matrix.max(axis=1), c.row_matrix.min(axis=1)
+    top, bottom = c.rows.max(axis=1), c.rows.min(axis=1)
     unit, width = np.maximum(top, -bottom), top - bottom
     unit[unit == 0.0] = 1.0
     prior = table.probs
@@ -323,9 +322,8 @@ def constraint_gradient(table: JointTable, c: ConstraintSet) -> np.ndarray:
         current = table.prob_of({**cond, c.target: True}) / mass
         return np.array([c.prob - current])
     if isinstance(c, LinearConstraint):
-        rows = (c.row_matrix if c.scope == table.scope
-                else lift(c.row_matrix, c.scope, table.scope))
-        return np.asarray(c.rhs, dtype=float) - rows @ table.probs
+        rows = c.rows if c.scope == table.scope else lift(c.rows, c.scope, table.scope)
+        return c.rhs - rows @ table.probs
     raise TypeError(f"unknown constraint type {type(c).__name__}")
 
 

@@ -29,8 +29,7 @@ event sum goes over axes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import chain
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -198,10 +197,11 @@ class JointTable:
                 f"table over {scope.vars} needs {scope.n_states} entries, "
                 f"got {p.shape}"
             )
-        if _validate:
-            if p.min() < -1e-12:
-                raise ProbabilityError(f"negative probability {p.min()} in table")
-            if abs(p.sum() - 1.0) > UNIT_SUM_TOL:
+        if _validate:  # written so that a NaN fails both checks
+            if not p.min() >= -1e-12:
+                raise ProbabilityError(
+                    f"negative or NaN probability {p.min()} in table")
+            if not abs(p.sum() - 1.0) <= UNIT_SUM_TOL:
                 raise ProbabilityError(f"table sums to {p.sum():.12f}, not 1")
             p = np.clip(p, 0.0, None)
         p.setflags(write=False)
@@ -392,37 +392,36 @@ class ConditionalConstraint:
         return f"P({self.target}|{conds})={self.prob:g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearConstraint:
-    """Rows ``a_k`` over the states of a scope with right-hand sides ``b_k``."""
+    """Rows ``a_k`` over the states of a scope with right-hand sides ``b_k``,
+    given as any array-like and held as read-only float copies, a ``(k,
+    n_states)`` and a ``(k,)`` array.  Sets are equal only if identical."""
 
     scope: Scope
-    rows: tuple[tuple[float, ...], ...]
-    rhs: tuple[float, ...]
+    rows: np.ndarray
+    rhs: np.ndarray
     threshold: float | None = None
 
     def __post_init__(self):
-        if len(self.rows) != len(self.rhs):
+        n = self.scope.n_states
+        try:  # in C order: BLAS rounds products over other layouts differently
+            rows = np.array(self.rows, dtype=float, order="C")
+        except ValueError as exc:  # rows of unequal length
+            raise ArityError(f"linear row needs {n} coefficients") from exc
+        rhs = np.array(self.rhs, dtype=float)
+        if rhs.ndim != 1 or rows.shape[:1] != rhs.shape:
             raise ArityError("row count does not match right-hand side count")
-        if not self.rows:
+        if not rhs.size:
             raise ArityError("a linear constraint needs at least one row")
-        for r in self.rows:
-            if len(r) != self.scope.n_states:
-                raise ArityError(
-                    f"linear row needs {self.scope.n_states} coefficients"
-                )
-        if not (np.isfinite(self.row_matrix).all()
-                and np.isfinite(self.rhs).all()):
+        if rows.shape[1:] != (n,):
+            raise ArityError(f"linear row needs {n} coefficients")
+        if not (np.isfinite(rows).all() and np.isfinite(rhs).all()):
             raise ProbabilityError(
                 "linear rows and right-hand sides must be finite numbers")
-
-    @cached_property
-    def row_matrix(self) -> np.ndarray:
-        """The rows as a read-only ``(k, n_states)`` float array, built once."""
-        k, n = len(self.rows), self.scope.n_states
-        a = np.fromiter(chain.from_iterable(self.rows), float, k * n).reshape(k, n)
-        a.setflags(write=False)
-        return a
+        for name, a in (("rows", rows), ("rhs", rhs)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def variables(self) -> tuple[str, ...]:
         return self.scope.vars

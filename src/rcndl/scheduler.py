@@ -30,9 +30,9 @@ depth at a time, and gathers every depth's crossings' states and events
 at once: crossings at one depth touch disjoint far clauses and read near
 clauses already final, so each depth is a few batched numpy operations.
 Propagating from a home crosses the edges from the home up to its root one
-at a time, then runs the component's depths down from the root, where each
-edge of the way up gets a factor of exactly 1.0 (a depth holding no other
-crossing is left out).  Every crossing thus reads and writes what it would
+at a time, each a level of one crossing, then runs the component's depths
+down from the root, where each edge of the way up gets a factor of exactly
+1.0 (a depth holding no other crossing is left out).  Every crossing thus reads and writes what it would
 in a breadth-first walk away from the home.  Each separator event belongs
 to one crossing and sums its states in ascending order, as one update per
 edge would, so the results are bit-for-bit those of the edge-by-edge walk.
@@ -70,7 +70,6 @@ from .model import (
     JointTable,
     LinearConstraint,
     MarginalConstraint,
-    Scope,
     event_factors,
     event_indices,
     lift,
@@ -164,15 +163,16 @@ class _Level(NamedTuple):
     """Every edge crossing at one depth of a propagation, concatenated.
 
     ``near_*`` list the states of the clauses crossed from, ``far_*`` those
-    of the clauses updated: each state's position in the flat array and the
+    of the clauses updated: each state's position in the flat array (an
+    index array, or a slice where the level holds one crossing) and the
     separator event it belongs to.  The events of the crossings' separators
     are numbered one after another, in crossing order; ``n_events`` counts
     them all.  ``edges`` are the crossed edges, in the same order.
     """
 
-    near_pos: np.ndarray
+    near_pos: np.ndarray | slice
     near_event: np.ndarray
-    far_pos: np.ndarray
+    far_pos: np.ndarray | slice
     far_event: np.ndarray
     edges: np.ndarray
     n_events: int
@@ -182,18 +182,16 @@ class _Route(NamedTuple):
     """Propagation from one home clause: up to its component's root, one
     crossing at a time, then down the component's levels from the root.
 
-    An up crossing reads and updates whole tables, so each is given as the
-    near clause's slice of the flat array and its states' separator events,
-    the same for the far clause, the separator's event count and the
-    separator.  ``down`` pairs each level, shared by every route in the
-    component, with the event range in it of the crossing that the way up
-    took the other way (empty below the home), whose far clause is final
-    already; a level of that crossing alone is left out.
+    ``levels`` pairs each level with the event range in it of a crossing
+    not to make.  Each crossing of the way up is a level of its own, whose
+    positions are slices of the flat array, with the empty range.  The
+    levels down are shared by every route in the component; each skips the
+    crossing that the way up took the other way (none below the home),
+    whose far clause is final already, and a level of it alone is left out.
     """
 
     touched: tuple[int, ...]        # the home's component, ascending
-    up: tuple[tuple[slice, np.ndarray, slice, np.ndarray, int, Scope], ...]
-    down: tuple[tuple[_Level, tuple[int, int]], ...]
+    levels: tuple[tuple[_Level, tuple[int, int]], ...]
 
 
 def _table(net: PreparedNetwork, flat: np.ndarray, i: int) -> JointTable:
@@ -259,9 +257,8 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
     for k, (a, b, w) in enumerate(zip(spans, spans[1:], walk[bounds[:-1]].tolist())):
         levels[w].append(_Level(*near[k], *far[k], edges[a:b],
                                 int(first[k + 1] - first[k])))
-    parent, event = np.full(n, -1), np.zeros(n, np.intp)
-    parent[reached] = crossings ^ 1  # the crossing up from each node reached
-    event[reached] = offset  # and its first event in its level
+    way = np.full(n, -1)
+    way[reached] = np.arange(reached.size)  # the crossing that reached each node
     touched = {w: tuple(np.flatnonzero(component == w).tolist()) for w in levels}
 
     def side(s: int) -> tuple[slice, np.ndarray]:
@@ -271,28 +268,24 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
     routes = {}
     for h, w in zip(homes, component[homes].tolist()):
         up, skip, i = [], [], h
-        while (c := parent[i]) >= 0:
-            size = int(ix.n_events[c >> 1])
-            up.append((*side(c), *side(c ^ 1), size, net.edges[c >> 1].separator))
-            skip.append((int(event[i]), int(event[i]) + size))
+        while (k := way[i]) >= 0:  # crossed the other way, from i up
+            c, size = crossings[k] ^ 1, int(ix.n_events[edges[k]])
+            up.append((_Level(*side(c), *side(c ^ 1), edges[k:k + 1], size),
+                       (0, 0)))
+            skip.append((int(offset[k]), int(offset[k]) + size))
             i = ix.ends[c ^ 1]
         skip = skip[::-1] + [(0, 0)] * (len(levels[w]) - len(skip))
         # a level that holds only a crossing of the way up has nothing to do
-        down = tuple((lv, s) for lv, s in zip(levels[w], skip)
-                     if lv.edges.size > 1 or s == (0, 0))
-        routes[h] = _Route(touched[w], tuple(up), down)
+        down = [(lv, s) for lv, s in zip(levels[w], skip)
+                if lv.edges.size > 1 or s == (0, 0)]
+        routes[h] = _Route(touched[w], tuple(up + down))
     return routes
 
 
 def _propagate(net: PreparedNetwork, flat: np.ndarray, route: _Route) -> None:
     """Jeffrey-update every far clause in ``flat`` to its near clause's
-    separator marginal: up the route one crossing at a time, then down one
-    depth at a time."""
-    for near, near_event, far, far_event, n, sep in route.up:
-        target = np.bincount(near_event, flat[near], minlength=n)
-        current = np.bincount(far_event, flat[far], minlength=n)
-        flat[far] *= event_factors(target, current, (sep,))[far_event]
-    for lv, (a, b) in route.down:
+    separator marginal, one level of the route at a time."""
+    for lv, (a, b) in route.levels:
         n = lv.n_events
         target = np.bincount(lv.near_event, flat[lv.near_pos], minlength=n)
         current = np.bincount(lv.far_event, flat[lv.far_pos], minlength=n)
@@ -313,7 +306,7 @@ def stacked(sets: list[ConstraintSet] | tuple[ConstraintSet, ...],
     scope, rows, rhs = table.scope, [], []
     for c in sets:
         if isinstance(c, LinearConstraint):
-            r, b = lift(c.row_matrix, c.scope, scope), c.rhs
+            r, b = lift(c.rows, c.scope, scope), c.rhs
         elif isinstance(c, MarginalConstraint):
             r, b = lift(np.eye(c.scope.n_states), c.scope, scope), c.targets
         else:
@@ -325,9 +318,9 @@ def stacked(sets: list[ConstraintSet] | tuple[ConstraintSet, ...],
                 raise InfeasibleEvidenceError(
                     f"condition event of {c.label()} has zero probability")
             r, b = r / mass, (0.0,)
-        rows += r.tolist()
-        rhs += b
-    return LinearConstraint(scope, tuple(map(tuple, rows)), tuple(rhs))
+        rows.append(r)
+        rhs.append(b)
+    return LinearConstraint(scope, np.concatenate(rows), np.concatenate(rhs))
 
 
 def joint_constraint(net: PreparedNetwork, flat: np.ndarray, ev: EvidenceSet,

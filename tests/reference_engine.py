@@ -59,8 +59,7 @@ def lec_solve(
             f"constraint scope {c.scope.vars} not within table scope "
             f"{table.scope.vars}"
         )
-    rows = (c.row_matrix if c.scope == table.scope
-            else lift(c.row_matrix, c.scope, table.scope))
+    rows = c.rows if c.scope == table.scope else lift(c.rows, c.scope, table.scope)
     rhs = np.asarray(c.rhs, dtype=float)
     k = len(rhs)
     prior = table.probs

@@ -250,13 +250,13 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
         root, order = _down(net, h)
         touched, levels = _levels(root, links, ends, index, n_events)
         way, up, down = _way_up(net, h, order), [], []
-        for i, ei in way:
+        for i, ei in way:  # each crossing a level of its own
             sep, p = net.edges[ei].separator, far_end(net, ei, i)
-            up.append((slice(net.start[i], net.start[i + 1]),
-                       substate_map(net.nodes[i].scope, sep),
-                       slice(net.start[p], net.start[p + 1]),
-                       substate_map(net.nodes[p].scope, sep),
-                       sep.n_states, sep))
+            up.append((_Level(slice(net.start[i], net.start[i + 1]),
+                              substate_map(net.nodes[i].scope, sep),
+                              slice(net.start[p], net.start[p + 1]),
+                              substate_map(net.nodes[p].scope, sep),
+                              np.array([ei], np.intp), sep.n_states), (0, 0)))
         path = [ei for _, ei in way][::-1]  # top down
         for d, lv in enumerate(levels):
             crossed = lv.edges.tolist()
@@ -266,7 +266,7 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
                 k = crossed.index(path[d])
                 a = int(n_events[crossed[:k]].sum())
                 down.append((lv, (a, a + int(n_events[path[d]]))))
-        routes[h] = _Route(touched, tuple(up), tuple(down))
+        routes[h] = _Route(touched, tuple(up + down))
     return routes
 
 

@@ -521,8 +521,7 @@ def linear_problems(draw, case):
     q = table.probs * tilt
     rhs = lift(rows, sub, scope) @ (q / q.sum())
     tolerance = draw(st.sampled_from((1e-6, 1e-9, 1e-11)))
-    return (table, LinearConstraint(sub, tuple(map(tuple, rows.tolist())),
-                                    tuple(rhs.tolist())), tolerance)
+    return table, LinearConstraint(sub, rows, rhs), tolerance
 
 
 def sensitivity_norm(table, c, p):
@@ -531,7 +530,7 @@ def sensitivity_norm(table, c, p):
     sides, with ``H`` the rows' covariance under ``p``.  The inverse is
     taken on rows of unit scale, where ``pinv`` keeps every direction that
     small coefficients give."""
-    rows = lift(c.row_matrix, c.scope, table.scope)
+    rows = lift(c.rows, c.scope, table.scope)
     unit = np.abs(rows).max(axis=1, keepdims=True)
     unit[unit == 0.0] = 1.0
     centred = (rows - (rows @ p)[:, None]) / unit
@@ -617,7 +616,7 @@ class TestRestrictionOncePerSolve:
             assert rows.shape == (len(c.rhs), support.sum())
             if support.all():
                 # passed as they are, with no copy
-                assert prior is table.probs and rows is c.row_matrix
+                assert prior is table.probs and rows is c.rows
         assert not post.probs[~support].any()
 
 

@@ -142,6 +142,12 @@ class TestJointTable:
         with pytest.raises(ValueError):
             JointTable(Scope(("A",)), [1.1, -0.1])
 
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.nan, np.nan]])
+    def test_nan_rejected(self, probs):
+        # a NaN fails every comparison, so a check must fail on it
+        with pytest.raises(ProbabilityError):
+            JointTable(Scope(("A",)), probs)
+
     def test_wrong_length(self):
         with pytest.raises(ArityError):
             JointTable(Scope(("A", "B")), [0.5, 0.5])
@@ -181,3 +187,61 @@ class TestJointTable:
         t = JointTable(Scope(("A", "B")), [0.24, 0.06, 0.42, 0.28])
         assert t.prob_of({"A": True}) == pytest.approx(0.7)
         assert t.prob_of({"A": True, "B": False}) == pytest.approx(0.42)
+
+
+class TestLinearConstraint:
+    """Rows and right-hand sides held as read-only float arrays, built
+    once from any array-like; sets compare by identity."""
+
+    AB = Scope(("A", "B"))
+    ROWS = ((1.0, 0.0, 0.5, 0.0), (0.0, 2.0, 0.0, 1.0))
+    RHS = (0.25, 0.5)
+
+    def test_tuples_lists_and_arrays_give_the_same_bytes(self):
+        made = [LinearConstraint(self.AB, self.ROWS, self.RHS),
+                LinearConstraint(self.AB, [list(r) for r in self.ROWS],
+                                 list(self.RHS)),
+                LinearConstraint(self.AB, np.asfortranarray(self.ROWS),
+                                 np.array(self.RHS))]
+        for c in made:
+            assert c.rows.dtype == c.rhs.dtype == np.float64
+            assert c.rows.shape == (2, 4) and c.rhs.shape == (2,)
+            assert c.rows.flags.c_contiguous
+            assert (c.rows.tobytes(), c.rhs.tobytes()) == (
+                made[0].rows.tobytes(), made[0].rhs.tobytes())
+
+    def test_arrays_passed_in_are_copied(self):
+        rows, rhs = np.array(self.ROWS), np.array(self.RHS)
+        c = LinearConstraint(self.AB, rows, rhs)
+        assert rows.flags.writeable and rhs.flags.writeable
+        rows[0, 0] = rhs[0] = 7.0
+        assert c.rows[0, 0] == 1.0 and c.rhs[0] == 0.25
+
+    def test_rows_and_rhs_are_read_only(self):
+        c = LinearConstraint(self.AB, self.ROWS, self.RHS)
+        for a in (c.rows, c.rhs):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    @pytest.mark.parametrize("rows, rhs, message", [
+        (((1.0, 0.0, 0.0, 0.0), (1.0, 0.0)), (0.5, 0.5),
+         "linear row needs 4 coefficients"),
+        ((1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5),
+         "linear row needs 4 coefficients"),
+        (((1.0, 0.0, 0.0, 0.0),), ((0.5,),),
+         "row count does not match right-hand side count"),
+        (((1.0, 0.0, 0.0),), (0.5,), "linear row needs 4 coefficients"),
+        (((1.0, 0.0, 0.0, 0.0),), (0.5, 0.5),
+         "row count does not match right-hand side count"),
+    ], ids=["ragged", "one-dimensional", "rhs-two-dimensional", "width",
+            "count"])
+    def test_malformed_shapes_rejected(self, rows, rhs, message):
+        with pytest.raises(ArityError, match=message):
+            LinearConstraint(self.AB, rows, rhs)
+
+    def test_equality_and_hashing_go_by_identity(self):
+        a = LinearConstraint(self.AB, self.ROWS, self.RHS)
+        b = LinearConstraint(self.AB, self.ROWS, self.RHS)
+        assert a == a and b == b and a != b
+        assert len({a, b, a}) == 2
+        hash(EvidenceSet((a, MarginalConstraint(Scope(("A",)), (0.5, 0.5)))))

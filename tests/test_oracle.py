@@ -385,8 +385,7 @@ def tilted_problems(draw):
         scope = Scope((*head, body))
         rows = np.array([[draw(st.integers(0, 3)) for _ in range(scope.n_states)]
                          for _ in range(draw(st.integers(1, 2)))], dtype=float)
-        cons.append(LinearConstraint(scope, tuple(map(tuple, rows.tolist())),
-                                     tuple((rows @ marginal(scope)).tolist())))
+        cons.append(LinearConstraint(scope, rows, rows @ marginal(scope)))
     return net, joint, cons
 
 

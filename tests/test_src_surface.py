@@ -5,7 +5,8 @@ A definition is live when code that runs reads it: code run on import, or
 the body of a live function.  Functions in ``rcndl.__all__``, special
 methods and the entries of ``ALLOWED`` are live from the start.  A
 function counts as read by a name or an attribute that spells it, a method
-or a field of ``PreparedNetwork`` or ``PropagationIndex`` by an attribute.
+or a field of ``PreparedNetwork`` or ``PropagationIndex`` by an attribute;
+an attribute called (``x.name()``) reads a method, not a field.
 Matching is by spelling alone: a read of another thing of the same name
 keeps a definition live, and a read through a string (``getattr``) is not
 seen, so names reached that way are exported or allowed.  A definition
@@ -30,19 +31,23 @@ ALLOWED = {
     "preprocess.PreparedNetwork.with_table":
         "perfbench/tracer.py counts its calls by this name until the tracer "
         "reads run statistics instead (ROADMAP item 1, step B)",
+    "preprocess.PreparedNetwork.program":
+        "perfbench/workloads.py layer_sample reads net.program.clauses in "
+        "traced runs until ROADMAP item 1 step B",
 }
 
 
 def _collect(tree, module):
-    """Every definition in ``tree``, as qualified name -> (how it is read,
-    its name), and every read, as the definition whose body holds it (None
-    for code run on import) -> a set of (how, name)."""
+    """Every definition in ``tree``, as qualified name -> (what it is:
+    function, method or field; its name), and every read, as the
+    definition whose body holds it (None for code run on import) -> a set
+    of (how: name, attribute or called attribute; name)."""
     defs, reads = {}, {}
 
     def visit(node, owner, cls=None):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             key = f"{cls or owner or module}.{node.name}"
-            defs[key] = ("attr" if cls else "name", node.name)
+            defs[key] = ("method" if cls else "function", node.name)
             for part in (*node.decorator_list, node.args):
                 visit(part, owner)
             for stmt in node.body:
@@ -56,7 +61,12 @@ def _collect(tree, module):
             return
         if (cls and cls.split(".")[1] in FIELDS_OF
                 and isinstance(node, ast.AnnAssign)):
-            defs[f"{cls}.{node.target.id}"] = ("attr", node.target.id)
+            defs[f"{cls}.{node.target.id}"] = ("field", node.target.id)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            reads.setdefault(owner, set()).add(("call", node.func.attr))
+            for child in (node.func.value, *node.args, *node.keywords):
+                visit(child, owner)
+            return
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads.setdefault(owner, set()).add(("name", node.id))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -82,14 +92,17 @@ def _package():
 def _dead(defs, reads, allowed):
     """The definitions that no live code reads."""
     readers = {}  # (how, name) -> the definitions that read resolves to
-    for key, (how, name) in defs.items():
+    for key, (what, name) in defs.items():
         readers.setdefault(("attr", name), []).append(key)
-        if how == "name":
+        if what != "field":
+            readers.setdefault(("call", name), []).append(key)
+        if what == "function":
             readers.setdefault(("name", name), []).append(key)
     todo = [None, *allowed]
-    todo += [k for k, (how, name) in defs.items()
+    todo += [k for k, (what, name) in defs.items()
              if name.startswith("__") and name.endswith("__")
-             or (how == "name" and k.count(".") == 1 and name in rcndl.__all__)]
+             or (what == "function" and k.count(".") == 1
+                 and name in rcndl.__all__)]
     live = set()
     while todo:
         owner = todo.pop()

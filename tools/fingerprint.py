@@ -52,6 +52,13 @@ this checkout's).  The script prints one JSON object:
   so a change to the linear kernel shows here, not only through the few
   linear sets of ``workloads``;
 * ``linear_messages``: the text of every ``linear`` error, by number;
+* ``stacked``: N seeded mixes of one to three marginal, conditional and
+  linear sets over 1-3 variables of a table over 1-4 variables, some with
+  states without mass, made one linear set by ``scheduler.stacked`` and
+  applied by ``scheduler.update_table``; targets are read off a tilt of
+  the table, so most mixes are feasible, and a condition event without
+  mass is refused.  Each entry hashes the stacked rows and right-hand
+  sides with the posterior, or gives the error's type and text;
 * ``parse``: the parsed clause list, every source position included, of
   each workload model, of N more generated programs and of mutated models
   (MUTANTS copies of each demo model and of seed 1 of every workload, each
@@ -97,6 +104,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAM_SEED = 20240601
 LINEAR_SEED = 20240602
+STACKED_SEED = 20240603
 EXACT_TOL = 1e-12
 MUTANTS = 200  # mutated copies parsed of each model
 MUTANT_CHARS = "[],;:.%?->_ \n\r0159eE+ABX\u0661\x1c@"
@@ -455,6 +463,57 @@ def linear(rcndl, n: int) -> tuple[dict, dict]:
     return outcomes, messages
 
 
+def stacked_problem(rcndl, k: int):
+    """The table and constraint sets of ``stacked`` entry ``k``."""
+    rng = np.random.default_rng((STACKED_SEED, k))
+    n = int(rng.integers(1, 5))
+    size = 2 ** n
+    variables = tuple(f"S{i}" for i in range(n))
+    prior = rng.integers(1, 1001, size).astype(float)
+    if rng.random() < 0.4:
+        prior[rng.random(size) < 0.3] = 0.0
+        prior[rng.integers(size)] = 1.0
+    table = rcndl.JointTable(rcndl.Scope(variables), prior / prior.sum())
+    tilted = table.probs * rng.uniform(0.5, 2.0, size)
+    tilted = rcndl.JointTable(table.scope, tilted / tilted.sum())
+    sets = []
+    for _ in range(int(rng.integers(1, 4))):
+        width = int(rng.integers(1, min(n, 3) + 1))
+        scope = rcndl.Scope(rng.permutation(variables)[:width].tolist())
+        target = rcndl.marginalize(tilted, scope).probs
+        kind = rng.choice(("marginal", "conditional", "linear"))
+        if kind == "conditional" and width > 1:
+            condition = tuple((v, bool(rng.integers(2))) for v in scope.vars[1:])
+            mass = tilted.prob_of(dict(condition))
+            both = tilted.prob_of({**dict(condition), scope.vars[0]: True})
+            sets.append(rcndl.ConditionalConstraint(
+                scope.vars[0], condition, both / mass if mass > 0.0 else 0.5))
+        elif kind == "linear":  # as tuples, which older sources also take
+            rows = rng.integers(-2, 3, (int(rng.integers(1, 3)), scope.n_states))
+            sets.append(rcndl.LinearConstraint(
+                scope, tuple(map(tuple, rows.astype(float).tolist())),
+                tuple((rows @ target).tolist())))
+        else:
+            sets.append(rcndl.MarginalConstraint(scope, tuple(target.tolist())))
+    return table, sets
+
+
+def stacked(rcndl, n: int) -> dict:
+    """The ``stacked`` section."""
+    out = {}
+    for k in range(n):
+        table, sets = stacked_problem(rcndl, k)
+        try:
+            c = rcndl.scheduler.stacked(sets, table)
+            post = rcndl.scheduler.update_table(table, c, 1e-9)
+            out[str(k)] = digest(np.asarray(c.rows, float).tobytes(),
+                                 np.asarray(c.rhs, float).tobytes(),
+                                 post.probs.tobytes())
+        except rcndl.RcndlError as exc:
+            out[str(k)] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
 def parse_outcome(rcndl, text: str) -> str:
     try:
         return digest(repr(rcndl.parse_program(text)))  # exact floats, positions
@@ -535,8 +594,8 @@ def main(argv=None) -> None:
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="directory holding the rcndl package to import")
     ap.add_argument("--programs", type=int, default=2000,
-                    help="number of generated programs and of linear sets "
-                         "(default 2000)")
+                    help="number of generated programs, of linear sets and "
+                         "of stacked mixes (default 2000)")
     ap.add_argument("--values", metavar="FILE",
                     help="also save the workload and paper posteriors to "
                          "this .npz file")
@@ -566,6 +625,7 @@ def main(argv=None) -> None:
         "shapes": shapes(rcndl),
         "linear": linear_outcomes,
         "linear_messages": linear_messages,
+        "stacked": stacked(rcndl, args.programs),
         "parse": parses(rcndl, args.programs),
         "cli": cli(src),
     }, sys.stdout, indent=1)
