@@ -39,7 +39,7 @@ for name, path in (("hard evidence", "evidence_cancer_bayesian.txt"),
     print(f"{name} ({', '.join(c.label() for c in constraints)}), "
           f"{trace.passes} pass(es):")
     print(f"  {'variable':<10}{'scheduler':>12}{'oracle':>12}{'diff':>12}")
-    for v in net.variables:
+    for v in net.introducer:
         mine = posterior_marginal(posterior, v)[1]
         ref = float(marginalize(reference, Scope((v,))).probs[1])
         print(f"  {v:<10}{mine:>12.6f}{ref:>12.6f}{abs(mine - ref):>12.3e}")

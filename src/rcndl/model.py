@@ -335,7 +335,8 @@ Clause = QueryClause | RuleClause | ObservationClause
 
 @dataclass(frozen=True)
 class MarginalConstraint:
-    """Target probabilities for the event partition of a variable set."""
+    """Target probabilities for the event partition of a variable set,
+    given as any array-like and held as a tuple of floats."""
 
     scope: Scope
     targets: tuple[float, ...]
@@ -354,6 +355,7 @@ class MarginalConstraint:
             raise ProbabilityError("marginal targets must lie in [0, 1]")
         if abs(t.sum() - 1.0) > UNIT_SUM_TOL:
             raise ProbabilityError(f"marginal targets sum to {t.sum()}, not 1")
+        object.__setattr__(self, "targets", tuple(t.tolist()))
 
     def variables(self) -> tuple[str, ...]:
         return self.scope.vars
@@ -366,7 +368,8 @@ class MarginalConstraint:
 
 @dataclass(frozen=True)
 class ConditionalConstraint:
-    """A target value for P(target | condition event)."""
+    """A target value for P(target | condition event), the condition held
+    as a tuple of ``(variable, value)`` pairs."""
 
     target: str
     condition: tuple[tuple[str, bool], ...]
@@ -374,6 +377,7 @@ class ConditionalConstraint:
     threshold: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "condition", tuple(map(tuple, self.condition)))
         cond_vars = [v for v, _ in self.condition]
         if len(set(cond_vars)) != len(cond_vars):
             raise ScopeError("duplicate variable in condition event")

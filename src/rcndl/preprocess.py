@@ -140,10 +140,6 @@ class PreparedNetwork:
     observables: frozenset[str]
     index: PropagationIndex = field(repr=False)  # shared by every posterior
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(self.introducer)
-
     @cached_property
     def tables(self) -> tuple[JointTable, ...]:
         """The tables as ``JointTable`` views of ``flat``, made when first read."""
@@ -559,7 +555,6 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         b.introducer[rule.body] = idx
 
     # Observations: leaves over their variables, off a covering node.
-    observables: set[str] = set()
     for ci, clause in enumerate(clauses):
         if not isinstance(clause, ObservationClause):
             continue
@@ -572,7 +567,6 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         scope = Scope(clause.vars)
         upstream = b.upstream_for(clause.vars, clause.pos)
         b.add(OBS, scope, scope, (upstream,), ci, ", ".join(clause.vars))
-        observables |= set(clause.vars)
 
     edges = b.build_edges()
     for v, seen in b.observed.items():  # every observed variable is covered
@@ -592,7 +586,7 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         edges=edges,
         introducer=dict(b.introducer),
         covers={v: tuple(c) for v, c in b.covers.items()},
-        observables=frozenset(observables),
+        observables=frozenset(b.observed),
         index=index,
     )
 

@@ -442,22 +442,17 @@ def run_reasoning(
     # each set on its own in the first pass, then jointly with the sets
     # its home also holds, which cyclic passes can take thousands to meet
     used = [(c, ev.threshold(i)) for i, c in enumerate(cons)]
-    converged = False
     for pass_no in range(1, ev.max_passes + 1):
         if below_thresholds():
-            converged = True
             break
         if pass_no == 2:
             used = [joint_constraint(net, flat, ev, homes, i)
                     for i in range(len(cons))]
         unused = list(range(len(cons)))
         while unused:
-            if ev.policy == GREATEST_GRADIENT:
-                g_before, neg_pick = max((gradient(i), -i) for i in unused)
-                pick = -neg_pick
-            else:
-                pick = unused[0]
-                g_before = gradient(pick)
+            pick = (max(unused, key=lambda i: (gradient(i), -i))
+                    if ev.policy == GREATEST_GRADIENT else unused[0])
+            g_before = gradient(pick)
             unused.remove(pick)
             home, (c, threshold) = homes[pick], used[pick]
             try:
@@ -477,10 +472,8 @@ def run_reasoning(
             ))
         trace.passes = pass_no
 
-    final = [gradient(i) for i in range(len(cons))]
-    trace.converged = converged or all(
-        g < ev.threshold(i) for i, g in enumerate(final))
-    trace.final_gradients = {c.label(): g for c, g in zip(cons, final)}
+    trace.converged = below_thresholds()
+    trace.final_gradients = {c.label(): gradient(i) for i, c in enumerate(cons)}
     return net.over(flat), trace
 
 

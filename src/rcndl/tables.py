@@ -71,16 +71,15 @@ class StateMaps:
         return i
 
     def pool(self) -> None:
-        """Make the maps: map ``i`` is ``maps[i]``, and it is ``sizes[i]``
-        long from ``first[i]`` in ``events``."""
-        self.maps = [substate_map(scope, Scope(sub))
-                     for scope, sub in self.wanted]
-        self.sizes = np.array([m.size for m in self.maps], dtype=np.intp)
+        """Make the maps: map ``i`` is ``sizes[i]`` long from ``first[i]``
+        in ``events``."""
+        maps = [substate_map(scope, Scope(sub)) for scope, sub in self.wanted]
+        self.sizes = np.array([m.size for m in maps], dtype=np.intp)
         self.first = np.cumsum(self.sizes) - self.sizes
-        self.events = np.concatenate([np.empty(0, np.intp)] + self.maps)
+        self.events = np.concatenate([np.empty(0, np.intp)] + maps)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self.maps[i]
+        return self.events[self.first[i]:self.first[i] + self.sizes[i]]
 
     def read(self, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """The maps ``ids`` one after another, each plus its offset."""
@@ -130,9 +129,7 @@ def fold(flat: np.ndarray, start: np.ndarray, maps: StateMaps,
     group, place, member, sep, events, proj = pieces.T
     n = start[member + 1] - start[member]
     first = np.cumsum(n) - n
-    factor = np.empty(n.sum() + 1)  # the last entry pads shorter joins
-    factor[:-1] = flat[ranges(start[member], n)]
-    factor[-1] = 1.0
+    factor = flat[ranges(start[member], n)]
     c = sep >= 0
     at = ranges(first[c], n[c])
     bins = maps.read(sep[c], np.cumsum(events[c]) - events[c])
@@ -140,16 +137,11 @@ def fold(flat: np.ndarray, start: np.ndarray, maps: StateMaps,
     factor[at] = np.where(marg > 0.0,
                           factor[at] / np.where(marg > 0.0, marg, 1.0), 0.0)
     out_first = np.cumsum(sizes) - sizes
-    out = np.empty(sizes.sum())
+    out = np.ones(sizes.sum())
     for k in range(place.max() + 1):
         here = np.flatnonzero(place == k)
-        take = np.full(out.size, factor.size - 1)
-        take[ranges(out_first[group[here]], sizes[group[here]])] = maps.read(
-            proj[here], first[here])
-        if k:
-            out *= factor[take]
-        else:
-            np.take(factor, take, out=out)
+        out[ranges(out_first[group[here]], sizes[group[here]])] *= factor[
+            maps.read(proj[here], first[here])]
     # a contiguous row sums pairwise exactly as the table alone would
     sums = np.empty(sizes.size)
     for size in set(sizes.tolist()):

@@ -375,6 +375,13 @@ class TestLoadedModules:
                      "assert isinstance(rcndl.preprocess, types.FunctionType)\n")
         assert res.returncode == 0, res.stderr
 
+    def test_dir_lists_the_lazily_loaded_names(self):
+        names = dir(rcndl)
+        assert names == sorted(names)
+        assert {"run_reasoning", "scheduler", "oracle_mce", "DualState",
+                "parse_program"} <= set(names)
+        assert set(rcndl.__all__) <= set(names)
+
     def test_unknown_attribute(self):
         res = python("-c", "import rcndl\n"
                      "try:\n    rcndl.no_such_name\n"

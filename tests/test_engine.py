@@ -23,6 +23,7 @@ from rcndl import (
 )
 from rcndl.engine import dual_value_and_gradient
 from rcndl.model import lift
+from rcndl.scheduler import update_table
 from tests import reference_engine as reference
 from tests.conftest import outcome
 
@@ -618,6 +619,31 @@ class TestRestrictionOncePerSolve:
                 # passed as they are, with no copy
                 assert prior is table.probs and rows is c.rows
         assert not post.probs[~support].any()
+
+
+class TestInputChecks:
+    """Each check names what it refused, in full."""
+
+    def test_conditional_variable_outside_the_table(self):
+        c = ConditionalConstraint("B", (("A", True),), 0.5)
+        with pytest.raises(ScopeError) as exc:
+            conditional_update(AC_PRIOR, c)
+        assert str(exc.value) == "constraint variable 'B' not in table scope"
+
+    def test_linear_scope_outside_the_table(self):
+        c = LinearConstraint(Scope(("B",)), ((1.0, 0.0),), (0.5,))
+        with pytest.raises(ScopeError) as exc:
+            lec_solve(AC_PRIOR, c)
+        assert str(exc.value) == ("constraint scope ('B',) not within table "
+                                  "scope ('A', 'C')")
+
+    @pytest.mark.parametrize("apply", [
+        constraint_gradient, lambda table, c: update_table(table, c, 1e-9)],
+        ids=["constraint_gradient", "update_table"])
+    def test_object_of_no_constraint_kind(self, apply):
+        with pytest.raises(TypeError) as exc:
+            apply(AC_PRIOR, object())
+        assert str(exc.value) == "unknown constraint type object"
 
 
 class TestConstraintGradient:

@@ -11,6 +11,8 @@ from rcndl import (
     RcndlError,
     Scope,
     ScopeError,
+    conditional_update,
+    jeffrey_update,
     marginalize,
 )
 from rcndl.errors import ProbabilityError
@@ -245,3 +247,42 @@ class TestLinearConstraint:
         assert a == a and b == b and a != b
         assert len({a, b, a}) == 2
         hash(EvidenceSet((a, MarginalConstraint(Scope(("A",)), (0.5, 0.5)))))
+
+
+class TestValueConstraints:
+    """Marginal and conditional sets hold their fields as tuples, so sets
+    built from lists, arrays or tuples compare and hash by value."""
+
+    AC = JointTable(Scope(("A", "C")), [0.06, 0.24, 0.63, 0.07])
+
+    @pytest.mark.parametrize("vars, targets, label", [
+        (("A",), (0.2, 0.8), "P(A)=0.8"),
+        (("A", "C"), (0.1, 0.2, 0.3, 0.4), "P(A,C)=[0.1,0.2,0.3,0.4]"),
+    ])
+    def test_marginal_sets_from_any_array_like_are_one_value(
+            self, vars, targets, label):
+        made = [MarginalConstraint(Scope(vars), t) for t in
+                (list(targets), np.array(targets), targets)]
+        for c in made:
+            assert c.targets == targets
+            assert all(type(t) is float for t in c.targets)
+            assert c == made[0] and c.label() == label
+            assert hash(EvidenceSet((c,))) == hash(EvidenceSet((made[0],)))
+            assert (jeffrey_update(self.AC, c).probs.tobytes()
+                    == jeffrey_update(self.AC, made[0]).probs.tobytes())
+        assert len(set(made)) == 1
+
+    def test_conditional_sets_from_nested_lists_are_one_value(self):
+        made = [ConditionalConstraint("C", cond, 0.5) for cond in
+                ([["A", True]], [("A", True)], (("A", True),))]
+        for c in made:
+            assert c.condition == (("A", True),)
+            assert c == made[0] and c.label() == "P(C|A)=0.5"
+            assert hash(EvidenceSet((c,))) == hash(EvidenceSet((made[0],)))
+            assert (conditional_update(self.AC, c).probs.tobytes()
+                    == conditional_update(self.AC, made[0]).probs.tobytes())
+
+    def test_wrong_number_of_targets(self):
+        with pytest.raises(ArityError) as exc:
+            MarginalConstraint(Scope(("A", "C")), (0.5, 0.5))
+        assert str(exc.value) == "marginal constraint over ('A', 'C') needs 4 targets"

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 import rcndl
 from rcndl import (
+    ArityError,
     MultiplyConnectedError,
     NetworkStructureError,
     PreparedNetwork,
     QueryClause,
+    RuleClause,
     Scope,
     SizeLimitError,
     SourceProgram,
@@ -203,6 +205,29 @@ class TestStructureErrors:
         net = preprocess(parse_program(text))
         with pytest.raises(SizeLimitError, match="^joint_over: .* span 27 "):
             net.joint_over(Scope(("A13", "B13")))
+
+
+class TestHandBuiltPrograms:
+    """A program built without the parser gets the checks the parser's
+    grammar would otherwise make first."""
+
+    A = Scope(("A",))
+
+    def test_rule_with_the_wrong_number_of_conditionals(self):
+        program = SourceProgram((
+            QueryClause(((self.A, (0.5, 0.5)),), SourcePos(1, 1)),
+            RuleClause(self.A, "B", (0.5,), SourcePos(2, 1)),
+        ))
+        with pytest.raises(ArityError) as exc:
+            preprocess(program)
+        assert str(exc.value) == "2:1: conditional list needs 2 entries, got 1"
+
+    def test_query_clique_prior_of_the_wrong_length(self):
+        program = SourceProgram((
+            QueryClause(((self.A, (0.2, 0.3, 0.5)),), SourcePos(1, 1)),))
+        with pytest.raises(ArityError) as exc:
+            preprocess(program)
+        assert str(exc.value) == "table over ('A',) needs 2 entries, got (3,)"
 
 
 CHAIN_CYCLE = (

@@ -76,14 +76,14 @@ class TestPropagation:
             net, _ = apply_constraint(
                 net, MarginalConstraint(Scope((var,)), (1.0 - v, v))
             )
-            for check in net.variables:
+            for check in net.introducer:
                 assert marginal_spread(net, check) <= 1e-9
 
     def test_cancer_coma_evidence_matches_full_joint_oracle(self, cancer_net):
         c = MarginalConstraint(Scope(("D",)), (0.25, 0.75))
         net, _ = apply_constraint(cancer_net, c)
         reference = jeffrey_update(expand_full_joint(cancer_net), c)
-        for var in net.variables:
+        for var in net.introducer:
             ref = marginalize(reference, Scope((var,))).probs[1]
             assert posterior_marginal(net, var)[1] == pytest.approx(
                 ref, abs=1e-12
@@ -249,7 +249,7 @@ class TestRunReasoningCancer:
             ),
             MarginalConstraint(Scope(("D",)), (1.0, 0.0)),
         )
-        for var in post.variables:
+        for var in post.introducer:
             assert posterior_marginal(post, var)[1] == pytest.approx(
                 marginalize(conditioned, Scope((var,))).probs[1], abs=1e-12
             )
@@ -278,7 +278,7 @@ class TestRunReasoningCancer:
         ev = evidence("P(D) = 0.75\nP(E) = 0.10", default_threshold=1e-10)
         post, _ = run_reasoning(cancer_net, ev)
         ref = oracle_mce(expand_full_joint(cancer_net), list(ev.constraints))
-        for var in post.variables:
+        for var in post.introducer:
             assert posterior_marginal(post, var)[1] == pytest.approx(
                 marginalize(ref, Scope((var,))).probs[1], abs=1e-8
             )

@@ -1,12 +1,14 @@
-"""Every function, method and network field in ``src/rcndl`` is there
+"""Every function, method and record field in ``src/rcndl`` is there
 because the program reads it.
 
 A definition is live when code that runs reads it: code run on import, or
 the body of a live function.  Functions in ``rcndl.__all__``, special
-methods and the entries of ``ALLOWED`` are live from the start.  A
-function counts as read by a name or an attribute that spells it, a method
-or a field of ``PreparedNetwork`` or ``PropagationIndex`` by an attribute;
-an attribute called (``x.name()``) reads a method, not a field.
+methods and the entries of ``ALLOWED`` are live from the start.  The
+fields are the annotated names of every ``NamedTuple`` and dataclass, and
+every ``property`` or ``cached_property`` of any class.  A function counts
+as read by a name or an attribute that spells it, a method or a field by
+an attribute; an attribute called (``x.name()``) reads a method, not a
+field.
 Matching is by spelling alone: a read of another thing of the same name
 keeps a definition live, and a read through a string (``getattr``) is not
 seen, so names reached that way are exported or allowed.  A definition
@@ -20,7 +22,7 @@ from pathlib import Path
 import rcndl
 
 SRC = Path(rcndl.__file__).parent
-FIELDS_OF = ("PreparedNetwork", "PropagationIndex")
+PROPERTIES = ("property", "cached_property")
 
 # Definitions kept although no code in the package reads them, each with
 # its reason.
@@ -34,7 +36,23 @@ ALLOWED = {
     "preprocess.PreparedNetwork.program":
         "perfbench/workloads.py layer_sample reads net.program.clauses in "
         "traced runs until ROADMAP item 1 step B",
+    **dict.fromkeys(
+        [f"engine.DualState.{f}"
+         for f in ("lambdas", "value", "gradient", "iterations")],
+        "public: lec_solve returns the solver's exit state, and "
+        "ConvergenceError.best carries it"),
+    "scheduler.Step.home":
+        "each step reports its home clause (ROADMAP aim 4); the report "
+        "that reads it is ROADMAP item 1 step A",
 }
+
+
+def _is_record(node):
+    """A ``NamedTuple`` or a dataclass: its annotated names are fields."""
+    return (any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+                for b in node.bases)
+            or any(ast.unparse(d).startswith("dataclass")
+                   for d in node.decorator_list))
 
 
 def _collect(tree, module):
@@ -44,10 +62,12 @@ def _collect(tree, module):
     of (how: name, attribute or called attribute; name)."""
     defs, reads = {}, {}
 
-    def visit(node, owner, cls=None):
+    def visit(node, owner, cls=None, record=False):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             key = f"{cls or owner or module}.{node.name}"
-            defs[key] = ("method" if cls else "function", node.name)
+            prop = any(ast.unparse(d) in PROPERTIES for d in node.decorator_list)
+            defs[key] = ("field" if cls and prop else
+                         "method" if cls else "function", node.name)
             for part in (*node.decorator_list, node.args):
                 visit(part, owner)
             for stmt in node.body:
@@ -57,10 +77,9 @@ def _collect(tree, module):
             for part in (*node.decorator_list, *node.bases, *node.keywords):
                 visit(part, owner)
             for stmt in node.body:
-                visit(stmt, owner, f"{module}.{node.name}")
+                visit(stmt, owner, f"{module}.{node.name}", _is_record(node))
             return
-        if (cls and cls.split(".")[1] in FIELDS_OF
-                and isinstance(node, ast.AnnAssign)):
+        if record and isinstance(node, ast.AnnAssign):
             defs[f"{cls}.{node.target.id}"] = ("field", node.target.id)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             reads.setdefault(owner, set()).add(("call", node.func.attr))
@@ -116,9 +135,14 @@ def _dead(defs, reads, allowed):
 
 def test_every_definition_is_read_by_code_that_runs():
     defs, reads = _package()
-    # the check sees the fields it is about
+    # the check sees the fields it is about: of records, and properties
     assert {"preprocess.PreparedNetwork.flat",
-            "preprocess.PropagationIndex.ends"} <= set(defs)
+            "preprocess.PropagationIndex.ends",
+            "engine.DualState.lambdas",
+            "scheduler.Step.home",
+            "model.SourcePos.line",
+            "preprocess.PreparedNetwork.tables"} <= set(defs)
+    assert defs["preprocess.PreparedNetwork.marginals"][0] == "field"
     assert _dead(defs, reads, ALLOWED) == []
 
 
