@@ -124,7 +124,7 @@ MAX_HALVINGS = 60      # backtracking steps down to 2**-60 of a Newton step
 FLAT = 1e-12           # relative change that float arithmetic cannot resolve
 
 
-@dataclass
+@dataclass(eq=False)  # equal only if identical
 class DualState:
     """Multipliers, dual value and dual gradient at solver exit."""
 

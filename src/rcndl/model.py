@@ -9,14 +9,16 @@ before ``true``, so the table over ``(A, B)`` is laid out as
 ``[p(~A,~B), p(~A,B), p(A,~B), p(A,B)]``.
 
 That is C order for an array of shape ``(2,) * n``, so a flat table is
-also an array with one axis per scope variable.  ``axes`` gives that view
-over any larger scope, with a length-1 axis for each variable the table
-lacks; tables and rows over different scopes are combined by broadcasting
-these views (``product``, ``lift``).  The map from the states of a scope to
-those of a sub-scope (``substate_map``) is the lifted view of the
-sub-scope's state numbers.  It depends only on the scope's length and the
-positions of the sub-variables, so each distinct one over a clause-sized
-scope is built once per process and shared read-only.
+also an array with one axis per scope variable, and a private axis view
+gives it over any larger scope, with a length-1 axis for each variable the
+table lacks.  That view serves two places only: building the map from the
+states of a scope to those of a sub-scope (``substate_map``, the
+sub-scope's state numbers broadcast over the scope) and the broadcast
+``product`` of two tables.  The map depends only on the scope's length and
+the positions of the sub-variables, so each distinct one over a
+clause-sized scope is built once per process and shared read-only.  Every
+lift of values over a sub-scope onto a scope (``lift``) is a gather
+through that map.
 
 Every sum over the events of a partition is a ``np.bincount`` over that
 map, which adds each event's states in state order.  A sum over axes adds
@@ -119,33 +121,17 @@ def _positions(sub: Scope, scope: Scope) -> tuple[int, ...]:
 
 
 def _axes(values: np.ndarray, n: int, positions: tuple[int, ...]) -> np.ndarray:
-    """``values``, whose last axis runs over the states of a sub-scope, as a
-    view with one axis per variable of an ``n``-variable scope: the
-    sub-scope's ``k``-th variable on axis ``positions[k]`` (after any leading
-    axes), length 1 on the others."""
-    lead = values.shape[:-1]
-    m = len(positions)
-    order = sorted(range(m), key=positions.__getitem__)
-    cube = values.reshape(lead + (2,) * m).transpose(
-        *range(len(lead)), *(len(lead) + k for k in order)
-    )
-    shape = [1] * n
-    for p in positions:
-        shape[p] = 2
-    return cube.reshape(lead + tuple(shape))
-
-
-def _lift(values: np.ndarray, n: int, positions: tuple[int, ...]) -> np.ndarray:
-    # Leading axes vary fastest, the layout of the gather values[..., map]:
-    # BLAS rounds products with rows laid out otherwise differently.
-    lead = values.shape[:-1]
-    out = np.moveaxis(np.empty((1 << n,) + lead, dtype=values.dtype), 0, -1)
-    out.reshape(lead + (2,) * n)[...] = _axes(values, n, positions)
-    return out
+    """``values`` over the states of a sub-scope as a view with one axis per
+    variable of an ``n``-variable scope: the sub-scope's ``k``-th variable on
+    axis ``positions[k]``, length 1 on the others."""
+    order = sorted(range(len(positions)), key=positions.__getitem__)
+    shape = [2 if p in positions else 1 for p in range(n)]
+    return values.reshape((2,) * len(positions)).transpose(order).reshape(shape)
 
 
 def _build_state_map(n: int, positions: tuple[int, ...]) -> np.ndarray:
-    out = _lift(np.arange(1 << len(positions), dtype=np.intp), n, positions)
+    out = np.empty(1 << n, dtype=np.intp)
+    out.reshape((2,) * n)[...] = _axes(np.arange(1 << len(positions)), n, positions)
     out.setflags(write=False)
     return out
 
@@ -172,7 +158,7 @@ def lift(values, sub: Scope, scope: Scope) -> np.ndarray:
     as constraint rows are kept) repeated over the states of ``scope``:
     ``out[..., j]`` is ``values[..., s]`` for ``s`` the restriction of state
     ``j`` to ``sub``.  A fresh array."""
-    return _lift(np.asarray(values), len(scope), _positions(sub, scope))
+    return np.asarray(values)[..., substate_map(scope, sub)]
 
 
 def event_indices(scope: Scope, partial: Mapping[str, bool]) -> np.ndarray:
@@ -183,7 +169,7 @@ def event_indices(scope: Scope, partial: Mapping[str, bool]) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only if identical
 class JointTable:
     """A probability distribution over the states of a scope."""
 
@@ -217,18 +203,13 @@ class JointTable:
         return float(self.probs[event_indices(self.scope, partial)].sum())
 
 
-def axes(table: JointTable, scope: Scope) -> np.ndarray:
-    """The table as a broadcastable view with one axis per variable of
-    ``scope``, in scope order: length 2 for the table's own variables,
-    length 1 for each variable it lacks."""
-    return _axes(table.probs, len(scope), _positions(table.scope, scope))
-
-
 def product(a: JointTable, b: JointTable) -> JointTable:
     """The unnormalized pointwise product of two tables, over the union of
-    their scopes with ``a``'s variables first."""
+    their scopes with ``a``'s variables first: the broadcast product of
+    their axis views."""
     scope = Scope(a.scope.vars + tuple(v for v in b.scope.vars if v not in a.scope))
-    values = axes(a, scope) * axes(b, scope)
+    values = (_axes(a.probs, len(scope), _positions(a.scope, scope))
+              * _axes(b.probs, len(scope), _positions(b.scope, scope)))
     return JointTable(scope, values.reshape(-1), _validate=False)
 
 

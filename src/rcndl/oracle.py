@@ -24,7 +24,7 @@ from .model import (
     normalized,
     product,
 )
-from .preprocess import OBS, PreparedNetwork
+from .preprocess import OBS, Edge, PreparedNetwork
 from .scheduler import stacked, update_table
 
 CYCLE_CAP = 100_000
@@ -43,15 +43,11 @@ def expand_full_joint(net: PreparedNetwork) -> JointTable:
             f"{len(variables)} variables exceeds the {MAX_VARIABLES}-variable "
             f"expansion guard"
         )
-    acc: JointTable | None = None
-    for node in net.nodes:
-        if node.kind == OBS:
-            continue
-        table = net.tables[node.idx]
-        acc = table if acc is None else product(acc, table)
-    for edge in net.edges:
-        if net.nodes[edge.a].kind == OBS or net.nodes[edge.b].kind == OBS:
-            continue
+    nodes, edges = _junction(net)
+    acc = net.tables[nodes[0]]
+    for i in nodes[1:]:
+        acc = product(acc, net.tables[i])
+    for edge in edges:
         sep = marginalize(net.tables[edge.a], edge.separator)
         acc = product(acc, JointTable(sep.scope, _safe_reciprocal(sep.probs),
                                       _validate=False))
@@ -60,9 +56,17 @@ def expand_full_joint(net: PreparedNetwork) -> JointTable:
     return normalized(acc)
 
 
+def _junction(net: PreparedNetwork) -> tuple[list[int], list[Edge]]:
+    """The nodes and propagation edges of the junction product, in network
+    order, observation leaves and their edges dropped."""
+    nodes = [v.idx for v in net.nodes if v.kind != OBS]
+    edges = [e for e in net.edges
+             if net.nodes[e.a].kind != OBS and net.nodes[e.b].kind != OBS]
+    return nodes, edges
+
+
 def _safe_reciprocal(values: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(values > 0.0, 1.0 / np.where(values > 0.0, values, 1.0), 0.0)
+    return np.where(values > 0.0, 1.0 / np.where(values > 0.0, values, 1.0), 0.0)
 
 
 def oracle_mce(
@@ -115,17 +119,11 @@ def ce_decomposition_check(
         expand_full_joint(posterior_net),
         expand_full_joint(prior_net),
     )
+    nodes, edges = _junction(prior_net)
     decomposed = 0.0
-    for node in prior_net.nodes:
-        if node.kind == OBS:
-            continue
-        decomposed += cross_entropy(
-            posterior_net.tables[node.idx], prior_net.tables[node.idx]
-        )
-    for edge in prior_net.edges:
-        if (prior_net.nodes[edge.a].kind == OBS
-                or prior_net.nodes[edge.b].kind == OBS):
-            continue
+    for i in nodes:
+        decomposed += cross_entropy(posterior_net.tables[i], prior_net.tables[i])
+    for edge in edges:
         decomposed -= cross_entropy(
             marginalize(posterior_net.tables[edge.a], edge.separator),
             marginalize(prior_net.tables[edge.a], edge.separator),

@@ -119,7 +119,7 @@ class PropagationIndex(NamedTuple):
     true_var: np.ndarray     # each position's variable, the same in both
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only if identical
 class PreparedNetwork:
     """A validated network whose clauses all carry joint tables.
 

@@ -166,8 +166,8 @@ class _Level(NamedTuple):
     of the clauses updated: each state's position in the flat array (an
     index array, or a slice where the level holds one crossing) and the
     separator event it belongs to.  The events of the crossings' separators
-    are numbered one after another, in crossing order; ``n_events`` counts
-    them all.  ``edges`` are the crossed edges, in the same order.
+    are numbered one after another, in crossing order.  ``edges`` are the
+    crossed edges, in the same order.
     """
 
     near_pos: np.ndarray | slice
@@ -175,7 +175,6 @@ class _Level(NamedTuple):
     far_pos: np.ndarray | slice
     far_event: np.ndarray
     edges: np.ndarray
-    n_events: int
 
 
 class _Route(NamedTuple):
@@ -242,8 +241,8 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
     bounds = np.append(np.flatnonzero(np.diff(level_of, prepend=-1)), level_of.size)
     edges = crossings >> 1
     counted = np.concatenate(([0], np.cumsum(ix.n_events[edges])))
-    first = counted[bounds]  # event ids restart at each level
-    offset = counted[:-1] - np.repeat(first[:-1], np.diff(bounds))
+    # event ids restart at each level
+    offset = counted[:-1] - np.repeat(counted[bounds[:-1]], np.diff(bounds))
     near, far = [], []
     for sides, out in ((crossings, near), (crossings ^ 1, far)):
         sizes = ix.sizes[sides]
@@ -255,8 +254,7 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
     levels = {w: [] for w in component[homes].tolist()}  # by depth
     spans = bounds.tolist()
     for k, (a, b, w) in enumerate(zip(spans, spans[1:], walk[bounds[:-1]].tolist())):
-        levels[w].append(_Level(*near[k], *far[k], edges[a:b],
-                                int(first[k + 1] - first[k])))
+        levels[w].append(_Level(*near[k], *far[k], edges[a:b]))
     way = np.full(n, -1)
     way[reached] = np.arange(reached.size)  # the crossing that reached each node
     touched = {w: tuple(np.flatnonzero(component == w).tolist()) for w in levels}
@@ -270,8 +268,7 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
         up, skip, i = [], [], h
         while (k := way[i]) >= 0:  # crossed the other way, from i up
             c, size = crossings[k] ^ 1, int(ix.n_events[edges[k]])
-            up.append((_Level(*side(c), *side(c ^ 1), edges[k:k + 1], size),
-                       (0, 0)))
+            up.append((_Level(*side(c), *side(c ^ 1), edges[k:k + 1]), (0, 0)))
             skip.append((int(offset[k]), int(offset[k]) + size))
             i = ix.ends[c ^ 1]
         skip = skip[::-1] + [(0, 0)] * (len(levels[w]) - len(skip))
@@ -284,11 +281,11 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
 
 def _propagate(net: PreparedNetwork, flat: np.ndarray, route: _Route) -> None:
     """Jeffrey-update every far clause in ``flat`` to its near clause's
-    separator marginal, one level of the route at a time."""
+    separator marginal, one level of the route at a time.  Each side's
+    state map is onto its separator, so both sums have every event."""
     for lv, (a, b) in route.levels:
-        n = lv.n_events
-        target = np.bincount(lv.near_event, flat[lv.near_pos], minlength=n)
-        current = np.bincount(lv.far_event, flat[lv.far_pos], minlength=n)
+        target = np.bincount(lv.near_event, flat[lv.near_pos])
+        current = np.bincount(lv.far_event, flat[lv.far_pos])
         target[a:b] = current[a:b]  # crossed on the way up: a factor of 1.0
         # the separators are looked up only to word an infeasible crossing
         factors = event_factors(target, current,
@@ -473,7 +470,9 @@ def run_reasoning(
         trace.passes = pass_no
 
     trace.converged = below_thresholds()
-    trace.final_gradients = {c.label(): gradient(i) for i, c in enumerate(cons)}
+    labels = [c.label() for c in cons]  # a repeated label gets its position
+    trace.final_gradients = {s if s not in labels[:i] else f"{s} [{i + 1}]":
+                             gradient(i) for i, s in enumerate(labels)}
     return net.over(flat), trace
 
 

@@ -216,7 +216,12 @@ def run_reasoning(net, ev):
         trace.passes = pass_no
 
     trace.converged = converged or below_thresholds()
-    trace.final_gradients = {c.label(): scalar(c) for c in cons}
+    trace.final_gradients = {}
+    for i, c in enumerate(cons):  # a repeated label gets its 1-based position
+        key = c.label()
+        if key in trace.final_gradients:
+            key = f"{key} [{i + 1}]"
+        trace.final_gradients[key] = scalar(c)
     return net, trace
 
 
@@ -256,7 +261,7 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
                               substate_map(net.nodes[i].scope, sep),
                               slice(net.start[p], net.start[p + 1]),
                               substate_map(net.nodes[p].scope, sep),
-                              np.array([ei], np.intp), sep.n_states), (0, 0)))
+                              np.array([ei], np.intp)), (0, 0)))
         path = [ei for _, ei in way][::-1]  # top down
         for d, lv in enumerate(levels):
             crossed = lv.edges.tolist()
@@ -299,9 +304,8 @@ def _levels(root: int, links, ends, index, n_events):
         e += np.repeat(offset, sizes)
         p = _ranges(flat_first[sides], sizes)
         out.extend((p[a:b], e[a:b]) for a, b in zip(cut, cut[1:]))
-    levels = tuple(
-        _Level(*near[k], *far[k], edges[a:b], int(first[k + 1] - first[k]))
-        for k, (a, b) in enumerate(zip(bounds, bounds[1:])))
+    levels = tuple(_Level(*near[k], *far[k], edges[a:b])
+                   for k, (a, b) in enumerate(zip(bounds, bounds[1:])))
     return tuple(sorted(seen)), levels
 
 

@@ -91,17 +91,18 @@ def cancer_file(tmp_path):
     return str(p)
 
 
-def python(*argv):
-    """``python *argv`` in a fresh interpreter importing this package."""
+def python(*argv, **env):
+    """``python *argv`` in a fresh interpreter importing this package, with
+    ``env`` added to the environment."""
     env = dict(os.environ,
-               PYTHONPATH=str(Path(rcndl.__file__).resolve().parents[1]))
+               PYTHONPATH=str(Path(rcndl.__file__).resolve().parents[1]), **env)
     return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-def run_cli(*args):
+def run_cli(*args, **env):
     """``python -m rcndl.cli`` in a subprocess, importing this package."""
-    return python("-m", "rcndl.cli", *args)
+    return python("-m", "rcndl.cli", *args, **env)
 
 
 def evidence_file(tmp_path, text):
@@ -294,6 +295,16 @@ class TestRunCommand:
             1.37e-5, abs=1e-6
         )
 
+    def test_repeated_label_keeps_every_final_gradient(self, model_file,
+                                                       tmp_path, capsys):
+        ev = evidence_file(tmp_path, "P(B) = 0.5\nP(B) = 0.5 threshold 0.0001")
+        assert main(["run", model_file, ev, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload["final_gradients"]) == ["P(B)=0.5", "P(B)=0.5 [2]"]
+        assert main(["run", model_file, ev]) == 0
+        out = capsys.readouterr().out
+        assert "  P(B)=0.5: " in out and "  P(B)=0.5 [2]: " in out
+
 
 class TestOracleCommand:
     def test_comparison_report(self, model_file, tmp_path, capsys):
@@ -388,3 +399,19 @@ class TestLoadedModules:
                      "except AttributeError as exc:\n    print(exc)\n")
         assert res.stdout == "module 'rcndl' has no attribute 'no_such_name'\n"
         assert not hasattr(rcndl, "no_such_name")
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("model, ev", [
+    ("three_vars", "evidence_uncertain.txt"),
+    ("cancer", "evidence_cancer_bayesian.txt"),
+    ("cancer", "evidence_cancer_uncertain.txt"),
+])
+def test_run_output_does_not_depend_on_the_hash_seed(model, ev):
+    model, ev = DEMOS / "models" / f"{model}.rcndl", DEMOS / ev
+    outs = [run_cli("run", model, ev, "--json", PYTHONHASHSEED=seed)
+            for seed in ("0", "1")]
+    assert all(res.returncode == 0 for res in outs)
+    assert outs[0].stdout == outs[1].stdout

@@ -637,6 +637,14 @@ class TestInputChecks:
         assert str(exc.value) == ("constraint scope ('B',) not within table "
                                   "scope ('A', 'C')")
 
+    def test_certain_target_side_without_mass(self):
+        table = JointTable(Scope(("A", "B")), [0.5, 0.0, 0.5, 0.0])
+        c = ConditionalConstraint("B", (("A", True),), 1.0)
+        with pytest.raises(InfeasibleEvidenceError) as exc:
+            conditional_update(table, c)
+        assert str(exc.value) == (
+            "target side of P(B|A)=1 has zero prior probability")
+
     @pytest.mark.parametrize("apply", [
         constraint_gradient, lambda table, c: update_table(table, c, 1e-9)],
         ids=["constraint_gradient", "update_table"])

@@ -13,10 +13,14 @@ from rcndl import (
     ScopeError,
     conditional_update,
     jeffrey_update,
+    lec_solve,
     marginalize,
+    parse_program,
+    preprocess,
 )
 from rcndl.errors import ProbabilityError
 from rcndl.model import event_indices
+from tests.conftest import THREE_VARS
 from tests.reference_preprocess import multiply_condition
 
 
@@ -286,3 +290,27 @@ class TestValueConstraints:
         with pytest.raises(ArityError) as exc:
             MarginalConstraint(Scope(("A", "C")), (0.5, 0.5))
         assert str(exc.value) == "marginal constraint over ('A', 'C') needs 4 targets"
+
+
+class TestIdentityEquality:
+    """Records that hold arrays compare and hash by identity: a table, a
+    prepared network and a solver state, each made twice from the same
+    inputs."""
+
+    MAKE = {
+        "table": lambda: JointTable(Scope(("A", "B")), [0.25] * 4),
+        "network": lambda: preprocess(parse_program(THREE_VARS)),
+        "state": lambda: lec_solve(
+            JointTable(Scope(("A",)), [0.5, 0.5]),
+            LinearConstraint(Scope(("A",)), ((0.0, 1.0),), (0.4,)))[1],
+    }
+
+    @pytest.mark.parametrize("kind", MAKE)
+    def test_equal_only_if_identical(self, kind):
+        a, b = self.MAKE[kind](), self.MAKE[kind]()
+        assert a == a and b == b and a != b and not a == b
+
+    @pytest.mark.parametrize("kind", MAKE)
+    def test_hashable(self, kind):
+        a, b = self.MAKE[kind](), self.MAKE[kind]()
+        assert hash(a) == hash(a) and len({a, b, a}) == 2

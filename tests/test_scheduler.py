@@ -71,7 +71,7 @@ class TestPropagation:
         rng = np.random.default_rng(13)
         net = cancer_net
         for _ in range(30):
-            var = rng.choice(list(net.observables))
+            var = rng.choice(sorted(net.observables))
             v = float(rng.uniform(0.05, 0.95))
             net, _ = apply_constraint(
                 net, MarginalConstraint(Scope((var,)), (1.0 - v, v))
@@ -211,6 +211,15 @@ class TestRunReasoningThreeVars:
         assert not trace.converged
         assert trace.passes == 1
         assert set(trace.final_gradients) == {"P(B)=0.33", "P(C)=0.95"}
+
+    def test_repeated_labels_keep_every_final_gradient(self, three_vars_net):
+        ev = evidence("P(B) = 0.5\nP(C) = 0.9\nP(B) = 0.5 threshold 0.0001\n"
+                      "P(B) = 0.5", max_passes=1, default_threshold=0.0)
+        _, trace = run_reasoning(three_vars_net, ev)
+        g = trace.final_gradients
+        assert list(g) == ["P(B)=0.5", "P(C)=0.9", "P(B)=0.5 [3]",
+                           "P(B)=0.5 [4]"]
+        assert g["P(B)=0.5"] == g["P(B)=0.5 [3]"] == g["P(B)=0.5 [4]"]
 
     def test_per_constraint_threshold_overrides_default(self, three_vars_net):
         ev = EvidenceSet(

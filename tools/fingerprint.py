@@ -11,7 +11,9 @@ this checkout's).  The script prints one JSON object:
 * ``workloads``: seeds 1-3 of every generator in ``perfbench/generate.py``
   (imported read-only), solved as the benchmark solves them;
 * ``paper``: the two demo models with each demo evidence file, under both
-  ordering policies;
+  ordering policies; each model's full joint (``expand_full_joint``) and,
+  for each run, the ``(full, decomposed)`` cross entropies of
+  ``ce_decomposition_check`` against the prior;
 * ``programs``: N generated programs of 1-3 root cliques (some
   overlapping), rules with heads of 1-3 variables and observations of 1-3
   variables; each accepted program's network and three ``joint_over``
@@ -211,12 +213,16 @@ def paper(rcndl, values: dict) -> dict:
         text = (DEMOS / "models" / f"{model}.rcndl").read_text()
         net = rcndl.preprocess(rcndl.parse_program(text))
         out[model] = network_digest(net)
+        out[f"{model}/joint"] = digest(rcndl.expand_full_joint(net).probs.tobytes())
         for name in files:
             constraints = rcndl.parse_evidence((DEMOS / name).read_text())
             for policy in (rcndl.GREATEST_GRADIENT, rcndl.PROGRAM_ORDER):
                 key = f"{model}/{name}/{policy}"
                 result = run(rcndl, net, constraints, policy, 1e-6)
                 out[key] = run_digest(result)
+                if not isinstance(result, str):
+                    out[f"{key}/ce"] = digest(tuple(map(
+                        float, rcndl.ce_decomposition_check(net, result[0]))))
                 values[f"paper/{key}"] = run_values(rcndl, result)
     return out
 
