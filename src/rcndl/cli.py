@@ -39,19 +39,17 @@ def _read(path: str) -> str:
                          f"UTF-8 ({exc.reason})") from exc
 
 
-def _load(model_path: str, evidence_path: str | None, args):
+def _load(model_path: str, evidence_path: str, args):
     from .evidence import parse_evidence
     from .scheduler import EvidenceSet
 
     net = preprocess(parse_program(_read(model_path)))
-    constraints = parse_evidence(_read(evidence_path)) if evidence_path else []
-    ev = EvidenceSet(
-        constraints=tuple(constraints),
+    return net, EvidenceSet(
+        constraints=tuple(parse_evidence(_read(evidence_path))),
         policy=args.order,
         max_passes=args.max_passes,
         default_threshold=args.threshold,
     )
-    return net, ev
 
 
 def cmd_run(args) -> int:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleEvidenceError, ScopeError
+from .errors import (ConvergenceError, InfeasibleEvidenceError,
+                     ProbabilityError, ScopeError)
 from .model import (
     ConditionalConstraint,
     ConstraintSet,
@@ -199,8 +200,12 @@ def lec_solve(
     covariance's range (no tilt of the prior's support moves those row
     combinations) or when the tilt diverges.  Raises ``ConvergenceError``,
     with the last iterate, when no step makes progress or
-    ``MAX_ITERATIONS`` run out.
+    ``MAX_ITERATIONS`` run out.  ``tolerance`` must be finite and
+    non-negative; otherwise ``ProbabilityError``.
     """
+    if not 0.0 <= tolerance < np.inf:  # NaN fails too
+        raise ProbabilityError(
+            f"tolerance {tolerance!r} must be finite and non-negative")
     if not c.scope.issubset(table.scope):
         raise ScopeError(
             f"constraint scope {c.scope.vars} not within table scope "

@@ -26,17 +26,12 @@ from .model import (
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _NUM = r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
 
-_MARGINAL_RE = re.compile(
-    rf"^P\(\s*({_IDENT})\s*\)\s*=\s*({_NUM})\s*(?:threshold\s+({_NUM})\s*)?$"
-)
-_BAYES_RE = re.compile(
-    rf"^({_IDENT})\s*=\s*(true|false)\s*(?:threshold\s+({_NUM})\s*)?$",
-    re.IGNORECASE,
-)
-_CONDITIONAL_RE = re.compile(
-    rf"^P\(\s*({_IDENT})\s*\|\s*([^)]+)\)\s*=\s*({_NUM})\s*"
-    rf"(?:threshold\s+({_NUM})\s*)?$"
-)
+_THRESHOLD = rf"\s*(?:threshold\s+({_NUM})\s*)?$"
+# P(X) = v, or with the conditions of P(X | Y, !Z) = v
+_PROB_RE = re.compile(
+    rf"^P\(\s*({_IDENT})\s*(?:\|\s*([^)]+))?\)\s*=\s*({_NUM}){_THRESHOLD}")
+_BAYES_RE = re.compile(rf"^({_IDENT})\s*=\s*(true|false){_THRESHOLD}",
+                       re.IGNORECASE)
 
 
 def _prob(text: str, line_no: int) -> float:
@@ -63,8 +58,7 @@ def parse_evidence(text: str) -> list[ConstraintSet]:
 
 
 def _constraint(line: str, line_no: int) -> ConstraintSet:
-    m = (_CONDITIONAL_RE.match(line) or _MARGINAL_RE.match(line)
-         or _BAYES_RE.match(line))
+    m = _PROB_RE.match(line) or _BAYES_RE.match(line)
     if not m:
         raise ParseError(f"unrecognized evidence line: {line!r}", line_no, 1)
     *fields, thr = m.groups()
@@ -73,10 +67,10 @@ def _constraint(line: str, line_no: int) -> ConstraintSet:
         raise ParseError(f"threshold {thr} must be finite and non-negative",
                          line_no, 1)
 
-    if m.re is _CONDITIONAL_RE:
-        target, conds, value = fields
+    var, value = fields[0], fields[-1]
+    if m.re is _PROB_RE and fields[1] is not None:
         condition = []
-        for part in conds.split(","):
+        for part in fields[1].split(","):
             part = part.strip()
             neg = part.startswith("!")
             name = part[1:].strip() if neg else part
@@ -84,14 +78,13 @@ def _constraint(line: str, line_no: int) -> ConstraintSet:
                 raise ParseError(f"bad condition variable {part!r}", line_no, 1)
             condition.append((name, not neg))
         return ConditionalConstraint(
-            target=target,
+            target=var,
             condition=tuple(condition),
             prob=_prob(value, line_no),
             threshold=threshold,
         )
 
     # P(X) = v, or the Bayesian shorthand X = true|false
-    var, value = fields
     if m.re is _BAYES_RE:
         v = 1.0 if value.lower() == "true" else 0.0
     else:

@@ -13,13 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import cross_entropy, gradient_scalar
-from .errors import ConvergenceError, SizeLimitError
+from .errors import ConvergenceError, ProbabilityError, SizeLimitError
 from .model import (
     ConstraintSet,
     JointTable,
     MAX_VARIABLES,
-    Scope,
-    lift,
     marginalize,
     normalized,
     product,
@@ -31,7 +29,8 @@ CYCLE_CAP = 100_000
 
 
 def expand_full_joint(net: PreparedNetwork) -> JointTable:
-    """The exact joint over every network variable.
+    """The exact joint over every network variable, in introducer order:
+    the product adds each node's new variables after those before it.
 
     Computed as the product of all clause and group tables divided by the
     separator marginal of every propagation edge (observation leaves drop
@@ -51,8 +50,6 @@ def expand_full_joint(net: PreparedNetwork) -> JointTable:
         sep = marginalize(net.tables[edge.a], edge.separator)
         acc = product(acc, JointTable(sep.scope, _safe_reciprocal(sep.probs),
                                       _validate=False))
-    scope = Scope(variables)
-    acc = JointTable(scope, lift(acc.probs, acc.scope, scope), _validate=False)
     return normalized(acc)
 
 
@@ -85,8 +82,11 @@ def oracle_mce(
     together pin a marginal).  Only then: stacking lifts every row onto the
     whole joint.  Linear projections are solved to ``min(1e-9, tol)``.  The
     fixed order makes the oracle an order-independent check of the
-    scheduler's greatest-gradient runs.
+    scheduler's greatest-gradient runs.  ``tol`` must be positive and finite.
     """
+    if not 0.0 < tol < np.inf:  # NaN fails too
+        raise ProbabilityError(f"oracle tolerance {tol!r} must be finite "
+                               f"and positive")
     current, worst = joint, np.inf
     for _ in range(CYCLE_CAP):
         last, worst = worst, max((gradient_scalar(current, c)

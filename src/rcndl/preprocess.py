@@ -106,14 +106,13 @@ class PropagationIndex(NamedTuple):
     ``2e + 1`` its end ``b``; crossing ``c`` reads side ``c`` and updates
     side ``c ^ 1``, so both directions share one entry per side."""
 
-    ends: np.ndarray         # side -> its clause
-    flat_first: np.ndarray   # side -> its clause's first position in flat
-    sizes: np.ndarray        # side -> its clause's number of states
+    ends: np.ndarray         # side -> its clause; net.start places its table
     event_first: np.ndarray  # side -> where its state map starts in events
     events: np.ndarray       # each distinct state map preprocessing read, once
     away: np.ndarray         # crossings by the clause they leave, edge order
     away_start: np.ndarray   # node -> its first crossing in away; len(nodes) + 1
     n_events: np.ndarray     # edge -> number of separator events
+    component: np.ndarray    # node -> its tree's lowest node, a query clique
     false_pos: np.ndarray    # variable by variable, the flat positions of its
     true_pos: np.ndarray     # false and of its true states in its introducer
     true_var: np.ndarray     # each position's variable, the same in both
@@ -384,6 +383,7 @@ class _Builder:
         self.up: list[int] = []
         self.down: list[int] = []
         self.sides: list[int] = []  # edge side -> its map, by build_edges
+        self.component: list[int] = []  # node -> its tree's lowest node, likewise
 
     def add(self, kind, scope, separator, parents, clause_idx, label) -> int:
         idx = len(self.nodes)
@@ -426,6 +426,8 @@ class _Builder:
         member edges and are skipped.  The edges must form a forest: an
         edge whose ends a disjoint-set forest already joins closes a cycle,
         which means the clause sharing structure is not singly connected.
+        Each union links the higher root under the lower, so one pass in
+        index order leaves ``component`` naming each tree by its lowest node.
         """
         # transitive membership: a clause inside an inner group is also
         # connected through every group containing that inner group.  A
@@ -456,7 +458,7 @@ class _Builder:
                     edges.append(Edge(p, node.idx, node.separator))
                     sides += (self.up[node.idx], self.down[node.idx])
 
-        root = list(range(len(self.nodes)))  # disjoint-set forest
+        root = self.component = list(range(len(self.nodes)))  # disjoint sets
 
         def find(i: int) -> int:
             while root[i] != i:
@@ -471,7 +473,9 @@ class _Builder:
                     f"clause sharing structure has a cycle through "
                     f"{self.nodes[e.b].label!r}"
                 )
-            root[a] = b
+            root[max(a, b)] = min(a, b)
+        for i, r in enumerate(root):  # root[r] is final: r <= i
+            root[i] = root[r]
         return tuple(edges)
 
 
@@ -490,13 +494,13 @@ def _propagation_index(b: _Builder, edges, start) -> PropagationIndex:
     var = np.repeat(np.arange(intro.size, dtype=np.intp), sizes)
     true = ((pos - first[var]) >> shift[var] & 1).astype(bool)
     index = PropagationIndex(
-        ends=ends, flat_first=start[ends], sizes=np.diff(start)[ends],
-        event_first=b.maps.first[np.array(b.sides, dtype=np.intp)],
+        ends=ends, event_first=b.maps.first[np.array(b.sides, dtype=np.intp)],
         events=b.maps.events,
         away=np.argsort(ends, kind="stable"), away_start=np.concatenate(
             ([0], np.cumsum(np.bincount(ends, minlength=len(b.nodes))))),
         n_events=np.array([1 << len(e.separator.vars) for e in edges],
                           dtype=np.intp),
+        component=np.array(b.component, dtype=np.intp),
         false_pos=pos[~true], true_pos=pos[true], true_var=var[true])
     for a in index:
         a.setflags(write=False)

@@ -20,28 +20,27 @@ clauses.
 
 A network holds every clause table in one read-only float64 array from
 preprocessing on.  A run copies it once and updates the copy in place; the
-posterior is the network over the copy.  A crossing index, built once
-per network by ``preprocess`` (``PropagationIndex``), locates for each
-side of each edge the states of that side's clause and their separator
-events, and lists each clause's crossings away.  A run compiles one
-schedule: it roots each component of the clause forest at its lowest-index
-node, a query clique, walks the index breadth-first from those roots, one
-depth at a time, and gathers every depth's crossings' states and events
-at once: crossings at one depth touch disjoint far clauses and read near
-clauses already final, so each depth is a few batched numpy operations.
-Propagating from a home crosses the edges from the home up to its root one
-at a time, each a level of one crossing, then runs the component's depths
-down from the root, where each edge of the way up gets a factor of exactly
-1.0 (a depth holding no other crossing is left out).  Every crossing thus reads and writes what it would
-in a breadth-first walk away from the home.  Each separator event belongs
-to one crossing and sums its states in ascending order, as one update per
+posterior is the network over the copy.  A crossing index, built once per
+network by ``preprocess`` (``PropagationIndex``), names each edge side's
+clause and separator events, each clause's crossings away, and each tree
+of the clause forest by its lowest node, a query clique.  A run compiles
+one schedule: it roots each tree holding a home there, walks the index
+breadth-first from those roots, one depth at a time, and gathers every
+depth's crossings' states and events at once: crossings at one depth touch
+disjoint far clauses and read near clauses already final, so each depth is
+a few batched numpy operations.  Propagating from a home crosses the edges
+from the home up to its root one at a time, each a level of one crossing,
+then runs the tree's depths down from the root, where each edge of the way
+up gets a factor of exactly 1.0 (a depth holding no other crossing is left
+out).  Every crossing thus reads and writes what it would in a
+breadth-first walk away from the home.  Each separator event belongs to
+one crossing and sums its states in ascending order, as one update per
 edge would, so the results are bit-for-bit those of the edge-by-edge walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import takewhile
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +75,7 @@ from .model import (
     marginalize,  # unused here; perfbench/tracer.py wraps it by this name
 )
 from .preprocess import GROUP, PreparedNetwork, covering_node
-from .tables import ROOT, ranges
+from .tables import ranges
 
 
 @dataclass(frozen=True)
@@ -202,42 +201,30 @@ def _table(net: PreparedNetwork, flat: np.ndarray, i: int) -> JointTable:
 def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route]:
     """The run's propagation schedule: a route for each distinct home.
 
-    Each component of the clause forest is rooted at its lowest-index node,
-    a query clique without parents (query cliques come first).  One
-    breadth-first walk of the network's ``PropagationIndex`` from every
-    such clique at once, one depth at a time, finds each node's crossing
-    from its parent; a walk that reaches a lower clique shares that
-    clique's component and is dropped, as is a component that holds no
-    home.  One gather of every crossing's states and events then makes the
-    levels that each route in a component shares.  The clause tree is a
-    forest, so each crossing away from a clause reaches a new one, except
-    the crossing back over the edge that reached it.
+    Preprocessing names each tree of the clause forest by its lowest node, a
+    query clique without parents (query cliques come first); the schedule
+    roots each tree holding a home there.  One breadth-first walk of the
+    network's ``PropagationIndex`` from those roots at once, one depth at a
+    time, finds each node's crossing from its parent, and one gather of every
+    crossing's states and events makes the levels that each route in a tree
+    shares.  The clause tree is a forest, so each crossing away from a clause
+    reaches a new one, except the crossing back over the edge that reached it.
     """
     ix, homes, n = net.index, list(dict.fromkeys(homes)), len(net.nodes)
-    roots = [v.idx for v in takewhile(lambda v: v.kind == ROOT, net.nodes)
-             if not v.parents]
+    roots = sorted(set(ix.component[homes].tolist()))  # np.unique imports numpy.ma
     degree = np.diff(ix.away_start)
+    first, states = net.start[ix.ends], np.diff(net.start)[ix.ends]  # sides' tables
     level = ix.away[ranges(ix.away_start[roots], degree[roots])]
-    walk = np.repeat(np.arange(len(roots)), degree[roots])  # ascends in a depth
+    walk = np.repeat(roots, degree[roots])  # each crossing's root, ascending
     found, level_of = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     while level.size:
-        level_of.append(len(found) * len(roots) + walk)  # one level per depth, walk
+        level_of.append(len(found) * n + walk)  # one level per depth, tree
         found.append(level)
         far = ix.ends[level ^ 1]
         onward = ix.away[ranges(ix.away_start[far], degree[far])]
         keep = onward != np.repeat(level ^ 1, degree[far])
         level, walk = onward[keep], np.repeat(walk, degree[far])[keep]
     crossings, level_of = np.concatenate(found), np.concatenate(level_of)
-    walk, reached = level_of % len(roots), ix.ends[crossings ^ 1]
-    component = np.full(n, len(roots))
-    component[roots] = np.arange(len(roots))
-    np.minimum.at(component, reached, walk)  # numbered by its lowest root
-    wanted = np.zeros(len(roots) + 1, bool)
-    wanted[component[homes]] = True
-    keep = wanted[walk]
-    if not keep.all():  # another walk in a component, or one without a home
-        crossings, level_of, walk, reached = (
-            a[keep] for a in (crossings, level_of, walk, reached))
     bounds = np.append(np.flatnonzero(np.diff(level_of, prepend=-1)), level_of.size)
     edges = crossings >> 1
     counted = np.concatenate(([0], np.cumsum(ix.n_events[edges])))
@@ -245,26 +232,26 @@ def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route
     offset = counted[:-1] - np.repeat(counted[bounds[:-1]], np.diff(bounds))
     near, far = [], []
     for sides, out in ((crossings, near), (crossings ^ 1, far)):
-        sizes = ix.sizes[sides]
+        sizes = states[sides]
         cut = np.concatenate(([0], np.cumsum(sizes)))[bounds].tolist()
         e = ix.events[ranges(ix.event_first[sides], sizes)]
         e += np.repeat(offset, sizes)
-        p = ranges(ix.flat_first[sides], sizes)
+        p = ranges(first[sides], sizes)
         out.extend((p[a:b], e[a:b]) for a, b in zip(cut, cut[1:]))
-    levels = {w: [] for w in component[homes].tolist()}  # by depth
-    spans = bounds.tolist()
-    for k, (a, b, w) in enumerate(zip(spans, spans[1:], walk[bounds[:-1]].tolist())):
-        levels[w].append(_Level(*near[k], *far[k], edges[a:b]))
+    levels = {r: [] for r in roots}  # by depth
+    spans, trees = bounds.tolist(), (level_of[bounds[:-1]] % n).tolist()
+    for k, (a, b, r) in enumerate(zip(spans, spans[1:], trees)):
+        levels[r].append(_Level(*near[k], *far[k], edges[a:b]))
     way = np.full(n, -1)
-    way[reached] = np.arange(reached.size)  # the crossing that reached each node
-    touched = {w: tuple(np.flatnonzero(component == w).tolist()) for w in levels}
+    way[ix.ends[crossings ^ 1]] = np.arange(crossings.size)  # what reached each
+    touched = {r: tuple(np.flatnonzero(ix.component == r).tolist()) for r in levels}
 
     def side(s: int) -> tuple[slice, np.ndarray]:
-        a, size, e = ix.flat_first[s], ix.sizes[s], ix.event_first[s]
+        a, size, e = first[s], states[s], ix.event_first[s]
         return slice(a, a + size), ix.events[e:e + size]
 
     routes = {}
-    for h, w in zip(homes, component[homes].tolist()):
+    for h, w in zip(homes, ix.component[homes].tolist()):
         up, skip, i = [], [], h
         while (k := way[i]) >= 0:  # crossed the other way, from i up
             c, size = crossings[k] ^ 1, int(ix.n_events[edges[k]])

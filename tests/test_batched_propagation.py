@@ -183,6 +183,21 @@ def component(net, home):
     return tuple(sorted(seen))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_component_is_the_lowest_node_of_each_tree(data):
+    """Preprocessing names each node's tree by the lowest node reachable
+    from it over the edges, a query clique without parents.  Bridged draws
+    put two such cliques in one tree, whose higher one is not its name."""
+    forest = data.draw(st.booleans())
+    text, _, _ = data.draw(networks(forest=forest, bridge=data.draw(st.booleans())))
+    net = preprocess(parse_program(text))
+    for i in range(len(net.nodes)):
+        lowest = min(component(net, i))
+        assert net.index.component[i] == lowest
+        assert net.nodes[lowest].kind == "root" and not net.nodes[lowest].parents
+
+
 @st.composite
 def reweighted_networks(draw):
     """A network whose tables are reweighted, state by state, by integer
@@ -253,7 +268,7 @@ def test_state_maps_built_once_per_edge_side(problem):
     for side, end in enumerate(ix.ends):
         first = ix.event_first[side]
         assert np.array_equal(
-            ix.events[first:first + ix.sizes[side]],
+            ix.events[first:first + net.nodes[end].scope.n_states],
             real(net.nodes[end].scope, net.edges[side >> 1].separator))
     for name, a in again.index._asdict().items():
         assert np.array_equal(a, getattr(ix, name))

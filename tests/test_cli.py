@@ -203,6 +203,10 @@ class TestRunCommand:
         assert "converged after 0 pass(es)" in out
         assert "P(A) = 0.700000" in out
 
+    def test_empty_evidence_path_is_unreadable(self, model_file, capsys):
+        assert main(["run", model_file, ""]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read : ")
+
     def test_cancer_bayesian(self, cancer_file, tmp_path, capsys):
         ev = evidence_file(tmp_path, "D = false\nE = true")
         assert main(["run", cancer_file, ev]) == 0
@@ -324,6 +328,15 @@ class TestOracleCommand:
         payload = json.loads(capsys.readouterr().out)
         for v, d in payload["differences"].items():
             assert d <= 1e-12
+
+    def test_tolerance_that_is_not_a_number(self, model_file, tmp_path,
+                                            capsys, monkeypatch):
+        # a NaN tolerance once cycled to the cap before failing
+        monkeypatch.setattr("rcndl.oracle.CYCLE_CAP", 3)
+        ev = evidence_file(tmp_path, "P(B) = 0.33\nP(C) = 0.95")
+        assert main(["oracle", model_file, ev, "--oracle-tol", "nan"]) == 1
+        assert capsys.readouterr().err == (
+            "error: oracle tolerance nan must be finite and positive\n")
 
     def test_json_sides_match_text(self, cancer_file, tmp_path, capsys):
         ev = evidence_file(tmp_path, "P(D) = 0.75\nP(E) = 0.10")

@@ -22,6 +22,7 @@ from rcndl import (
     marginalize,
 )
 from rcndl.engine import dual_value_and_gradient
+from rcndl.errors import ProbabilityError
 from rcndl.model import lift
 from rcndl.scheduler import update_table
 from tests import reference_engine as reference
@@ -636,6 +637,14 @@ class TestInputChecks:
             lec_solve(AC_PRIOR, c)
         assert str(exc.value) == ("constraint scope ('B',) not within table "
                                   "scope ('A', 'C')")
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
+    def test_tolerance_outside_its_domain(self, tolerance):
+        c = LinearConstraint(AC_PRIOR.scope, ((0.0, 1.0, 0.0, 1.0),), (0.5,))
+        with pytest.raises(ProbabilityError) as exc:
+            lec_solve(AC_PRIOR, c, tolerance)
+        assert str(exc.value) == (f"tolerance {tolerance!r} must be finite "
+                                  f"and non-negative")
 
     def test_certain_target_side_without_mass(self):
         table = JointTable(Scope(("A", "B")), [0.5, 0.0, 0.5, 0.0])

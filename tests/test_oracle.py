@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rcndl.model
 import rcndl.oracle
 from rcndl import (
     ConditionalConstraint,
@@ -28,6 +29,7 @@ from rcndl import (
     preprocess,
     run_reasoning,
 )
+from rcndl.errors import ProbabilityError
 from rcndl.model import QueryClause, RuleClause, event_indices, substate_map
 from tests.conftest import brute_force_cancer, brute_force_three_vars
 from tests.test_batched_propagation import PROB, networks
@@ -246,6 +248,25 @@ class TestExpandFullJoint:
             expand_full_joint(net)
 
 
+def test_expansion_lifts_nothing_onto_the_whole_joint(monkeypatch):
+    """The product in node order is already in introducer order, so
+    expanding a 14-variable chain builds no state map over more than the
+    12 variables whose maps are cached (those are built once, unseen)."""
+    text = "?- X0 : [0.4, 0.6].\n" + "".join(
+        f"X{i} -> X{i + 1} : [0.3, 0.8].\n" for i in range(13))
+    net = preprocess(parse_program(text))
+    built, real = [], rcndl.model._build_state_map
+
+    def spy(n, positions):
+        built.append(n)
+        return real(n, positions)
+
+    monkeypatch.setattr(rcndl.model, "_build_state_map", spy)
+    joint = expand_full_joint(net)
+    assert joint.scope.vars == tuple(net.introducer) and len(net.introducer) == 14
+    assert max(built, default=0) <= 12
+
+
 class TestOracleMce:
     def test_satisfied_constraints_leave_joint_unchanged(self, three_vars_net):
         joint = expand_full_joint(three_vars_net)
@@ -301,6 +322,18 @@ class TestOracleMce:
                    abs(marginalize(q, Scope(("C",))).probs[1] - 0.95)) > 1e-9:
                 continue
             assert cross_entropy(q, joint) >= base - 1e-9
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, three_vars_net,
+                                                   monkeypatch, tol):
+        # a NaN tolerance once cycled to the cap
+        monkeypatch.setattr(rcndl.oracle, "CYCLE_CAP", 3)
+        joint = expand_full_joint(three_vars_net)
+        with pytest.raises(ProbabilityError) as err:
+            oracle_mce(joint, [MarginalConstraint(Scope(("B",)), (0.67, 0.33))],
+                       tol=tol)
+        assert str(err.value) == (f"oracle tolerance {tol!r} must be finite "
+                                  f"and positive")
 
     def test_cycle_cap(self, three_vars_net, monkeypatch):
         monkeypatch.setattr(rcndl.oracle, "CYCLE_CAP", 2)

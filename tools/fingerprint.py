@@ -68,6 +68,11 @@ this checkout's).  The script prints one JSON object:
   names renamed to the name before them, which may repeat a variable in a
   clause); a mutant that does not parse gives its error type and text
   instead;
+* ``evidence``: the parsed constraint list (``repr`` of
+  ``parse_evidence``) of each demo evidence file, of seed 1's evidence of
+  every workload and of MUTANTS mutants of each, made as for ``parse`` but
+  from the characters of ``tests/test_evidence_fuzz.py``; a text that does
+  not parse gives its error type and text instead;
 * ``cli``: the stdout and exit code of ``python -m rcndl.cli`` run on the
   ``paper`` models and evidence files: ``check``, ``run --json``, ``run
   --trace`` and ``oracle --json``, each in a fresh interpreter that imports
@@ -110,6 +115,7 @@ STACKED_SEED = 20240603
 EXACT_TOL = 1e-12
 MUTANTS = 200  # mutated copies parsed of each model
 MUTANT_CHARS = "[],;:.%?->_ \n\r0159eE+ABX\u0661\x1c@"
+EVIDENCE_CHARS = "()|!=,.#_ \n\r0159eE+-PABXtrue\u0661\x1c"
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
@@ -520,14 +526,16 @@ def stacked(rcndl, n: int) -> dict:
     return out
 
 
-def parse_outcome(rcndl, text: str) -> str:
+def parse_outcome(rcndl, parse, text: str) -> str:
+    """The hash of ``repr(parse(text))`` (exact floats and any source
+    positions), or the error type and text."""
     try:
-        return digest(repr(rcndl.parse_program(text)))  # exact floats, positions
+        return digest(repr(parse(text)))
     except rcndl.RcndlError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def mutant(rng: random.Random, text: str) -> str:
+def mutant(rng: random.Random, text: str, chars: str = MUTANT_CHARS) -> str:
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(text) + 1)
         op = rng.choice(("insert", "replace", "delete", "swap", "rename"))
@@ -537,7 +545,7 @@ def mutant(rng: random.Random, text: str) -> str:
             a, b = names[k].span()
             text = text[:a] + names[k - 1].group() + text[b:]
         elif op in ("insert", "replace"):
-            text = text[:i] + rng.choice(MUTANT_CHARS) + text[i + (op == "replace"):]
+            text = text[:i] + rng.choice(chars) + text[i + (op == "replace"):]
         elif op == "delete":
             text = text[:i] + text[i + 1:]
         else:
@@ -554,14 +562,31 @@ def parses(rcndl, n: int) -> dict:
     for name, gen in generate.GENERATORS.items():
         for seed in (1, 2, 3):
             text = gen(seed).model_text
-            out[f"{name}/{seed}"] = parse_outcome(rcndl, text)
+            out[f"{name}/{seed}"] = parse_outcome(rcndl, rcndl.parse_program, text)
             if seed == 1:
                 models[name] = text
     for k in range(n):
-        out[f"program/{k}"] = parse_outcome(rcndl, generated_program(rng))
+        out[f"program/{k}"] = parse_outcome(rcndl, rcndl.parse_program,
+                                            generated_program(rng))
     for name, text in models.items():
         for k in range(MUTANTS):
-            out[f"{name}/mutant/{k}"] = parse_outcome(rcndl, mutant(rng, text))
+            out[f"{name}/mutant/{k}"] = parse_outcome(rcndl, rcndl.parse_program,
+                                                      mutant(rng, text))
+    return out
+
+
+def evidence(rcndl) -> dict:
+    rng = random.Random(PROGRAM_SEED + 2)
+    texts = {path.stem: path.read_text()
+             for path in sorted((ROOT / "demos").glob("evidence_*.txt"))}
+    for name, gen in generators().GENERATORS.items():
+        texts[name] = gen(1).evidence_text
+    out = {}
+    for name, text in texts.items():
+        out[name] = parse_outcome(rcndl, rcndl.parse_evidence, text)
+        for k in range(MUTANTS):
+            out[f"{name}/mutant/{k}"] = parse_outcome(
+                rcndl, rcndl.parse_evidence, mutant(rng, text, EVIDENCE_CHARS))
     return out
 
 
@@ -633,6 +658,7 @@ def main(argv=None) -> None:
         "linear_messages": linear_messages,
         "stacked": stacked(rcndl, args.programs),
         "parse": parses(rcndl, args.programs),
+        "evidence": evidence(rcndl),
         "cli": cli(src),
     }, sys.stdout, indent=1)
     print()
