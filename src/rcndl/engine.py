@@ -28,7 +28,6 @@ from .model import (
     LinearConstraint,
     MarginalConstraint,
     event_indices,
-    lift,
     marginalize,
     scale_events,
 )
@@ -184,15 +183,17 @@ def lec_solve(
 
     Returns the tilted posterior ``p_j ~ q_j exp(-(A^T l)_j)`` at the dual
     minimum, with every row residual ``|b - A p|`` within ``tolerance``.
+    A set whose scope is not the table's is solved on the table's marginal
+    over its scope, and the result is scaled back by ``scale_events``.
     The minimizer puts no mass where the prior has none, so states without
-    mass are dropped from the prior and the lifted rows once, and the
-    posterior is scattered back to the table's scope once, on exit.  The
-    dual is minimized with damped Newton steps: each solves the row
-    covariance under the current tilt for the gradient and backtracks, from
-    a step that changes no log-probability ratio by more than
-    ``TILT_STEP``, until the Armijo condition holds.  Once the decrease a
-    step promises is below what the dual value resolves, the step is taken
-    without a search and must shrink the residual.
+    mass are dropped from the prior and the rows once, and the posterior is
+    scattered back once, on exit.  The dual is minimized with damped Newton
+    steps: each solves the row covariance under the current tilt for the
+    gradient and backtracks, from a step that changes no log-probability
+    ratio by more than ``TILT_STEP``, until the Armijo condition holds.
+    Once the decrease a step promises is below what the dual value
+    resolves, the step is taken without a search and must shrink the
+    residual.
 
     Raises ``InfeasibleEvidenceError`` before the first step when a
     right-hand side lies beyond its row's range on the support by more
@@ -211,15 +212,14 @@ def lec_solve(
             f"constraint scope {c.scope.vars} not within table scope "
             f"{table.scope.vars}"
         )
-    rows = c.rows if c.scope == table.scope else lift(c.rows, c.scope, table.scope)
-    rhs = c.rhs
+    rows, rhs = c.rows, c.rhs
     # max|a_k| (1 for a zero row, whose multiplier never moves) and the
     # width max a_k - min a_k, how far a unit multiplier moves a
-    # log-probability ratio, from the unlifted rows without a temporary
-    top, bottom = c.rows.max(axis=1), c.rows.min(axis=1)
+    # log-probability ratio
+    top, bottom = rows.max(axis=1), rows.min(axis=1)
     unit, width = np.maximum(top, -bottom), top - bottom
     unit[unit == 0.0] = 1.0
-    prior = table.probs
+    prior = marginalize(table, c.scope).probs
     support = prior > 0.0
     if not support.all():
         # an I-projection puts no mass where the prior has none
@@ -243,6 +243,8 @@ def lec_solve(
     def posterior():
         probs = np.zeros(support.shape)
         probs[support] = p / p.sum()
+        if c.scope != table.scope:  # each event scaled to its tilt
+            return scale_events(table, c.scope, probs)
         return JointTable(table.scope, probs, _validate=False)
 
     def failure(message):
@@ -312,7 +314,7 @@ def constraint_gradient(table: JointTable, c: ConstraintSet) -> np.ndarray:
 
     For marginal sets this is simply target minus current probability per
     event; for conditional sets the analogous difference of conditionals;
-    for linear sets the row residuals ``b - A p``.
+    for linear sets the row residuals ``b - A p`` on the set's marginal.
     """
     if isinstance(c, MarginalConstraint):
         current = marginalize(table, c.scope).probs
@@ -327,8 +329,7 @@ def constraint_gradient(table: JointTable, c: ConstraintSet) -> np.ndarray:
         current = table.prob_of({**cond, c.target: True}) / mass
         return np.array([c.prob - current])
     if isinstance(c, LinearConstraint):
-        rows = c.rows if c.scope == table.scope else lift(c.rows, c.scope, table.scope)
-        return c.rhs - rows @ table.probs
+        return c.rhs - c.rows @ marginalize(table, c.scope).probs
     raise TypeError(f"unknown constraint type {type(c).__name__}")
 
 

@@ -18,7 +18,8 @@ sub-scope's state numbers broadcast over the scope) and the broadcast
 the positions of the sub-variables, so each distinct one over a
 clause-sized scope is built once per process and shared read-only.  Every
 lift of values over a sub-scope onto a scope (``lift``) is a gather
-through that map.
+through that map; no kernel lifts a linear set's rows onto its table,
+whose marginal over the set's scope ``lec_solve`` solves on instead.
 
 Every sum over the events of a partition is a ``np.bincount`` over that
 map, which adds each event's states in state order.  A sum over axes adds
@@ -219,7 +220,10 @@ def normalized(t: JointTable) -> JointTable:
 
 
 def marginalize(table: JointTable, sub: Scope) -> JointTable:
-    """Sum the table down onto a sub-scope (any variable order)."""
+    """Sum the table down onto a sub-scope (any variable order); a table
+    over ``sub`` itself is its own marginal."""
+    if sub == table.scope:
+        return table
     if not sub.issubset(table.scope):
         raise ScopeError(
             f"{sub.vars} is not a subset of table scope {table.scope.vars}"

@@ -77,10 +77,10 @@ def oracle_mce(
     for at most ``CYCLE_CAP`` cycles.  A cycle is an exact single-constraint
     MCE projection onto each set in the given (program) order; once a cycle
     has not halved the largest gradient, the next is one projection onto
-    all sets at once, ``stacked`` into one linear set over the joint, since
-    cycling that slowly can take many thousands of cycles (sets that
-    together pin a marginal).  Only then: stacking lifts every row onto the
-    whole joint.  Linear projections are solved to ``min(1e-9, tol)``.  The
+    all sets at once, ``stacked`` into one linear set over the variables
+    they hold (solved on the joint's marginal over them), since cycling
+    that slowly can take many thousands of cycles (sets that together pin
+    a marginal).  Linear projections are solved to ``min(1e-9, tol)``.  The
     fixed order makes the oracle an order-independent check of the
     scheduler's greatest-gradient runs.  ``tol`` must be positive and finite.
     """

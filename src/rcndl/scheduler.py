@@ -69,6 +69,7 @@ from .model import (
     JointTable,
     LinearConstraint,
     MarginalConstraint,
+    Scope,
     event_factors,
     event_indices,
     lift,
@@ -283,11 +284,14 @@ def _propagate(net: PreparedNetwork, flat: np.ndarray, route: _Route) -> None:
 def stacked(sets: list[ConstraintSet] | tuple[ConstraintSet, ...],
             table: JointTable) -> LinearConstraint:
     """Constraint sets over variables of ``table``'s scope as one linear set
-    over it: a marginal set's event indicators, a linear set's rows, and a
-    conditional set's one row ``(P(x, S) - v P(S)) / P(S)``, with ``P(S)``
-    read off ``table``, so that each row's residual there is its set's
-    gradient."""
-    scope, rows, rhs = table.scope, [], []
+    over the variables they hold, in ``table``'s order: a marginal set's
+    event indicators, a linear set's rows, and a conditional set's one row
+    ``(P(x, S) - v P(S)) / P(S)``, with ``P(S)`` read off ``table``, so
+    that each row's residual there is its set's gradient.  This is the one
+    place that decides which states a set's rows span."""
+    held = {v for c in sets for v in c.variables()}
+    scope = Scope(v for v in table.scope.vars if v in held)
+    rows, rhs = [], []
     for c in sets:
         if isinstance(c, LinearConstraint):
             r, b = lift(c.rows, c.scope, scope), c.rhs

@@ -23,7 +23,7 @@ from rcndl import (
 )
 from rcndl.engine import dual_value_and_gradient
 from rcndl.errors import ProbabilityError
-from rcndl.model import lift
+from rcndl.model import lift, scale_events
 from rcndl.scheduler import update_table
 from tests import reference_engine as reference
 from tests.conftest import outcome
@@ -600,9 +600,37 @@ class TestRestrictionOncePerSolve:
         assert lambdas.tobytes() == state.lambdas.tobytes()
         assert (value, gradient.tobytes()) == (state.value,
                                                state.gradient.tobytes())
+        # the set is solved on the table's marginal over (b,), so the last
+        # p lies on that marginal's support, scattered and scaled back
+        on = marginalize(table, c.scope).probs > 0.0
+        tilt = np.zeros(c.scope.n_states)
+        tilt[on] = p / p.sum()
+        assert post.probs.tobytes() == \
+            scale_events(table, c.scope, tilt).probs.tobytes()
         support = table.probs > 0.0
-        assert post.probs[support].tobytes() == (p / p.sum()).tobytes()
         assert not post.probs[~support].any()
+        # no evaluation sees rows wider than the set's own states
+        assert all(rows.shape[1] <= c.scope.n_states
+                   for (_, rows, _, _), _ in calls)
+
+    def test_a_sub_scope_solve_that_stops_carries_the_whole_table(
+            self, monkeypatch):
+        # the best iterate is scaled back onto the table's scope, and its
+        # marginal on the set's scope is the solver's last iterate
+        monkeypatch.setattr(rcndl.engine, "MAX_ITERATIONS", 1)
+        table = JointTable(Scope(("a", "b", "d")),
+                           [0.0, 0.1, 0.2, 0.05, 0.25, 0.1, 0.2, 0.1])
+        c = LinearConstraint(Scope(("d", "b")), ((0.5, -1.0, 2.0, 0.0),),
+                             (-0.4,))
+        calls = count_evaluations(monkeypatch)
+        with pytest.raises(ConvergenceError) as err:
+            lec_solve(table, c, 1e-15)
+        best, state = err.value.best
+        assert best.scope == table.scope and state.iterations == 1
+        *_, (_, _, p) = calls[-1]
+        assert np.abs(marginalize(best, c.scope).probs
+                      - p / p.sum()).max() <= 1e-15
+        assert not best.probs[table.probs == 0.0].any()
 
     @pytest.mark.parametrize("case", ["partial", "full"])
     @settings(max_examples=60, deadline=None)

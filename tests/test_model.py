@@ -78,6 +78,9 @@ class TestMarginalize:
         t = JointTable(Scope(("A", "B")), [0.24, 0.06, 0.42, 0.28])
         m = marginalize(t, t.scope)
         np.testing.assert_allclose(m.probs, t.probs)
+        # the table itself: a linear set's gradient on its own table sums
+        # nothing
+        assert m is t
 
     def test_three_variable_table(self):
         t = JointTable(Scope(("A", "B")), [0.24, 0.06, 0.42, 0.28])

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -460,3 +461,27 @@ class TestSchedulerAgainstOracle:
         for joint in (post.tables[1], ref):
             assert marginalize(joint, Scope(("X0",))).probs[1] == \
                 pytest.approx(p0, abs=1e-12)
+
+    def test_a_stacked_cycle_allocates_near_the_joints_size(self):
+        # the sets hold X0, X1 and X15 of a 16-variable chain: stacked,
+        # they are solved on the joint's 8-state marginal over those
+        # three, where rows over the whole joint took about 20 joints
+        n = 16
+        net = preprocess(parse_program("?- X0 : [0.4, 0.6].\n" + "".join(
+            f"X{i} -> X{i + 1} : [0.3, 0.8].\n" for i in range(n - 1))))
+        joint = expand_full_joint(net)
+        p0, a, b = 0.3, 0.62, 0.627
+        p1 = p0 * a + (1 - p0) * b
+        cons = (ConditionalConstraint("X1", (("X0", True),), a),
+                ConditionalConstraint("X1", (("X0", False),), b),
+                MarginalConstraint(Scope(("X1",)), (1 - p1, p1)),
+                MarginalConstraint(Scope((f"X{n - 1}",)), (0.7, 0.3)))
+        tracemalloc.start()
+        try:
+            post = oracle_mce(joint, cons, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * joint.probs.nbytes, peak / joint.probs.nbytes
+        assert marginalize(post, Scope(("X0",))).probs[1] == \
+            pytest.approx(p0, abs=1e-12)

@@ -61,6 +61,8 @@ this checkout's).  The script prints one JSON object:
   the table, so most mixes are feasible, and a condition event without
   mass is refused.  Each entry hashes the stacked rows and right-hand
   sides with the posterior, or gives the error's type and text;
+* ``oracle``: ``oracle_mce(table, sets, 1e-12)`` on each ``stacked``
+  mix, its posterior hashed, or the error's type and text;
 * ``parse``: the parsed clause list, every source position included, of
   each workload model, of N more generated programs and of mutated models
   (MUTANTS copies of each demo model and of seed 1 of every workload, each
@@ -88,6 +90,8 @@ two outputs.
 
 ``--values`` also saves, for every ``workloads`` and ``paper`` run, the
 posterior tables, each variable's posterior P(var), and the pass and step
+counts; for every ``stacked`` and ``oracle`` entry, as ``stacked/<k>`` and
+``oracle/<k>``, the posterior table and each variable's P(var), with no
 counts.  ``--close`` reads two such files and prints, per run, the largest
 absolute difference of the tables and of the marginals with both sides'
 pass and step counts, and, under ``max``, the largest differences over all
@@ -510,7 +514,14 @@ def stacked_problem(rcndl, k: int):
     return table, sets
 
 
-def stacked(rcndl, n: int) -> dict:
+def posterior_values(rcndl, post) -> dict:
+    """The arrays ``--close`` compares for one posterior table."""
+    marginals = [rcndl.marginalize(post, rcndl.Scope((v,))).probs[1]
+                 for v in post.scope.vars]
+    return {"tables": post.probs, "marginals": np.array(marginals)}
+
+
+def stacked(rcndl, n: int, values: dict) -> dict:
     """The ``stacked`` section."""
     out = {}
     for k in range(n):
@@ -521,6 +532,21 @@ def stacked(rcndl, n: int) -> dict:
             out[str(k)] = digest(np.asarray(c.rows, float).tobytes(),
                                  np.asarray(c.rhs, float).tobytes(),
                                  post.probs.tobytes())
+            values[f"stacked/{k}"] = posterior_values(rcndl, post)
+        except rcndl.RcndlError as exc:
+            out[str(k)] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+def oracle(rcndl, n: int, values: dict) -> dict:
+    """The ``oracle`` section."""
+    out = {}
+    for k in range(n):
+        table, sets = stacked_problem(rcndl, k)
+        try:
+            post = rcndl.oracle_mce(table, sets, 1e-12)
+            out[str(k)] = digest(post.probs.tobytes())
+            values[f"oracle/{k}"] = posterior_values(rcndl, post)
         except rcndl.RcndlError as exc:
             out[str(k)] = f"{type(exc).__name__}: {exc}"
     return out
@@ -594,9 +620,11 @@ def closeness(first: str, second: str) -> dict:
     """Per run of two ``--values`` files: the largest absolute differences
     of the posterior tables and marginals, and both pass and step counts.
     A run that raised saved nothing, so where one side raised the
-    differences and that side's counts are ``null``.  ``max`` holds the
-    largest differences and ``counts_differ``, the runs whose pass or step
-    counts differ (a run that raised on one side only among them)."""
+    differences and that side's counts are ``null``; an entry saved with
+    no counts (``stacked``, ``oracle``) has ``null`` counts on both sides.
+    ``max`` holds the largest differences and ``counts_differ``, the runs
+    whose pass or step counts differ (a run that raised on one side only
+    among them)."""
     sides = [np.load(first), np.load(second)]
     runs = sorted({key.split("|")[0] for side in sides for key in side.files})
     out, worst = {}, {"table": 0.0, "marginal": 0.0, "counts_differ": []}
@@ -611,10 +639,12 @@ def closeness(first: str, second: str) -> dict:
                 if a.shape == b.shape:
                     entry[field] = float(np.abs(a - b).max(initial=0.0))
                     worst[field] = max(worst[field], entry[field])
-        entry["passes"] = [int(g["counts"][0]) if g else None for g in got]
-        entry["steps"] = [int(g["counts"][1]) if g else None for g in got]
-        if entry["passes"][0] != entry["passes"][1] or (
-                entry["steps"][0] != entry["steps"][1]):
+        entry["passes"] = [int(g["counts"][0]) if "counts" in g else None
+                           for g in got]
+        entry["steps"] = [int(g["counts"][1]) if "counts" in g else None
+                          for g in got]
+        if bool(got[0]) != bool(got[1]) or any(
+                a != b for a, b in (entry["passes"], entry["steps"])):
             worst["counts_differ"].append(name)
         out[name] = entry
     return {"runs": out, "max": worst}
@@ -628,8 +658,8 @@ def main(argv=None) -> None:
                     help="number of generated programs, of linear sets and "
                          "of stacked mixes (default 2000)")
     ap.add_argument("--values", metavar="FILE",
-                    help="also save the workload and paper posteriors to "
-                         "this .npz file")
+                    help="also save the workload, paper, stacked and "
+                         "oracle posteriors to this .npz file")
     ap.add_argument("--close", nargs=2, metavar="FILE",
                     help="compare two --values files instead of hashing")
     args = ap.parse_args(argv)
@@ -656,7 +686,8 @@ def main(argv=None) -> None:
         "shapes": shapes(rcndl),
         "linear": linear_outcomes,
         "linear_messages": linear_messages,
-        "stacked": stacked(rcndl, args.programs),
+        "stacked": stacked(rcndl, args.programs, values),
+        "oracle": oracle(rcndl, args.programs, values),
         "parse": parses(rcndl, args.programs),
         "evidence": evidence(rcndl),
         "cli": cli(src),
