@@ -2,10 +2,10 @@
 
 The oracle expands a prepared network into the single joint table over all
 of its variables (the junction product: every clause table multiplied,
-every propagation-edge separator divided out) and solves MCE problems
-directly on it.  It exists to validate the clause-local engine and
-scheduler, not to compete with them: the guard on variable count keeps
-expansion to desk scale.
+every propagation-edge separator divided out) and solves MCE problems on
+it with no loop: one cycle of single-set projections, then one joint
+projection.  It validates the clause-local engine and scheduler, not
+competing with them: the variable guard keeps expansion to desk scale.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .model import (
 )
 from .preprocess import OBS, Edge, PreparedNetwork
 from .scheduler import stacked, update_table
-
-CYCLE_CAP = 100_000
 
 
 def expand_full_joint(net: PreparedNetwork) -> JointTable:
@@ -73,34 +71,35 @@ def oracle_mce(
 ) -> JointTable:
     """MCE distribution satisfying every constraint, relative to ``joint``.
 
-    Cycles until every gradient is below ``tol`` at the start of a cycle,
-    for at most ``CYCLE_CAP`` cycles.  A cycle is an exact single-constraint
-    MCE projection onto each set in the given (program) order; once a cycle
-    has not halved the largest gradient, the next is one projection onto
-    all sets at once, ``stacked`` into one linear set over the variables
-    they hold (solved on the joint's marginal over them), since cycling
-    that slowly can take many thousands of cycles (sets that together pin
-    a marginal).  Linear projections are solved to ``min(1e-9, tol)``.  The
-    fixed order makes the oracle an order-independent check of the
-    scheduler's greatest-gradient runs.  ``tol`` must be positive and finite.
+    The first table whose every gradient is below ``tol`` of: ``joint``;
+    one cycle of exact single-set projections in program order, linear
+    ones solved to ``min(1e-9, tol)``; and the cycle's end projected onto
+    all sets ``stacked`` into one, solved to a tenth of that as its
+    conditional rows hold the cycle's condition masses.  Each projection
+    tilts by the sets' rows, so the last is the I-projection of ``joint``
+    (Csiszár 1975).  ``tol`` must be positive and finite.  Where the joint
+    projection misses it, the ``ConvergenceError`` names the gradient left
+    and carries that joint as ``best``; one raised by its ``lec_solve``
+    carries the solver's ``(table, DualState)``.
     """
     if not 0.0 < tol < np.inf:  # NaN fails too
         raise ProbabilityError(f"oracle tolerance {tol!r} must be finite "
                                f"and positive")
-    current, worst = joint, np.inf
-    for _ in range(CYCLE_CAP):
-        last, worst = worst, max((gradient_scalar(current, c)
-                                  for c in constraints), default=0.0)
-        if worst < tol:
-            return current
-        for c in ([stacked(constraints, current)] if worst > last / 2
-                  else constraints):
-            current = update_table(current, c, tol)
-    raise ConvergenceError(
-        f"oracle did not satisfy all constraints within {tol} after "
-        f"{CYCLE_CAP} cycles",
-        best=current,
-    )
+
+    def worst(table: JointTable) -> float:
+        return max((gradient_scalar(table, c) for c in constraints), default=0.0)
+
+    current = joint
+    if worst(current) < tol:
+        return current
+    for c in constraints:
+        current = update_table(current, c, tol)
+    if worst(current) >= tol:
+        current = update_table(current, stacked(constraints, current), tol / 10)
+        if (left := worst(current)) >= tol:
+            raise ConvergenceError(f"oracle left a gradient of {left:.3g}, "
+                                   f"not below {tol}", best=current)
+    return current
 
 
 def ce_decomposition_check(

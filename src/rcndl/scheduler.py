@@ -349,7 +349,7 @@ def update_table(table: JointTable, c: ConstraintSet,
     The closed-form kernels are exact.  The linear kernel stops once every
     row residual is within ``min(TOLERANCE, tolerance)``, so no caller
     solves looser than 1e-9: the reasoning loop passes a tenth of the
-    constraint's gradient threshold and ``oracle_mce`` its ``tol``.
+    constraint's gradient threshold, ``oracle_mce`` its ``tol`` or a tenth.
     """
     if isinstance(c, MarginalConstraint):
         return jeffrey_update(table, c)

@@ -330,9 +330,8 @@ class TestOracleCommand:
             assert d <= 1e-12
 
     def test_tolerance_that_is_not_a_number(self, model_file, tmp_path,
-                                            capsys, monkeypatch):
-        # a NaN tolerance once cycled to the cap before failing
-        monkeypatch.setattr("rcndl.oracle.CYCLE_CAP", 3)
+                                            capsys):
+        # refused before any projection, as an input error
         ev = evidence_file(tmp_path, "P(B) = 0.33\nP(C) = 0.95")
         assert main(["oracle", model_file, ev, "--oracle-tol", "nan"]) == 1
         assert capsys.readouterr().err == (

@@ -22,6 +22,7 @@ from rcndl import (
     ce_decomposition_check,
     cross_entropy,
     expand_full_joint,
+    gradient_scalar,
     marginalize,
     oracle_mce,
     parse_evidence,
@@ -268,6 +269,21 @@ def test_expansion_lifts_nothing_onto_the_whole_joint(monkeypatch):
     assert max(built, default=0) <= 12
 
 
+def pinned_chain(n):
+    """The joint of an ``n``-variable rule chain, and four sets on it:
+    P(X1|X0), P(X1|!X0) and P(X1), which together fix its (X0, X1) clause
+    with P(X0) = 0.3, and a marginal on the last variable."""
+    net = preprocess(parse_program("?- X0 : [0.4, 0.6].\n" + "".join(
+        f"X{i} -> X{i + 1} : [0.3, 0.8].\n" for i in range(n - 1))))
+    p0, a, b = 0.3, 0.62, 0.627
+    p1 = p0 * a + (1 - p0) * b
+    return expand_full_joint(net), (
+        ConditionalConstraint("X1", (("X0", True),), a),
+        ConditionalConstraint("X1", (("X0", False),), b),
+        MarginalConstraint(Scope(("X1",)), (1 - p1, p1)),
+        MarginalConstraint(Scope((f"X{n - 1}",)), (0.7, 0.3)))
+
+
 class TestOracleMce:
     def test_satisfied_constraints_leave_joint_unchanged(self, three_vars_net):
         joint = expand_full_joint(three_vars_net)
@@ -325,10 +341,9 @@ class TestOracleMce:
             assert cross_entropy(q, joint) >= base - 1e-9
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
-    def test_tolerance_must_be_finite_and_positive(self, three_vars_net,
-                                                   monkeypatch, tol):
-        # a NaN tolerance once cycled to the cap
-        monkeypatch.setattr(rcndl.oracle, "CYCLE_CAP", 3)
+    def test_tolerance_must_be_finite_and_positive(self, three_vars_net, tol):
+        # refused before any projection: `gradient < tol` never holds at
+        # NaN or 0
         joint = expand_full_joint(three_vars_net)
         with pytest.raises(ProbabilityError) as err:
             oracle_mce(joint, [MarginalConstraint(Scope(("B",)), (0.67, 0.33))],
@@ -336,15 +351,30 @@ class TestOracleMce:
         assert str(err.value) == (f"oracle tolerance {tol!r} must be finite "
                                   f"and positive")
 
-    def test_cycle_cap(self, three_vars_net, monkeypatch):
-        monkeypatch.setattr(rcndl.oracle, "CYCLE_CAP", 2)
-        joint = expand_full_joint(three_vars_net)
-        with pytest.raises(ConvergenceError) as err:
-            oracle_mce(joint, [
-                MarginalConstraint(Scope(("B",)), (0.67, 0.33)),
-                MarginalConstraint(Scope(("C",)), (0.05, 0.95)),
-            ], tol=1e-12)
-        assert err.value.best is not None
+    def test_a_gradient_floor_above_tol_raises_without_spinning(
+            self, monkeypatch):
+        # on a 2**20-state joint the summed marginals leave a gradient
+        # near 2e-12, which no further projection removes; the oracle
+        # makes at most one projection per set and one joint projection,
+        # then says what it left
+        joint, cons = pinned_chain(20)
+        calls, real = [], rcndl.oracle.update_table
+
+        def spy(table, c, tolerance):
+            calls.append(c)
+            assert len(calls) <= 50, "the oracle is cycling"
+            return real(table, c, tolerance)
+
+        monkeypatch.setattr(rcndl.oracle, "update_table", spy)
+        with pytest.raises(ConvergenceError,
+                           match=r"^oracle left a gradient of \S+, not "
+                                 r"below 1e-12$") as err:
+            oracle_mce(joint, cons, tol=1e-12)
+        assert len(calls) <= len(cons) + 1
+        best = err.value.best
+        assert isinstance(best, JointTable) and best.scope == joint.scope
+        left = max(gradient_scalar(best, c) for c in cons)
+        assert f"gradient of {left:.3g}," in str(err.value) and left >= 1e-12
 
 
 class TestCeDecomposition:
@@ -437,7 +467,23 @@ class TestSchedulerAgainstOracle:
             tuple(cons), policy=policy, default_threshold=1e-12,
             max_passes=20_000))
         assert trace.converged, trace.final_gradients
-        ref = oracle_mce(joint, cons, tol=1e-12)
+        calls = {"update_table": 0, "stacked": 0}
+
+        def counting(name):
+            real = getattr(rcndl.oracle, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return real(*args)
+            return spy
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in calls:
+                mp.setattr(rcndl.oracle, name, counting(name))
+            ref = oracle_mce(joint, cons, tol=1e-12)
+        # one cycle of single projections, then at most one joint one
+        assert calls["update_table"] <= len(cons) + 1, calls
+        assert calls["stacked"] <= 1, calls
         for t in post.tables:
             diff = np.abs(t.probs - marginalize(ref, t.scope).probs).max()
             assert diff <= 1e-10, (t.scope, diff)
@@ -466,16 +512,7 @@ class TestSchedulerAgainstOracle:
         # the sets hold X0, X1 and X15 of a 16-variable chain: stacked,
         # they are solved on the joint's 8-state marginal over those
         # three, where rows over the whole joint took about 20 joints
-        n = 16
-        net = preprocess(parse_program("?- X0 : [0.4, 0.6].\n" + "".join(
-            f"X{i} -> X{i + 1} : [0.3, 0.8].\n" for i in range(n - 1))))
-        joint = expand_full_joint(net)
-        p0, a, b = 0.3, 0.62, 0.627
-        p1 = p0 * a + (1 - p0) * b
-        cons = (ConditionalConstraint("X1", (("X0", True),), a),
-                ConditionalConstraint("X1", (("X0", False),), b),
-                MarginalConstraint(Scope(("X1",)), (1 - p1, p1)),
-                MarginalConstraint(Scope((f"X{n - 1}",)), (0.7, 0.3)))
+        joint, cons = pinned_chain(16)
         tracemalloc.start()
         try:
             post = oracle_mce(joint, cons, tol=1e-12)
@@ -484,4 +521,4 @@ class TestSchedulerAgainstOracle:
             tracemalloc.stop()
         assert peak <= 6 * joint.probs.nbytes, peak / joint.probs.nbytes
         assert marginalize(post, Scope(("X0",))).probs[1] == \
-            pytest.approx(p0, abs=1e-12)
+            pytest.approx(0.3, abs=1e-12)

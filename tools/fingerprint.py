@@ -33,6 +33,11 @@ this checkout's).  The script prints one JSON object:
   home: plans over groups and, where root cliques are disjoint, forests.
   A second pass would order constraints that the first left exactly met
   by round-off;
+* ``oracle_runs``: for each accepted program, by program number,
+  ``oracle_mce(expand_full_joint(net), sets, 1e-12)`` on the sets of its
+  ``program_runs`` entry, its posterior hashed, or the error's type and
+  text: the oracle on whole network joints of up to 14 variables, 1,178
+  of the 1,613 accepted at the default N with groups;
 * ``messages``: the text of every rejection, by program number;
 * ``chains``: the chain program (``?- R``, then ``R -> B_i`` for i < k,
   ``B0 -> C0`` and ``C_{i-1}, B_i -> C_i``, then the observation
@@ -90,12 +95,13 @@ two outputs.
 
 ``--values`` also saves, for every ``workloads`` and ``paper`` run, the
 posterior tables, each variable's posterior P(var), and the pass and step
-counts; for every ``stacked`` and ``oracle`` entry, as ``stacked/<k>`` and
-``oracle/<k>``, the posterior table and each variable's P(var), with no
-counts.  ``--close`` reads two such files and prints, per run, the largest
-absolute difference of the tables and of the marginals with both sides'
-pass and step counts, and, under ``max``, the largest differences over all
-runs and the list of runs whose pass or step counts differ.
+counts; for every ``stacked``, ``oracle`` and ``oracle_runs`` entry, as
+``stacked/<k>``, ``oracle/<k>`` and ``oracle_runs/<k>``, the posterior
+table and each variable's P(var), with no counts.  ``--close`` reads two
+such files and prints, per run, the largest absolute difference of the
+tables and of the marginals with both sides' pass and step counts, and,
+under ``max``, the largest differences over all runs and the list of runs
+whose pass or step counts differ.
 """
 
 from __future__ import annotations
@@ -330,8 +336,9 @@ def enumeration_error(rcndl, net, reads) -> float:
         for t in (*net.tables, *reads))
 
 
-def program_run(rcndl, net, k: int) -> str:
-    """The ``program_runs`` entry of accepted program ``k``."""
+def program_sets(rcndl, net, k: int) -> list:
+    """The constraint sets of accepted program ``k``, as ``program_runs``
+    describes them."""
     joint, config = program_joint(rcndl, net)
     joint *= np.random.default_rng(k).uniform(0.5, 1.5, joint.size)
     joint /= joint.sum()
@@ -358,14 +365,15 @@ def program_run(rcndl, net, k: int) -> str:
             cons.append(rcndl.ConditionalConstraint(
                 body, tuple((v, True) for v in head),
                 float(target[-1] / (target[-2] + target[-1]))))
-    return run_digest(run(rcndl, net, cons, rcndl.GREATEST_GRADIENT, 0.0,
-                          max_passes=1))
+    return cons
 
 
-def programs(rcndl, n: int) -> tuple[dict, list, dict, dict]:
+def programs(rcndl, n: int, values: dict) -> tuple[dict, list, dict, dict, dict]:
+    """The ``programs``, ``program_outcomes``, ``program_runs``,
+    ``messages`` and ``oracle_runs`` sections."""
     rng = random.Random(PROGRAM_SEED)
     summary: dict[str, int] = {"count": n, "accepted": 0, "inexact": 0}
-    outcomes, runs, messages = [], {}, {}
+    outcomes, runs, messages, oracle_runs = [], {}, {}, {}
     for k in range(n):
         text = generated_program(rng)
         try:
@@ -384,8 +392,12 @@ def programs(rcndl, n: int) -> tuple[dict, list, dict, dict]:
         outcomes.append(digest(network_digest(net),
                                [t.probs.tobytes() for t in reads]))
         summary["inexact"] += int(enumeration_error(rcndl, net, reads) > EXACT_TOL)
-        runs[str(k)] = program_run(rcndl, net, k)
-    return summary, outcomes, runs, messages
+        cons = program_sets(rcndl, net, k)
+        runs[str(k)] = run_digest(run(rcndl, net, cons, rcndl.GREATEST_GRADIENT,
+                                      0.0, max_passes=1))
+        oracle_runs[str(k)] = oracle_entry(
+            rcndl, rcndl.expand_full_joint(net), cons, values, f"oracle_runs/{k}")
+    return summary, outcomes, runs, messages, oracle_runs
 
 
 def chain_program(k: int) -> str:
@@ -538,18 +550,22 @@ def stacked(rcndl, n: int, values: dict) -> dict:
     return out
 
 
+def oracle_entry(rcndl, table, sets, values: dict, key: str) -> str:
+    """The hash of ``oracle_mce(table, sets, 1e-12)``, its values saved
+    under ``key``, or the error's type and text."""
+    try:
+        post = rcndl.oracle_mce(table, sets, 1e-12)
+    except rcndl.RcndlError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    values[key] = posterior_values(rcndl, post)
+    return digest(post.probs.tobytes())
+
+
 def oracle(rcndl, n: int, values: dict) -> dict:
     """The ``oracle`` section."""
-    out = {}
-    for k in range(n):
-        table, sets = stacked_problem(rcndl, k)
-        try:
-            post = rcndl.oracle_mce(table, sets, 1e-12)
-            out[str(k)] = digest(post.probs.tobytes())
-            values[f"oracle/{k}"] = posterior_values(rcndl, post)
-        except rcndl.RcndlError as exc:
-            out[str(k)] = f"{type(exc).__name__}: {exc}"
-    return out
+    return {str(k): oracle_entry(rcndl, *stacked_problem(rcndl, k), values,
+                                 f"oracle/{k}")
+            for k in range(n)}
 
 
 def parse_outcome(rcndl, parse, text: str) -> str:
@@ -621,7 +637,8 @@ def closeness(first: str, second: str) -> dict:
     of the posterior tables and marginals, and both pass and step counts.
     A run that raised saved nothing, so where one side raised the
     differences and that side's counts are ``null``; an entry saved with
-    no counts (``stacked``, ``oracle``) has ``null`` counts on both sides.
+    no counts (``stacked``, ``oracle``, ``oracle_runs``) has ``null``
+    counts on both sides.
     ``max`` holds the largest differences and ``counts_differ``, the runs
     whose pass or step counts differ (a run that raised on one side only
     among them)."""
@@ -658,8 +675,8 @@ def main(argv=None) -> None:
                     help="number of generated programs, of linear sets and "
                          "of stacked mixes (default 2000)")
     ap.add_argument("--values", metavar="FILE",
-                    help="also save the workload, paper, stacked and "
-                         "oracle posteriors to this .npz file")
+                    help="also save the workload, paper, stacked, oracle "
+                         "and oracle_runs posteriors to this .npz file")
     ap.add_argument("--close", nargs=2, metavar="FILE",
                     help="compare two --values files instead of hashing")
     args = ap.parse_args(argv)
@@ -672,15 +689,17 @@ def main(argv=None) -> None:
     import rcndl
 
     print(f"rcndl from {Path(rcndl.__file__).parent}", file=sys.stderr)
-    summary, outcomes, runs, messages = programs(rcndl, args.programs)
-    linear_outcomes, linear_messages = linear(rcndl, args.programs)
     values: dict = {}
+    summary, outcomes, runs, messages, oracle_runs = programs(
+        rcndl, args.programs, values)
+    linear_outcomes, linear_messages = linear(rcndl, args.programs)
     json.dump({
         "workloads": workloads(rcndl, values),
         "paper": paper(rcndl, values),
         "programs": summary,
         "program_outcomes": outcomes,
         "program_runs": runs,
+        "oracle_runs": oracle_runs,
         "messages": messages,
         "chains": chains(rcndl),
         "shapes": shapes(rcndl),
