@@ -11,6 +11,10 @@ entropy to the current table subject to the constraint:
   beyond its row's range there.
 * ``constraint_gradient`` -- the dual gradient of a constraint set at the
   current table; its infinity norm is the scheduling and termination signal.
+
+Each reads the table's marginal over the set's ``scope`` alone, since the
+MCE update against a set is a factor on that scope (Csiszár 1975), and the
+kernels write their result back with ``scale_events``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .model import (
     JointTable,
     LinearConstraint,
     MarginalConstraint,
-    event_indices,
     marginalize,
     scale_events,
 )
@@ -52,6 +55,30 @@ def cross_entropy(p: JointTable, q: JointTable) -> float:
     return float(np.sum(ps * np.log(ps / q.probs[support])))
 
 
+def _within(table: JointTable, c: ConstraintSet) -> None:
+    """Refuse a constraint set over a variable that the table lacks."""
+    if not c.scope.issubset(table.scope):
+        raise ScopeError(
+            f"constraint scope {c.scope.vars} not within table scope "
+            f"{table.scope.vars}"
+        )
+
+
+def _condition_event(table: JointTable, c: ConditionalConstraint
+                     ) -> tuple[np.ndarray, int, int]:
+    """The table's marginal over ``c.scope`` and the two states there of
+    the condition event, the target false and the target true: the target
+    is the scope's first variable, its most significant bit."""
+    q = marginalize(table, c.scope).probs
+    n = len(c.scope)
+    false = sum(int(val) << (n - 2 - k) for k, (_, val) in enumerate(c.condition))
+    true = false | 1 << (n - 1)
+    if q[false] + q[true] <= 0.0:
+        raise InfeasibleEvidenceError(
+            f"condition event of {c.label()} has zero probability")
+    return q, false, true
+
+
 def jeffrey_update(table: JointTable, c: MarginalConstraint) -> JointTable:
     """MCE posterior for a marginal constraint set.
 
@@ -59,43 +86,30 @@ def jeffrey_update(table: JointTable, c: MarginalConstraint) -> JointTable:
     ``target_l / current_l``, which satisfies the constraint exactly and
     preserves the conditional distribution within each event.
     """
-    if not c.scope.issubset(table.scope):
-        raise ScopeError(
-            f"constraint partition {c.scope.vars} not within table scope "
-            f"{table.scope.vars}"
-        )
+    _within(table, c)
     return scale_events(table, c.scope, np.asarray(c.targets, dtype=float))
 
 
 def conditional_update(table: JointTable, c: ConditionalConstraint) -> JointTable:
     """MCE posterior for a single conditional constraint P(x | S) = v.
 
-    States inside the condition event are tilted multiplicatively: with
-    ``R = (1-v) Q1 / (v Q0)`` where Q0, Q1 are the prior masses of the
-    x-false and x-true parts of the event, the x-false part is scaled by
-    ``R**v`` and the x-true part by ``R**(v-1)``; states outside the event
-    keep their relative weights and the whole table is renormalized.  The
-    result satisfies the constraint exactly (it is the minimizer of the
-    cross entropy subject to the one linear row the constraint induces).
+    On the table's marginal over ``c.scope``, the condition event's two
+    states are tilted multiplicatively: with ``R = (1-v) Q1 / (v Q0)``
+    where Q0, Q1 are the prior masses of its x-false and x-true states, the
+    x-false state is scaled by ``R**v`` and the x-true state by
+    ``R**(v-1)``; the marginal is renormalized and every state of the table
+    scaled by its restriction's ratio.  The result satisfies the constraint
+    exactly (it is the minimizer of the cross entropy subject to the one
+    linear row the constraint induces).
     """
-    for var in c.variables():
-        if var not in table.scope:
-            raise ScopeError(f"constraint variable {var!r} not in table scope")
-    cond = dict(c.condition)
-    ev_true = event_indices(table.scope, {**cond, c.target: True})
-    ev_false = event_indices(table.scope, {**cond, c.target: False})
-    q = table.probs
-    q0 = float(q[ev_false].sum())
-    q1 = float(q[ev_true].sum())
-    if q0 + q1 <= 0.0:
-        raise InfeasibleEvidenceError(
-            f"condition event {cond} has zero prior probability"
-        )
+    _within(table, c)
+    q, false, true = _condition_event(table, c)
+    q0, q1 = float(q[false]), float(q[true])
     v = c.prob
     out = q.copy()
     if v == 0.0 or v == 1.0:
         # Bayesian limit: all event mass moves to one side of the target.
-        kill = ev_true if v == 0.0 else ev_false
+        kill = true if v == 0.0 else false
         keep_mass = (q1 if v == 1.0 else q0)
         if keep_mass <= 0.0:
             raise InfeasibleEvidenceError(
@@ -109,10 +123,9 @@ def conditional_update(table: JointTable, c: ConditionalConstraint) -> JointTabl
         )
     else:
         r = ((1.0 - v) * q1) / (v * q0)
-        out[ev_false] = q[ev_false] * r ** v
-        out[ev_true] = q[ev_true] * r ** (v - 1.0)
-    total = out.sum()
-    return JointTable(table.scope, out / total, _validate=False)
+        out[false] *= r ** v
+        out[true] *= r ** (v - 1.0)
+    return scale_events(table, c.scope, out / out.sum())
 
 
 TOLERANCE = 1e-9       # infinity norm of the row residual at exit
@@ -207,11 +220,7 @@ def lec_solve(
     if not 0.0 <= tolerance < np.inf:  # NaN fails too
         raise ProbabilityError(
             f"tolerance {tolerance!r} must be finite and non-negative")
-    if not c.scope.issubset(table.scope):
-        raise ScopeError(
-            f"constraint scope {c.scope.vars} not within table scope "
-            f"{table.scope.vars}"
-        )
+    _within(table, c)
     rows, rhs = c.rows, c.rhs
     # max|a_k| (1 for a zero row, whose multiplier never moves) and the
     # width max a_k - min a_k, how far a unit multiplier moves a
@@ -320,14 +329,8 @@ def constraint_gradient(table: JointTable, c: ConstraintSet) -> np.ndarray:
         current = marginalize(table, c.scope).probs
         return np.asarray(c.targets, dtype=float) - current
     if isinstance(c, ConditionalConstraint):
-        cond = dict(c.condition)
-        mass = table.prob_of(cond)
-        if mass <= 0.0:
-            raise InfeasibleEvidenceError(
-                f"condition event of {c.label()} has zero probability"
-            )
-        current = table.prob_of({**cond, c.target: True}) / mass
-        return np.array([c.prob - current])
+        q, false, true = _condition_event(table, c)
+        return np.array([c.prob - q[true] / (q[false] + q[true])])
     if isinstance(c, LinearConstraint):
         return c.rhs - c.rows @ marginalize(table, c.scope).probs
     raise TypeError(f"unknown constraint type {type(c).__name__}")

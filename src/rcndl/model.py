@@ -18,8 +18,10 @@ sub-scope's state numbers broadcast over the scope) and the broadcast
 the positions of the sub-variables, so each distinct one over a
 clause-sized scope is built once per process and shared read-only.  Every
 lift of values over a sub-scope onto a scope (``lift``) is a gather
-through that map; no kernel lifts a linear set's rows onto its table,
-whose marginal over the set's scope ``lec_solve`` solves on instead.
+through that map.  Every kind of constraint set holds its variables as a
+``scope``, and no kernel reads a set's events or rows on its whole table:
+each reads the table's marginal over the set's scope and writes the
+result back with ``scale_events``.
 
 Every sum over the events of a partition is a ``np.bincount`` over that
 map, which adds each event's states in state order.  A sum over axes adds
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -162,14 +164,6 @@ def lift(values, sub: Scope, scope: Scope) -> np.ndarray:
     return np.asarray(values)[..., substate_map(scope, sub)]
 
 
-def event_indices(scope: Scope, partial: Mapping[str, bool]) -> np.ndarray:
-    """Indices of all states of ``scope`` consistent with a partial assignment."""
-    mask = np.ones(scope.n_states, dtype=bool)
-    for var, val in partial.items():
-        mask &= substate_map(scope, Scope((var,))) == int(val)
-    return np.nonzero(mask)[0]
-
-
 @dataclass(frozen=True, eq=False)  # equal only if identical
 class JointTable:
     """A probability distribution over the states of a scope."""
@@ -198,10 +192,6 @@ class JointTable:
     def __repr__(self):
         vals = ", ".join(f"{v:.6f}" for v in self.probs)
         return f"JointTable({'/'.join(self.scope.vars)}: [{vals}])"
-
-    def prob_of(self, partial: Mapping[str, bool]) -> float:
-        """Total probability of the event described by a partial assignment."""
-        return float(self.probs[event_indices(self.scope, partial)].sum())
 
 
 def product(a: JointTable, b: JointTable) -> JointTable:
@@ -354,12 +344,16 @@ class MarginalConstraint:
 @dataclass(frozen=True)
 class ConditionalConstraint:
     """A target value for P(target | condition event), the condition held
-    as a tuple of ``(variable, value)`` pairs."""
+    as a tuple of ``(variable, value)`` pairs.  ``scope`` holds the target,
+    then the condition's variables: the target is the most significant bit
+    of the set's states, and the condition event is the two states that
+    agree with the condition's values."""
 
     target: str
     condition: tuple[tuple[str, bool], ...]
     prob: float
     threshold: float | None = None
+    scope: Scope = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "condition", tuple(map(tuple, self.condition)))
@@ -372,9 +366,10 @@ class ConditionalConstraint:
             )
         if not 0.0 <= self.prob <= 1.0:
             raise ProbabilityError("conditional target must lie in [0, 1]")
+        object.__setattr__(self, "scope", Scope((self.target, *cond_vars)))
 
     def variables(self) -> tuple[str, ...]:
-        return (self.target,) + tuple(v for v, _ in self.condition)
+        return self.scope.vars
 
     def label(self) -> str:
         conds = ", ".join(v if val else f"!{v}" for v, val in self.condition)

@@ -47,6 +47,7 @@ import numpy as np
 
 from .engine import (
     TOLERANCE,
+    _condition_event,
     conditional_update,
     gradient_scalar,
     jeffrey_update,
@@ -71,7 +72,6 @@ from .model import (
     MarginalConstraint,
     Scope,
     event_factors,
-    event_indices,
     lift,
     marginalize,  # unused here; perfbench/tracer.py wraps it by this name
 )
@@ -287,26 +287,23 @@ def stacked(sets: list[ConstraintSet] | tuple[ConstraintSet, ...],
     over the variables they hold, in ``table``'s order: a marginal set's
     event indicators, a linear set's rows, and a conditional set's one row
     ``(P(x, S) - v P(S)) / P(S)``, with ``P(S)`` read off ``table``, so
-    that each row's residual there is its set's gradient.  This is the one
-    place that decides which states a set's rows span."""
-    held = {v for c in sets for v in c.variables()}
+    that each row's residual there is its set's gradient.  Each set's rows
+    are built over its own scope and lifted onto the variables the sets
+    hold: this is the one place that decides which states they span."""
+    held = {v for c in sets for v in c.scope.vars}
     scope = Scope(v for v in table.scope.vars if v in held)
     rows, rhs = [], []
     for c in sets:
         if isinstance(c, LinearConstraint):
-            r, b = lift(c.rows, c.scope, scope), c.rhs
+            r, b = c.rows, c.rhs
         elif isinstance(c, MarginalConstraint):
-            r, b = lift(np.eye(c.scope.n_states), c.scope, scope), c.targets
+            r, b = np.eye(c.scope.n_states), c.targets
         else:
-            cond = dict(c.condition)
-            r = np.zeros((1, scope.n_states))
-            r[0, event_indices(scope, cond)] -= c.prob
-            r[0, event_indices(scope, {**cond, c.target: True})] += 1.0
-            if (mass := table.prob_of(cond)) <= 0.0:
-                raise InfeasibleEvidenceError(
-                    f"condition event of {c.label()} has zero probability")
-            r, b = r / mass, (0.0,)
-        rows.append(r)
+            q, false, true = _condition_event(table, c)
+            r, b = np.zeros((1, c.scope.n_states)), (0.0,)
+            r[0, false], r[0, true] = -c.prob, 1.0 - c.prob
+            r /= q[false] + q[true]
+        rows.append(lift(r, c.scope, scope))
         rhs.append(b)
     return LinearConstraint(scope, np.concatenate(rows), np.concatenate(rhs))
 

@@ -23,7 +23,7 @@ from rcndl import (
     parse_program,
     preprocess,
 )
-from rcndl.model import event_indices, lift, product, substate_map
+from rcndl.model import lift, product, substate_map
 from rcndl.preprocess import GROUP, OBS, RULE
 from rcndl.scheduler import home_clause
 from tests.test_batched_propagation import constraint, networks
@@ -116,8 +116,10 @@ def test_substate_map_matches_bit_definition():
         # each state of the product as a value per variable
         values = [{v: (j >> (n - 1 - t)) & 1 for t, v in enumerate(ab.scope.vars)}
                   for j in range(1 << n)]
+
+        def state(s, x):  # the state of scope ``s`` that ``x`` assigns
+            return sum(x[v] << (len(s) - 1 - t) for t, v in enumerate(s.vars))
+
         assert ab.probs.tolist() == [
-            a.probs[event_indices(sub, {v: x[v] for v in sub.vars})[0]]
-            * b.probs[event_indices(scope, x)[0]]
-            for x in values
+            a.probs[state(sub, x)] * b.probs[state(scope, x)] for x in values
         ], (n, positions)

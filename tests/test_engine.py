@@ -23,8 +23,8 @@ from rcndl import (
 )
 from rcndl.engine import dual_value_and_gradient
 from rcndl.errors import ProbabilityError
-from rcndl.model import lift, scale_events
-from rcndl.scheduler import update_table
+from rcndl.model import lift, scale_events, substate_map
+from rcndl.scheduler import stacked, update_table
 from tests import reference_engine as reference
 from tests.conftest import outcome
 
@@ -236,6 +236,41 @@ class TestConditionalUpdate:
                 t, LinearConstraint(t.scope, (tuple(row),), (0.0,))
             )
             np.testing.assert_allclose(post.probs, sol.probs, atol=1e-7)
+
+    def test_sets_off_the_tables_variable_order(self):
+        # 1-3 condition variables in any order, 1-2 table variables outside
+        # the set, and the table's variables shuffled
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            k, extra = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            names = [f"v{i}" for i in range(k + 1 + extra)]
+            target, *held = rng.permutation(names)[:k + 1].tolist()
+            c = ConditionalConstraint(
+                target, [[v, bool(rng.integers(2))] for v in held],
+                float(rng.uniform(0.05, 0.95)))
+            table = JointTable(Scope(rng.permutation(names).tolist()),
+                               rng.dirichlet(np.ones(2 ** len(names))))
+            post = update_table(table, c, 1e-9)
+            solved, _ = lec_solve(table, stacked([c], table), 1e-13)
+            np.testing.assert_allclose(post.probs, solved.probs, rtol=0,
+                                       atol=1e-12)
+            assert gradient_scalar(post, c) < 1e-12
+            # the conditional read state by state, not off the set's scope
+            value = {v: substate_map(table.scope, Scope((v,))) for v in names}
+            event = np.logical_and.reduce(
+                [value[v] == x for v, x in c.condition])
+            hit = post.probs[event & (value[target] == 1)].sum()
+            assert abs(hit / post.probs[event].sum() - c.prob) < 1e-12
+            # the tilt is a factor on c.scope: the conditional given it stays
+            smap = substate_map(table.scope, c.scope)
+            np.testing.assert_allclose(
+                post.probs / marginalize(post, c.scope).probs[smap],
+                table.probs / marginalize(table, c.scope).probs[smap],
+                rtol=0, atol=1e-12)
+            # scope is derived, and left out of comparison and hashing
+            twin = ConditionalConstraint(target, c.condition, c.prob)
+            assert twin == c and hash(twin) == hash(c)
+            assert twin.scope.vars == (target, *held)
 
 
 class TestLecSolve:
@@ -657,7 +692,8 @@ class TestInputChecks:
         c = ConditionalConstraint("B", (("A", True),), 0.5)
         with pytest.raises(ScopeError) as exc:
             conditional_update(AC_PRIOR, c)
-        assert str(exc.value) == "constraint variable 'B' not in table scope"
+        assert str(exc.value) == ("constraint scope ('B', 'A') not within "
+                                  "table scope ('A', 'C')")
 
     def test_linear_scope_outside_the_table(self):
         c = LinearConstraint(Scope(("B",)), ((1.0, 0.0),), (0.5,))

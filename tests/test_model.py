@@ -19,43 +19,40 @@ from rcndl import (
     preprocess,
 )
 from rcndl.errors import ProbabilityError
-from rcndl.model import event_indices
+from rcndl.model import substate_map
 from tests.conftest import THREE_VARS
 from tests.reference_preprocess import multiply_condition
 
 
 class TestStateIndex:
-    """The one state that a full assignment selects, by ``event_indices``."""
+    """The value that state ``j`` gives each variable, by ``substate_map``
+    onto that variable: ``(j >> (n-1-k)) & 1`` for the ``k``-th."""
 
     def test_single_variable(self):
         s = Scope(("A",))
-        assert event_indices(s, {"A": False}).tolist() == [0]
-        assert event_indices(s, {"A": True}).tolist() == [1]
+        assert substate_map(s, s).tolist() == [0, 1]
 
     def test_first_variable_is_most_significant(self):
-        assert event_indices(Scope(("A", "B")),
-                             {"A": True, "B": False}).tolist() == [2]
+        assert substate_map(Scope(("A", "B")),
+                            Scope(("A",))).tolist() == [0, 0, 1, 1]
 
     def test_second_variable_is_least_significant(self):
-        assert event_indices(Scope(("B", "C")),
-                             {"B": False, "C": True}).tolist() == [1]
+        assert substate_map(Scope(("B", "C")),
+                            Scope(("C",))).tolist() == [0, 1, 0, 1]
 
     def test_bijection(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             n = int(rng.integers(1, 6))
             scope = Scope(tuple(f"v{i}" for i in range(n)))
-            seen = [
-                event_indices(scope, {
-                    f"v{i}": bool((j >> (n - 1 - i)) & 1) for i in range(n)
-                }).tolist()
-                for j in range(2 ** n)
-            ]
-            assert seen == [[j] for j in range(2 ** n)]
+            bits = [substate_map(scope, Scope((v,))) for v in scope.vars]
+            seen = [sum(int(b[j]) << (n - 1 - i) for i, b in enumerate(bits))
+                    for j in range(2 ** n)]
+            assert seen == list(range(2 ** n))
 
     def test_extra_variable_rejected(self):
         with pytest.raises(ScopeError):
-            event_indices(Scope(("A",)), {"A": True, "B": False})
+            substate_map(Scope(("A",)), Scope(("A", "B")))
 
 
 class TestScope:
@@ -191,11 +188,6 @@ class TestJointTable:
         # the dual of an empty set has no multipliers to solve for
         with pytest.raises(ArityError):
             LinearConstraint(Scope(("A",)), (), ())
-
-    def test_prob_of_partial_assignment(self):
-        t = JointTable(Scope(("A", "B")), [0.24, 0.06, 0.42, 0.28])
-        assert t.prob_of({"A": True}) == pytest.approx(0.7)
-        assert t.prob_of({"A": True, "B": False}) == pytest.approx(0.42)
 
 
 class TestLinearConstraint:

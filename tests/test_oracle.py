@@ -32,7 +32,7 @@ from rcndl import (
     run_reasoning,
 )
 from rcndl.errors import ProbabilityError
-from rcndl.model import QueryClause, RuleClause, event_indices, substate_map
+from rcndl.model import QueryClause, RuleClause, substate_map
 from tests.conftest import brute_force_cancer, brute_force_three_vars
 from tests.test_batched_propagation import PROB, networks
 
@@ -441,8 +441,10 @@ def tilted_problems(draw):
                 st.lists(st.sampled_from(head), min_size=1, unique=True)))
             scope = Scope(tuple(v for v, _ in condition) + (body,))
             m = marginal(scope)
-            true, false = (m[event_indices(scope, {**dict(condition), body: b})[0]]
-                           for b in (True, False))
+            # the condition's state with the body, the last bit, false
+            state = sum(int(val) << len(condition) - k
+                        for k, (_, val) in enumerate(condition))
+            true, false = m[state | 1], m[state]
             cons.append(ConditionalConstraint(body, condition,
                                               float(true / (true + false))))
             continue

@@ -62,10 +62,11 @@ this checkout's).  The script prints one JSON object:
 * ``stacked``: N seeded mixes of one to three marginal, conditional and
   linear sets over 1-3 variables of a table over 1-4 variables, some with
   states without mass, made one linear set by ``scheduler.stacked`` and
-  applied by ``scheduler.update_table``; targets are read off a tilt of
-  the table, so most mixes are feasible, and a condition event without
-  mass is refused.  Each entry hashes the stacked rows and right-hand
-  sides with the posterior, or gives the error's type and text;
+  applied by ``scheduler.update_table``; targets are read off a tilt's
+  marginal over each set's variables (``rcndl.marginalize``), so most
+  mixes are feasible, and a condition event without mass is refused.
+  Each entry hashes the stacked rows and right-hand sides with the
+  posterior, or gives the error's type and text;
 * ``oracle``: ``oracle_mce(table, sets, 1e-12)`` on each ``stacked``
   mix, its posterior hashed, or the error's type and text;
 * ``parse``: the parsed clause list, every source position included, of
@@ -93,11 +94,12 @@ a change, run the script against a second checkout of the parent commit
 (``git worktree`` or ``git archive``) and against the change, and diff the
 two outputs.
 
-``--values`` also saves, for every ``workloads`` and ``paper`` run, the
-posterior tables, each variable's posterior P(var), and the pass and step
-counts; for every ``stacked``, ``oracle`` and ``oracle_runs`` entry, as
-``stacked/<k>``, ``oracle/<k>`` and ``oracle_runs/<k>``, the posterior
-table and each variable's P(var), with no counts.  ``--close`` reads two
+``--values`` also saves, for every ``workloads``, ``paper`` and
+``program_runs`` run (as ``program_runs/<k>``), the posterior tables, each
+variable's posterior P(var), and the pass and step counts; for every
+``stacked``, ``oracle`` and ``oracle_runs`` entry, as ``stacked/<k>``,
+``oracle/<k>`` and ``oracle_runs/<k>``, the posterior table and each
+variable's P(var), with no counts.  ``--close`` reads two
 such files and prints, per run, the largest absolute difference of the
 tables and of the marginals with both sides' pass and step counts, and,
 under ``max``, the largest differences over all runs and the list of runs
@@ -393,8 +395,10 @@ def programs(rcndl, n: int, values: dict) -> tuple[dict, list, dict, dict, dict]
                                [t.probs.tobytes() for t in reads]))
         summary["inexact"] += int(enumeration_error(rcndl, net, reads) > EXACT_TOL)
         cons = program_sets(rcndl, net, k)
-        runs[str(k)] = run_digest(run(rcndl, net, cons, rcndl.GREATEST_GRADIENT,
-                                      0.0, max_passes=1))
+        result = run(rcndl, net, cons, rcndl.GREATEST_GRADIENT, 0.0,
+                     max_passes=1)
+        runs[str(k)] = run_digest(result)
+        values[f"program_runs/{k}"] = run_values(rcndl, result)
         oracle_runs[str(k)] = oracle_entry(
             rcndl, rcndl.expand_full_joint(net), cons, values, f"oracle_runs/{k}")
     return summary, outcomes, runs, messages, oracle_runs
@@ -512,8 +516,11 @@ def stacked_problem(rcndl, k: int):
         kind = rng.choice(("marginal", "conditional", "linear"))
         if kind == "conditional" and width > 1:
             condition = tuple((v, bool(rng.integers(2))) for v in scope.vars[1:])
-            mass = tilted.prob_of(dict(condition))
-            both = tilted.prob_of({**dict(condition), scope.vars[0]: True})
+            # on ``target``: the condition's state with scope.vars[0], the
+            # top bit, false, and the one with it true
+            false = sum(val << width - 2 - i for i, (_, val) in enumerate(condition))
+            both = target[false | 1 << width - 1]
+            mass = target[false] + both
             sets.append(rcndl.ConditionalConstraint(
                 scope.vars[0], condition, both / mass if mass > 0.0 else 0.5))
         elif kind == "linear":  # as tuples, which older sources also take
@@ -675,8 +682,9 @@ def main(argv=None) -> None:
                     help="number of generated programs, of linear sets and "
                          "of stacked mixes (default 2000)")
     ap.add_argument("--values", metavar="FILE",
-                    help="also save the workload, paper, stacked, oracle "
-                         "and oracle_runs posteriors to this .npz file")
+                    help="also save the workload, paper, program_runs, "
+                         "stacked, oracle and oracle_runs posteriors to this "
+                         ".npz file")
     ap.add_argument("--close", nargs=2, metavar="FILE",
                     help="compare two --values files instead of hashing")
     args = ap.parse_args(argv)
