@@ -176,7 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
                                              "oracle")
     add_common(p_oracle)
     p_oracle.add_argument("--oracle-tol", type=float, default=1e-12,
-                          help="largest gradient left by the oracle (default 1e-12)")
+                          help="largest gradient left by the oracle (default "
+                               "1e-12, which joints of about 20 variables may "
+                               "not meet: exit 1, naming the gradient left)")
     p_oracle.set_defaults(func=cmd_oracle)
     return parser
 

@@ -39,7 +39,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ArityError, InfeasibleEvidenceError, ProbabilityError, ScopeError
+from .errors import (ArityError, InfeasibleEvidenceError, ProbabilityError,
+                     ScopeError, SizeLimitError)
 
 UNIT_SUM_TOL = 1e-9
 
@@ -55,6 +56,14 @@ GREATEST_GRADIENT = "greatest-gradient"
 PROGRAM_ORDER = "program-order"
 DEFAULT_THRESHOLD = 1e-3
 DEFAULT_MAX_PASSES = 100
+
+
+def check_variable_limit(what: str, n: int) -> None:
+    """Refuse ``what``, a table that would span ``n`` variables, beyond
+    ``MAX_VARIABLES``: the one check and wording of the limit."""
+    if n > MAX_VARIABLES:
+        raise SizeLimitError(f"{what} would span {n} variables, over the "
+                             f"{MAX_VARIABLES}-variable limit")
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,7 +254,8 @@ def event_factors(
     """``target / current`` per event, for the events of ``partitions``
     concatenated in order; 1 where an event has neither mass nor target.
 
-    The first event with positive target but no current mass is infeasible.
+    The first event with positive target but no current mass is infeasible,
+    named by its variables' values.
     """
     mass = current > 0.0
     infeasible = ~mass & (target > 0.0)
@@ -255,11 +265,10 @@ def event_factors(
             if l < sep.n_states:
                 break
             l -= sep.n_states
+        event = event_label(sep, l)
         raise InfeasibleEvidenceError(
-            f"event {l} of partition {sep.vars} has zero prior probability "
-            f"but target {target[e]}",
-            event_label(sep, l), target[e],
-        )
+            f"event {event} has zero prior probability but target {target[e]}",
+            event, target[e])
     return np.divide(target, current, out=np.ones(current.size), where=mass)
 
 

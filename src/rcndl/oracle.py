@@ -13,11 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import cross_entropy, gradient_scalar
-from .errors import ConvergenceError, ProbabilityError, SizeLimitError
+from .errors import ConvergenceError, ProbabilityError
 from .model import (
     ConstraintSet,
     JointTable,
-    MAX_VARIABLES,
+    check_variable_limit,
     marginalize,
     normalized,
     product,
@@ -34,12 +34,7 @@ def expand_full_joint(net: PreparedNetwork) -> JointTable:
     separator marginal of every propagation edge (observation leaves drop
     out, being equal to their own separators).
     """
-    variables = tuple(net.introducer)
-    if len(variables) > MAX_VARIABLES:
-        raise SizeLimitError(
-            f"{len(variables)} variables exceeds the {MAX_VARIABLES}-variable "
-            f"expansion guard"
-        )
+    check_variable_limit("expand_full_joint: the full joint", len(net.introducer))
     nodes, edges = _junction(net)
     acc = net.tables[nodes[0]]
     for i in nodes[1:]:

@@ -42,15 +42,14 @@ from .errors import (
     MultiplyConnectedError,
     NetworkStructureError,
     ScopeError,
-    SizeLimitError,
 )
 from .model import (
     JointTable,
-    MAX_VARIABLES,
     ObservationClause,
     QueryClause,
     RuleClause,
     Scope,
+    check_variable_limit,
     marginalize,
     trusted_scope,
 )
@@ -273,12 +272,8 @@ def _join_order(nodes, introducer, vars: tuple[str, ...],
     inner = {m for g in closure if nodes[g].kind == GROUP for m in nodes[g].parents}
     members = tuple(m for m in closure if m not in inner)
     scopes = [set(nodes[m].scope.vars) for m in members]
-    n = len(set().union(*scopes))
-    if n > MAX_VARIABLES:
-        raise SizeLimitError(
-            f"{where}: a joint over the clauses connecting {', '.join(vars)} "
-            f"would span {n} variables, over the {MAX_VARIABLES}-variable limit"
-        )
+    check_variable_limit(f"{where}: a joint over the clauses connecting "
+                         f"{', '.join(vars)}", len(set().union(*scopes)))
     # each member's largest overlap with a joined member
     weight = [len(s & scopes[0]) for s in scopes]
     pool = list(range(1, len(members)))

@@ -130,27 +130,30 @@ def home_clause(net: PreparedNetwork, c: ConstraintSet) -> int:
     # evidence lands on clauses, not internal group joints
     best = covering_node(net.nodes, net.covers, needed, skip=GROUP)
     if best is None:
-        raise ScopeError(
-            f"no clause scope contains the constrained variables {sorted(needed)}"
-        )
+        raise ScopeError(f"{c.label()}: no clause scope contains the "
+                         f"constrained variables {sorted(needed)}")
     return best
 
 
 def validate_evidence(net: PreparedNetwork, ev: EvidenceSet) -> list[int]:
-    """Marginal evidence must target declared observables; conditional and
-    linear constraints only need their variables inside some clause scope.
+    """Every variable of a set must be the model's, and marginal evidence
+    must target declared observables; conditional and linear constraints
+    only need their variables inside some clause scope.  Each failure
+    leads with the set's label.
 
     Returns the home clause of each constraint set, in order.
     """
     homes = []
     for c in ev.constraints:
+        for v in c.variables():
+            if v not in net.introducer:
+                raise ScopeError(f"{c.label()}: unknown variable {v!r}")
         if isinstance(c, MarginalConstraint):
             undeclared = [v for v in c.scope.vars if v not in net.observables]
             if undeclared:
                 raise NetworkStructureError(
-                    f"evidence on {undeclared} but these variables are not "
-                    f"declared as observations"
-                )
+                    f"{c.label()}: evidence on {undeclared} but these "
+                    f"variables are not declared as observations")
         homes.append(home_clause(net, c))  # raises if no scope covers them
     return homes
 
@@ -324,18 +327,10 @@ def joint_constraint(net: PreparedNetwork, flat: np.ndarray, ev: EvidenceSet,
 
 def _named(exc: InfeasibleEvidenceError | ConvergenceError,
            c: ConstraintSet) -> InfeasibleEvidenceError | ConvergenceError:
-    """The error restated with the constraint being applied first, a
-    stalled solve keeping its best iterate, and a zero-mass event given as
-    variable values."""
-    if isinstance(exc, ConvergenceError):
-        return ConvergenceError(f"{c.label()}: {exc}", exc.best)
-    if exc.event is None:
-        return InfeasibleEvidenceError(f"{c.label()}: {exc}")
-    return InfeasibleEvidenceError(
-        f"{c.label()}: event {exc.event} has zero prior probability but "
-        f"target {exc.target}",
-        exc.event, exc.target,
-    )
+    """The error restated with the constraint being applied first, keeping
+    a stalled solve's best iterate or a zero-mass event and its target."""
+    return type(exc)(f"{c.label()}: {exc}", *(
+        (exc.best,) if isinstance(exc, ConvergenceError) else (exc.event, exc.target)))
 
 
 def update_table(table: JointTable, c: ConstraintSet,
@@ -382,8 +377,9 @@ def propagate_clause_update(net: PreparedNetwork, updated: int) -> PreparedNetwo
 def apply_constraint(
     net: PreparedNetwork, c: ConstraintSet
 ) -> tuple[PreparedNetwork, int]:
-    """Apply one constraint set to its home clause and propagate."""
-    home = home_clause(net, c)
+    """Apply one constraint set to its home clause and propagate; the set
+    is validated as ``run_reasoning`` validates evidence."""
+    [home] = validate_evidence(net, EvidenceSet((c,)))
     flat = net.flat.copy()
     _apply(net, flat, home, compile_schedule(net, [home])[home], c, TOLERANCE)
     return net.over(flat), home

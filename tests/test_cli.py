@@ -70,6 +70,10 @@ class TestEvidenceGrammar:
          "1:1: threshold -1 must be finite and non-negative"),
         ("P(C) = 0.95\nB = true threshold 1e999",
          "2:1: threshold 1e999 must be finite and non-negative"),
+        # grammatical, but not a valid set: the set's error, positioned
+        ("P(A | B, B) = 0.5", "1:1: duplicate variable in condition event"),
+        ("P(A | !A) = 0.5",
+         "1:1: target 'A' may not appear in its own condition"),
     ])
     def test_malformed_line_messages(self, text, message):
         with pytest.raises(ParseError) as err:
@@ -242,6 +246,15 @@ class TestRunCommand:
         res = run_cli("run", model_file, evidence_file(tmp_path, line))
         assert res.returncode == 1
         assert res.stderr == f"error: 1:1: {message}\n"
+
+    @pytest.mark.parametrize("evidence, message", [
+        ("P(A | B, B) = 0.5", "1:1: duplicate variable in condition event"),
+        ("P(Z) = 0.5", "P(Z)=0.5: unknown variable 'Z'"),
+    ])
+    def test_invalid_evidence_is_one_error_line(self, model_file, tmp_path,
+                                                capsys, evidence, message):
+        assert main(["run", model_file, evidence_file(tmp_path, evidence)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("evidence, flags, message", [
         ("P(B) = 0.5 threshold -1", [],

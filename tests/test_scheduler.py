@@ -31,7 +31,7 @@ from rcndl import (
 from rcndl.engine import gradient_scalar
 from rcndl.errors import ProbabilityError
 from rcndl.scheduler import home_clause
-from tests.conftest import CANCER, THREE_VARS
+from tests.conftest import CANCER, THREE_VARS, outcome
 from tests.reference_scheduler import marginal_spread
 
 
@@ -105,8 +105,10 @@ class TestPropagation:
             obs_b, JointTable(Scope(("B",)), [1.0, 0.0])
         )
         with pytest.raises(InfeasibleEvidenceError,
-                           match=r"event 1 of partition \('B',\)"):
+                           match=r"^event B=true has zero prior probability "
+                                 r"but target 0\.3\d+$") as err:
             propagate_clause_update(net, node_by_label(net, "A -> B").idx)
+        assert err.value.event == "B=true"
 
 
 class TestRunReasoningThreeVars:
@@ -327,9 +329,26 @@ class TestEvidenceValidation:
         assert ab.probs[3] / (ab.probs[2] + ab.probs[3]) == pytest.approx(0.9)
 
     def test_unknown_variable_rejected(self, three_vars_net):
-        ev = evidence("P(Q) = 0.5")
-        with pytest.raises(Exception):
-            run_reasoning(three_vars_net, ev)
+        # named as unknown, not as undeclared or as held by no clause
+        for text in ("P(Q) = 0.5", "P(A | Q) = 0.5"):
+            with pytest.raises(ScopeError) as err:
+                run_reasoning(three_vars_net, evidence(text))
+            label = parse_evidence(text)[0].label()
+            assert str(err.value) == f"{label}: unknown variable 'Q'"
+
+    def test_no_covering_clause_names_the_set(self, three_vars_net):
+        with pytest.raises(ScopeError) as err:
+            run_reasoning(three_vars_net, evidence("P(B | C) = 0.5"))
+        assert str(err.value) == ("P(B|C)=0.5: no clause scope contains the "
+                                  "constrained variables ['B', 'C']")
+
+    def test_apply_constraint_refuses_what_runs_refuse(self, three_vars_net):
+        # A is not declared an observation: one step refuses it as a run does
+        c = MarginalConstraint(Scope(("A",)), (0.5, 0.5))
+        want = outcome(run_reasoning, three_vars_net, EvidenceSet((c,)))
+        assert want == (NetworkStructureError, "P(A)=0.5: evidence on ['A'] "
+                        "but these variables are not declared as observations")
+        assert outcome(apply_constraint, three_vars_net, c) == want
 
     def test_reads_of_unknown_variables_name_them(self, three_vars_net):
         with pytest.raises(ScopeError, match="unknown variable 'Q'"):

@@ -81,10 +81,16 @@ this checkout's).  The script prints one JSON object:
   every workload and of MUTANTS mutants of each, made as for ``parse`` but
   from the characters of ``tests/test_evidence_fuzz.py``; a text that does
   not parse gives its error type and text instead;
-* ``cli``: the stdout and exit code of ``python -m rcndl.cli`` run on the
-  ``paper`` models and evidence files: ``check``, ``run --json``, ``run
-  --trace`` and ``oracle --json``, each in a fresh interpreter that imports
-  the ``rcndl`` under ``--src``.
+* ``cli``: the stdout, stderr and exit code of ``python -m rcndl.cli`` run
+  on the ``paper`` models and evidence files: ``check``, ``run --json``,
+  ``run --trace`` and ``oracle --json``, each in a fresh interpreter that
+  imports the ``rcndl`` under ``--src``; and the failures of ``run`` on the
+  three-variable model with evidence on an undeclared variable (``P(A) =
+  0.5``), on an unknown one (``P(Z) = 0.5``) and on an emptied event (``C
+  = true`` then ``C = false``), and of ``oracle`` on a 26-variable rule
+  chain, written to temporary files.  A failing command gives its exit
+  code, its stdout's hash and its stderr's text, so a diff shows a changed
+  error text.
 
 Each hash covers node kinds, scopes, separators, parents, clause indices,
 labels, edges in order, each node's incident edges, the variable indices
@@ -116,6 +122,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -245,14 +252,27 @@ def paper(rcndl, values: dict) -> dict:
     return out
 
 
+# Evidence that ``rcndl run`` refuses on the three-variable model.
+FAILING_EVIDENCE = {
+    "undeclared": "P(A) = 0.5\n",
+    "unknown": "P(Z) = 0.5\n",
+    "emptied-event": "C = true\nC = false\n",
+}
+
+
 def cli(src: Path) -> dict:
-    """The ``cli`` section: each command's stdout and exit code, hashed."""
+    """The ``cli`` section: each command's stdout, stderr and exit code,
+    hashed; a failing command gives its exit code, its stdout's hash and
+    its stderr's text."""
     env = dict(os.environ, PYTHONPATH=str(src))
 
     def command(*args) -> str:
         res = subprocess.run([sys.executable, "-m", "rcndl.cli", *map(str, args)],
                              capture_output=True, env=env, timeout=120)
-        return digest(res.stdout, res.returncode)
+        if res.returncode:
+            return (f"exit {res.returncode} {digest(res.stdout)}: "
+                    f"{res.stderr.decode()}")
+        return digest(res.stdout, res.stderr, res.returncode)
 
     out = {}
     for model, files in PAPER.items():
@@ -263,6 +283,19 @@ def cli(src: Path) -> dict:
             out[f"run/{model}/{name}"] = command("run", *flags, "--json")
             out[f"run-trace/{model}/{name}"] = command("run", *flags, "--trace")
             out[f"oracle/{model}/{name}"] = command("oracle", *flags, "--json")
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name: str, text: str) -> Path:
+            (Path(tmp) / name).write_text(text)
+            return Path(tmp) / name
+
+        for name, text in FAILING_EVIDENCE.items():
+            out[f"run/three_vars/{name}"] = command(
+                "run", DEMOS / "models" / "three_vars.rcndl", write(name, text))
+        # one variable over the limit of a full-joint expansion
+        chain = "?- X0 : [0.5, 0.5].\n" + "".join(
+            f"X{i - 1} -> X{i} : [0.3, 0.6].\n" for i in range(1, 26))
+        out["oracle/chain-26"] = command(
+            "oracle", write("chain.rcndl", chain), write("empty.txt", ""))
     return out
 
 
