@@ -326,14 +326,19 @@ def constraint_gradient(table: JointTable, c: ConstraintSet) -> np.ndarray:
     for linear sets the row residuals ``b - A p`` on the set's marginal.
     """
     if isinstance(c, MarginalConstraint):
-        current = marginalize(table, c.scope).probs
-        return np.asarray(c.targets, dtype=float) - current
+        return marginal_gradient(c.targets, marginalize(table, c.scope).probs)
     if isinstance(c, ConditionalConstraint):
         q, false, true = _condition_event(table, c)
         return np.array([c.prob - q[true] / (q[false] + q[true])])
     if isinstance(c, LinearConstraint):
         return c.rhs - c.rows @ marginalize(table, c.scope).probs
     raise TypeError(f"unknown constraint type {type(c).__name__}")
+
+
+def marginal_gradient(targets, current: np.ndarray) -> np.ndarray:
+    """Target minus current probability per event: the dual gradient of a
+    marginal set, or of several whose events follow one another."""
+    return np.asarray(targets, dtype=float) - current
 
 
 def gradient_scalar(table: JointTable, c: ConstraintSet) -> float:

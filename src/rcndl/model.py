@@ -257,6 +257,8 @@ def event_factors(
     The first event with positive target but no current mass is infeasible,
     named by its variables' values.
     """
+    if current.min() > 0.0:  # every event has mass: the common case
+        return target / current
     mass = current > 0.0
     infeasible = ~mass & (target > 0.0)
     if infeasible.any():

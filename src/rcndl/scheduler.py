@@ -9,33 +9,29 @@ every gradient is below its threshold (or the pass budget runs out).  In
 the first pass each set is applied on its own; from the second on, a set
 is applied jointly with every other set its home clause holds (one linear
 set, ``stacked``), since cyclic projections onto sets that pin a clause
-together can need thousands of passes.
-
-Propagation carries the home clause's new table to every other clause of
-its component, each once, by a crossing away from the home.  Every edge
-carries a separator scope, and crossing an edge means a marginal (Jeffrey)
-update of the far clause with the near clause's separator distribution;
-group nodes make this exact even where a rule head spans several upstream
-clauses.
+together can need thousands of passes.  After a step, the first gradient
+read sums every marginal set's events on its home in one ``bincount``
+(``marginal_gradients``); a conditional or linear set's gradient is read
+on its own, when asked for.
 
 A network holds every clause table in one read-only float64 array from
-preprocessing on.  A run copies it once and updates the copy in place; the
-posterior is the network over the copy.  A crossing index, built once per
-network by ``preprocess`` (``PropagationIndex``), names each edge side's
-clause and separator events, each clause's crossings away, and each tree
-of the clause forest by its lowest node, a query clique.  A run compiles
-one schedule: it roots each tree holding a home there, walks the index
-breadth-first from those roots, one depth at a time, and gathers every
-depth's crossings' states and events at once: crossings at one depth touch
-disjoint far clauses and read near clauses already final, so each depth is
-a few batched numpy operations.  Propagating from a home crosses the edges
-from the home up to its root one at a time, each a level of one crossing,
-then runs the tree's depths down from the root, where each edge of the way
-up gets a factor of exactly 1.0 (a depth holding no other crossing is left
-out).  Every crossing thus reads and writes what it would in a
-breadth-first walk away from the home.  Each separator event belongs to
-one crossing and sums its states in ascending order, as one update per
-edge would, so the results are bit-for-bit those of the edge-by-edge walk.
+preprocessing on; a run copies it once and updates the copy in place.
+Propagation carries the home clause's new table to every other clause of
+its component, each once, by a crossing away from the home: a marginal
+(Jeffrey) update of the far clause with the near clause's separator
+distribution (group nodes make this exact where a rule head spans several
+upstream clauses).  A run compiles one schedule from the network's
+crossing index (``PropagationIndex``).  It roots each clause tree holding
+a home at its lowest node, a query clique, and gathers every crossing at
+one depth below the root into one level: they touch disjoint far clauses
+and read near clauses already final.  A route from a home crosses the
+edges up to the root, a level each, then runs the tree's levels down, with
+a factor of exactly 1.0 on each edge of the way up (a level of no other
+crossing is left out).  A level is a few numpy calls: a gather and a
+``bincount`` of each side, a division and a scatter of the rescaled far
+side.  Each separator event sums its states in ascending order, as one
+update per edge would, so the results are bit-for-bit those of the
+edge-by-edge walk.
 """
 
 from __future__ import annotations
@@ -52,6 +48,7 @@ from .engine import (
     gradient_scalar,
     jeffrey_update,
     lec_solve,
+    marginal_gradient,
 )
 from .errors import (
     ConvergenceError,
@@ -276,12 +273,38 @@ def _propagate(net: PreparedNetwork, flat: np.ndarray, route: _Route) -> None:
     state map is onto its separator, so both sums have every event."""
     for lv, (a, b) in route.levels:
         target = np.bincount(lv.near_event, flat[lv.near_pos])
-        current = np.bincount(lv.far_event, flat[lv.far_pos])
-        target[a:b] = current[a:b]  # crossed on the way up: a factor of 1.0
+        far = flat[lv.far_pos]  # a view where far_pos is a slice, else a copy
+        current = np.bincount(lv.far_event, far)
+        if a < b:  # crossed on the way up: a factor of 1.0
+            target[a:b] = current[a:b]
         # the separators are looked up only to word an infeasible crossing
-        factors = event_factors(target, current,
-                                (net.edges[e].separator for e in lv.edges))
-        flat[lv.far_pos] *= factors[lv.far_event]
+        far *= event_factors(target, current,
+                             (net.edges[e].separator for e in lv.edges))[lv.far_event]
+        flat[lv.far_pos] = far
+
+
+def _gather(net: PreparedNetwork, cons: tuple[ConstraintSet, ...],
+            homes: list[int], marg: list[int]) -> tuple[np.ndarray, ...]:
+    """``marginal_gradients``' index of the marginal sets ``marg``: the flat
+    positions of their homes' states, each state's event (``lift``-ed onto
+    the home, the sets' events numbered one after another), their targets
+    and each set's first event."""
+    h = np.array([homes[i] for i in marg], np.intp)
+    first = np.cumsum([0] + [cons[i].scope.n_states for i in marg])
+    event = np.concatenate([np.empty(0, np.intp)] + [
+        lift(np.arange(f, g), cons[i].scope, net.nodes[homes[i]].scope)
+        for i, f, g in zip(marg, first, first[1:])])
+    return (ranges(net.start[h], np.diff(net.start)[h]), event,
+            np.array([t for i in marg for t in cons[i].targets]), first[:-1])
+
+
+def marginal_gradients(flat: np.ndarray, pos: np.ndarray, event: np.ndarray,
+                       targets: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Every marginal set's ``gradient_scalar`` on ``flat`` from one
+    ``bincount`` of its home's states by its events, each event's states
+    summed in ascending order, as ``marginalize`` sums them."""
+    mass = np.bincount(event, flat[pos], minlength=targets.size)
+    return np.maximum.reduceat(np.abs(marginal_gradient(targets, mass)), first)
 
 
 def stacked(sets: list[ConstraintSet] | tuple[ConstraintSet, ...],
@@ -409,11 +432,15 @@ def run_reasoning(
 
     flat = net.flat.copy()
     routes = compile_schedule(net, homes)
+    marg = [i for i, c in enumerate(cons) if isinstance(c, MarginalConstraint)]
+    gather = _gather(net, cons, homes, marg)
     names, ix = list(net.introducer), net.index
     known: dict[int, float] = {}  # gradients on the tables as they stand
 
     def gradient(i: int) -> float:
-        if i not in known:
+        if not known and marg:  # every marginal set's at once
+            known.update(zip(marg, marginal_gradients(flat, *gather).tolist()))
+        if i not in known:  # any other set's on its own, when asked for
             known[i] = gradient_scalar(_table(net, flat, homes[i]), cons[i])
         return known[i]
 
@@ -431,7 +458,7 @@ def run_reasoning(
                     for i in range(len(cons))]
         unused = list(range(len(cons)))
         while unused:
-            pick = (max(unused, key=lambda i: (gradient(i), -i))
+            pick = (max(unused, key=gradient)  # the first of equal ones
                     if ev.policy == GREATEST_GRADIENT else unused[0])
             g_before = gradient(pick)
             unused.remove(pick)

@@ -87,18 +87,28 @@ def networks(draw, forest=None, min_units=0, bridge=False):
     return "\n".join(lines), rules, observed
 
 
+def conditioned_body(draw, rules):
+    """A condition on one to all head variables of a rule, in any order,
+    with that rule's body.  The rule is drawn from all rules or from those
+    of the widest head: only sibling-headed units and bridges make heads
+    of two variables, whose condition events can mix true and false."""
+    width = max(map(len, rules))
+    pool = draw(st.sampled_from([rules, [r for r in rules if len(r) == width]]))
+    *head, body = draw(st.sampled_from(pool))
+    head = draw(st.lists(st.sampled_from(head), min_size=1, unique=True))
+    return tuple((v, draw(st.booleans())) for v in head), body
+
+
 def constraint(draw, rules, observed):
     kind = draw(st.sampled_from(("marginal", "conditional", "linear")))
     if kind == "marginal":
         v = draw(PROB)
         return MarginalConstraint(Scope((draw(st.sampled_from(observed)),)),
                                   (1.0 - v, v))
-    scope = Scope(draw(st.sampled_from(rules)))
     if kind == "conditional":
-        cond_vars = draw(st.lists(st.sampled_from(scope.vars[:-1]),
-                                  min_size=1, unique=True))
-        condition = tuple((v, draw(st.booleans())) for v in cond_vars)
-        return ConditionalConstraint(scope.vars[-1], condition, draw(PROB))
+        condition, body = conditioned_body(draw, rules)
+        return ConditionalConstraint(body, condition, draw(PROB))
+    scope = Scope(draw(st.sampled_from(rules)))
     # rows whose right-hand sides some full-support table over the scope meets
     weights = np.array([draw(PROB) for _ in range(scope.n_states)])
     q = weights / weights.sum()

@@ -34,7 +34,7 @@ from rcndl import (
 from rcndl.errors import ProbabilityError
 from rcndl.model import QueryClause, RuleClause, substate_map
 from tests.conftest import brute_force_cancer, brute_force_three_vars
-from tests.test_batched_propagation import PROB, networks
+from tests.test_batched_propagation import PROB, conditioned_body, networks
 
 
 def enumerated_joint(program, variables):
@@ -436,10 +436,8 @@ def tilted_problems(draw):
             scope = Scope((draw(st.sampled_from(observed)),))
             cons.append(MarginalConstraint(scope, tuple(marginal(scope).tolist())))
             continue
-        *head, body = draw(st.sampled_from(rules))
         if kind == "conditional":
-            condition = tuple((v, draw(st.booleans())) for v in draw(
-                st.lists(st.sampled_from(head), min_size=1, unique=True)))
+            condition, body = conditioned_body(draw, rules)
             scope = Scope(tuple(v for v, _ in condition) + (body,))
             m = marginal(scope)
             # the condition's state with the body, the last bit, false
@@ -449,7 +447,7 @@ def tilted_problems(draw):
             cons.append(ConditionalConstraint(body, condition,
                                               float(true / (true + false))))
             continue
-        scope = Scope((*head, body))
+        scope = Scope(draw(st.sampled_from(rules)))
         rows = np.array([[draw(st.integers(0, 3)) for _ in range(scope.n_states)]
                          for _ in range(draw(st.integers(1, 2)))], dtype=float)
         cons.append(LinearConstraint(scope, rows, rows @ marginal(scope)))

@@ -500,6 +500,22 @@ def test_joint_set_over_an_emptied_condition_is_infeasible(policy):
         run_reasoning(net, EvidenceSet(cons, policy=policy))
 
 
+@pytest.mark.parametrize("first,second", [("B", "C"), ("C", "B")])
+def test_equal_gradients_are_used_lower_index_first(first, second):
+    # B and C hang off A by equal rules, so equal targets on them have
+    # gradients equal to the last bit, and greatest-gradient uses the set
+    # given first, whichever leaf it is on
+    net = preprocess(parse_program(
+        "?- A : [0.4, 0.6].\nA -> B : [0.3, 0.8].\nA -> C : [0.3, 0.8].\nB.\nC.\n"))
+    cons = tuple(MarginalConstraint(Scope((v,)), (0.1, 0.9)) for v in (first, second))
+    g = [gradient_scalar(net.tables[home_clause(net, c)], c) for c in cons]
+    assert g[0] == g[1]
+    _, trace = run_reasoning(net, EvidenceSet(cons, policy=GREATEST_GRADIENT))
+    assert [s.constraint for s in trace.steps[:2]] == [f"P({first})=0.9",
+                                                       f"P({second})=0.9"]
+    assert trace.steps[0].gradient_before == g[0]
+
+
 def _random_network(rng, n_vars=None):
     """A random singly connected program with every variable observable."""
     n = n_vars or int(rng.integers(3, 6))

@@ -33,6 +33,9 @@ this checkout's).  The script prints one JSON object:
   home: plans over groups and, where root cliques are disjoint, forests.
   A second pass would order constraints that the first left exactly met
   by round-off;
+* ``program_runs_in_order``: the same runs under program order, which
+  uses each set when its turn comes and reads only that set's gradient
+  before the step;
 * ``oracle_runs``: for each accepted program, by program number,
   ``oracle_mce(expand_full_joint(net), sets, 1e-12)`` on the sets of its
   ``program_runs`` entry, its posterior hashed, or the error's type and
@@ -100,8 +103,9 @@ a change, run the script against a second checkout of the parent commit
 (``git worktree`` or ``git archive``) and against the change, and diff the
 two outputs.
 
-``--values`` also saves, for every ``workloads``, ``paper`` and
-``program_runs`` run (as ``program_runs/<k>``), the posterior tables, each
+``--values`` also saves, for every ``workloads``, ``paper``,
+``program_runs`` and ``program_runs_in_order`` run (as ``program_runs/<k>``
+and ``program_runs_in_order/<k>``), the posterior tables, each
 variable's posterior P(var), and the pass and step counts; for every
 ``stacked``, ``oracle`` and ``oracle_runs`` entry, as ``stacked/<k>``,
 ``oracle/<k>`` and ``oracle_runs/<k>``, the posterior table and each
@@ -403,12 +407,13 @@ def program_sets(rcndl, net, k: int) -> list:
     return cons
 
 
-def programs(rcndl, n: int, values: dict) -> tuple[dict, list, dict, dict, dict]:
+def programs(rcndl, n: int, values: dict
+             ) -> tuple[dict, list, dict, dict, dict, dict]:
     """The ``programs``, ``program_outcomes``, ``program_runs``,
-    ``messages`` and ``oracle_runs`` sections."""
+    ``program_runs_in_order``, ``messages`` and ``oracle_runs`` sections."""
     rng = random.Random(PROGRAM_SEED)
     summary: dict[str, int] = {"count": n, "accepted": 0, "inexact": 0}
-    outcomes, runs, messages, oracle_runs = [], {}, {}, {}
+    outcomes, runs, in_order, messages, oracle_runs = [], {}, {}, {}, {}
     for k in range(n):
         text = generated_program(rng)
         try:
@@ -428,13 +433,15 @@ def programs(rcndl, n: int, values: dict) -> tuple[dict, list, dict, dict, dict]
                                [t.probs.tobytes() for t in reads]))
         summary["inexact"] += int(enumeration_error(rcndl, net, reads) > EXACT_TOL)
         cons = program_sets(rcndl, net, k)
-        result = run(rcndl, net, cons, rcndl.GREATEST_GRADIENT, 0.0,
-                     max_passes=1)
-        runs[str(k)] = run_digest(result)
-        values[f"program_runs/{k}"] = run_values(rcndl, result)
+        for policy, out, name in ((rcndl.GREATEST_GRADIENT, runs, "program_runs"),
+                                  (rcndl.PROGRAM_ORDER, in_order,
+                                   "program_runs_in_order")):
+            result = run(rcndl, net, cons, policy, 0.0, max_passes=1)
+            out[str(k)] = run_digest(result)
+            values[f"{name}/{k}"] = run_values(rcndl, result)
         oracle_runs[str(k)] = oracle_entry(
             rcndl, rcndl.expand_full_joint(net), cons, values, f"oracle_runs/{k}")
-    return summary, outcomes, runs, messages, oracle_runs
+    return summary, outcomes, runs, in_order, messages, oracle_runs
 
 
 def chain_program(k: int) -> str:
@@ -716,8 +723,8 @@ def main(argv=None) -> None:
                          "of stacked mixes (default 2000)")
     ap.add_argument("--values", metavar="FILE",
                     help="also save the workload, paper, program_runs, "
-                         "stacked, oracle and oracle_runs posteriors to this "
-                         ".npz file")
+                         "program_runs_in_order, stacked, oracle and "
+                         "oracle_runs posteriors to this .npz file")
     ap.add_argument("--close", nargs=2, metavar="FILE",
                     help="compare two --values files instead of hashing")
     args = ap.parse_args(argv)
@@ -731,7 +738,7 @@ def main(argv=None) -> None:
 
     print(f"rcndl from {Path(rcndl.__file__).parent}", file=sys.stderr)
     values: dict = {}
-    summary, outcomes, runs, messages, oracle_runs = programs(
+    summary, outcomes, runs, in_order, messages, oracle_runs = programs(
         rcndl, args.programs, values)
     linear_outcomes, linear_messages = linear(rcndl, args.programs)
     json.dump({
@@ -740,6 +747,7 @@ def main(argv=None) -> None:
         "programs": summary,
         "program_outcomes": outcomes,
         "program_runs": runs,
+        "program_runs_in_order": in_order,
         "oracle_runs": oracle_runs,
         "messages": messages,
         "chains": chains(rcndl),
