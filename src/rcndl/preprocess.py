@@ -100,8 +100,9 @@ class Edge(NamedTuple):
 
 
 class PropagationIndex(NamedTuple):
-    """What a reasoning run reads that depends only on structure, as
-    read-only arrays.  Side ``2e`` of edge ``e`` is its end ``a``, side
+    """The clause tree's crossings, from which preprocessing builds the
+    ``PropagationSchedule``, and each variable's states in its introducer,
+    as read-only arrays.  Side ``2e`` of edge ``e`` is its end ``a``, side
     ``2e + 1`` its end ``b``; crossing ``c`` reads side ``c`` and updates
     side ``c ^ 1``, so both directions share one entry per side."""
 
@@ -117,15 +118,54 @@ class PropagationIndex(NamedTuple):
     true_var: np.ndarray     # each position's variable, the same in both
 
 
+class _Level(NamedTuple):
+    """Every edge crossing at one depth of a propagation, concatenated.
+
+    ``near_*`` list the states of the clauses crossed from, ``far_*`` those
+    of the clauses updated: each state's position in the flat array (an
+    index array, or a slice where the level holds one crossing) and the
+    separator event it belongs to.  The events of the crossings' separators
+    are numbered one after another, in crossing order.  ``edges`` are the
+    crossed edges, in the same order.
+    """
+
+    near_pos: np.ndarray | slice
+    near_event: np.ndarray
+    far_pos: np.ndarray | slice
+    far_event: np.ndarray
+    edges: np.ndarray
+
+
+class PropagationSchedule(NamedTuple):
+    """Every clause tree's propagation, rooted once per network at the
+    tree's lowest node (``PropagationIndex.component``) and shared by every
+    posterior.  Keyed by that root, ``down`` holds the tree's levels by
+    depth and ``touched`` the tree's nodes, ascending.  Row ``i`` of ``up``
+    is node ``i``'s crossing back up over the crossing that reached it
+    (all -1 at a root): the node above it; node ``i``'s table in ``flat``
+    (start, stop) and where its state map on that edge starts in
+    ``PropagationIndex.events``; the same three for the node above; the
+    edge; and the event range, in its level down, of the crossing that
+    reached node ``i``."""
+
+    down: dict[int, tuple[_Level, ...]]
+    touched: dict[int, tuple[int, ...]]
+    up: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)  # equal only if identical
 class PreparedNetwork:
     """A validated network whose clauses all carry joint tables.
 
     The tables live in one read-only float64 array in node order: node
     ``i``'s table is ``flat[start[i]:start[i + 1]]``.  A reasoning run
-    returns a network over a new array.  ``index`` holds what a run reads
-    that depends only on structure; ``preprocess`` builds it once per
-    network, and every network over new tables shares it.
+    returns a network over a new array.  What a run reads that depends
+    only on structure, ``preprocess`` builds once per network, and every
+    network over new tables shares the same objects: ``index``, each edge
+    side's table and state map and each variable's states in its
+    introducer, and ``schedule``, each tree's levels down from its root
+    and each node's crossing up, from which a run takes a home's route by
+    a walk up from the home.
     """
 
     program: SourceProgram
@@ -137,6 +177,7 @@ class PreparedNetwork:
     covers: dict[str, tuple[int, ...]] = field(repr=False)  # by scope length
     observables: frozenset[str]
     index: PropagationIndex = field(repr=False)  # shared by every posterior
+    schedule: PropagationSchedule = field(repr=False)  # likewise
 
     @cached_property
     def tables(self) -> tuple[JointTable, ...]:
@@ -502,6 +543,67 @@ def _propagation_index(b: _Builder, edges, start) -> PropagationIndex:
     return index
 
 
+def _propagation_schedule(ix: PropagationIndex, start) -> PropagationSchedule:
+    """Every tree's ``PropagationSchedule``, from the crossing index ``ix``
+    of tables that start at ``start``.
+
+    One breadth-first walk of the index from every tree's root at once, one
+    depth at a time, finds each node's crossing from its parent, and one
+    gather of every crossing's states and events makes each tree's levels.
+    The clause tree is a forest, so each crossing away from a clause
+    reaches a new one, except the crossing back over the edge that reached
+    it.
+    """
+    n = ix.component.size
+    roots = np.flatnonzero(ix.component == np.arange(n))
+    degree = np.diff(ix.away_start)
+    first, states = start[ix.ends], np.diff(start)[ix.ends]  # sides' tables
+    level = ix.away[ranges(ix.away_start[roots], degree[roots])]
+    walk = np.repeat(roots, degree[roots])  # each crossing's root, ascending
+    found, level_of = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    while level.size:
+        level_of.append(len(found) * n + walk)  # one level per depth, tree
+        found.append(level)
+        far = ix.ends[level ^ 1]
+        onward = ix.away[ranges(ix.away_start[far], degree[far])]
+        keep = onward != np.repeat(level ^ 1, degree[far])
+        level, walk = onward[keep], np.repeat(walk, degree[far])[keep]
+    crossings, level_of = np.concatenate(found), np.concatenate(level_of)
+    bounds = np.append(np.flatnonzero(np.diff(level_of, prepend=-1)), level_of.size)
+    edges = crossings >> 1
+    counted = np.concatenate(([0], np.cumsum(ix.n_events[edges])))
+    # event ids restart at each level
+    offset = counted[:-1] - np.repeat(counted[bounds[:-1]], np.diff(bounds))
+    near, far = [], []
+    for sides, out in ((crossings, near), (crossings ^ 1, far)):
+        sizes = states[sides]
+        cut = np.concatenate(([0], np.cumsum(sizes)))[bounds].tolist()
+        e = ix.events[ranges(ix.event_first[sides], sizes)]
+        e += np.repeat(offset, sizes)
+        p = ranges(first[sides], sizes)
+        out.extend((p[a:b], e[a:b]) for a, b in zip(cut, cut[1:]))
+    down = {r: [] for r in roots.tolist()}  # by depth
+    spans, trees = bounds.tolist(), (level_of[bounds[:-1]] % n).tolist()
+    for k, (a, b, r) in enumerate(zip(spans, spans[1:], trees)):
+        down[r].append(_Level(*near[k], *far[k], edges[a:b]))
+    touched = {r: [] for r in down}
+    for i, r in enumerate(ix.component.tolist()):
+        touched[r].append(i)
+
+    # each reached node's crossing back up to the node that reached it
+    back = crossings ^ 1
+    node, parent = ix.ends[back], ix.ends[crossings]
+    up = np.full((n, 10), -1, np.intp)
+    up[node] = np.column_stack((
+        parent, start[node], start[node + 1], ix.event_first[back],
+        start[parent], start[parent + 1], ix.event_first[crossings],
+        edges, offset, offset + ix.n_events[edges]))
+    up.setflags(write=False)
+    return PropagationSchedule(
+        {r: tuple(lvs) for r, lvs in down.items()},
+        {r: tuple(t) for r, t in touched.items()}, up)
+
+
 def preprocess(program: SourceProgram) -> PreparedNetwork:
     """Validate the program and propagate priors so every clause has a table."""
     clauses = program.clauses
@@ -587,6 +689,7 @@ def preprocess(program: SourceProgram) -> PreparedNetwork:
         covers={v: tuple(c) for v, c in b.covers.items()},
         observables=frozenset(b.observed),
         index=index,
+        schedule=_propagation_schedule(index, start),
     )
 
 

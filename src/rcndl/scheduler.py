@@ -20,14 +20,15 @@ Propagation carries the home clause's new table to every other clause of
 its component, each once, by a crossing away from the home: a marginal
 (Jeffrey) update of the far clause with the near clause's separator
 distribution (group nodes make this exact where a rule head spans several
-upstream clauses).  A run compiles one schedule from the network's
-crossing index (``PropagationIndex``).  It roots each clause tree holding
-a home at its lowest node, a query clique, and gathers every crossing at
-one depth below the root into one level: they touch disjoint far clauses
-and read near clauses already final.  A route from a home crosses the
-edges up to the root, a level each, then runs the tree's levels down, with
-a factor of exactly 1.0 on each edge of the way up (a level of no other
-crossing is left out).  A level is a few numpy calls: a gather and a
+upstream clauses).  Preprocessing builds the propagation schedule once
+per network (``PropagationSchedule``): it roots each clause tree at its
+lowest node, a query clique, and gathers every crossing at one depth below
+the root into one level, since they touch disjoint far clauses and read
+near clauses already final; each node keeps the crossing that reached it.
+A run takes each home's route by a walk up those crossings to the root, a
+level made for each, then runs the tree's levels down, with a factor of
+exactly 1.0 on each edge of the way up (a level of no other crossing is
+left out).  A level is a few numpy calls: a gather and a
 ``bincount`` of each side, a division and a scatter of the rescaled far
 side.  Each separator event sums its states in ascending order, as one
 update per edge would, so the results are bit-for-bit those of the
@@ -72,7 +73,7 @@ from .model import (
     lift,
     marginalize,  # unused here; perfbench/tracer.py wraps it by this name
 )
-from .preprocess import GROUP, PreparedNetwork, covering_node
+from .preprocess import GROUP, PreparedNetwork, _Level, covering_node
 from .tables import ranges
 
 
@@ -156,26 +157,8 @@ def validate_evidence(net: PreparedNetwork, ev: EvidenceSet) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# One rooted propagation schedule per run, over a network's flat array
+# Propagation over a network's flat array, along the network's schedule
 # --------------------------------------------------------------------------
-
-class _Level(NamedTuple):
-    """Every edge crossing at one depth of a propagation, concatenated.
-
-    ``near_*`` list the states of the clauses crossed from, ``far_*`` those
-    of the clauses updated: each state's position in the flat array (an
-    index array, or a slice where the level holds one crossing) and the
-    separator event it belongs to.  The events of the crossings' separators
-    are numbered one after another, in crossing order.  ``edges`` are the
-    crossed edges, in the same order.
-    """
-
-    near_pos: np.ndarray | slice
-    near_event: np.ndarray
-    far_pos: np.ndarray | slice
-    far_event: np.ndarray
-    edges: np.ndarray
-
 
 class _Route(NamedTuple):
     """Propagation from one home clause: up to its component's root, one
@@ -199,72 +182,27 @@ def _table(net: PreparedNetwork, flat: np.ndarray, i: int) -> JointTable:
                       _validate=False)
 
 
-def compile_schedule(net: PreparedNetwork, homes: list[int]) -> dict[int, _Route]:
-    """The run's propagation schedule: a route for each distinct home.
-
-    Preprocessing names each tree of the clause forest by its lowest node, a
-    query clique without parents (query cliques come first); the schedule
-    roots each tree holding a home there.  One breadth-first walk of the
-    network's ``PropagationIndex`` from those roots at once, one depth at a
-    time, finds each node's crossing from its parent, and one gather of every
-    crossing's states and events makes the levels that each route in a tree
-    shares.  The clause tree is a forest, so each crossing away from a clause
-    reaches a new one, except the crossing back over the edge that reached it.
-    """
-    ix, homes, n = net.index, list(dict.fromkeys(homes)), len(net.nodes)
-    roots = sorted(set(ix.component[homes].tolist()))  # np.unique imports numpy.ma
-    degree = np.diff(ix.away_start)
-    first, states = net.start[ix.ends], np.diff(net.start)[ix.ends]  # sides' tables
-    level = ix.away[ranges(ix.away_start[roots], degree[roots])]
-    walk = np.repeat(roots, degree[roots])  # each crossing's root, ascending
-    found, level_of = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-    while level.size:
-        level_of.append(len(found) * n + walk)  # one level per depth, tree
-        found.append(level)
-        far = ix.ends[level ^ 1]
-        onward = ix.away[ranges(ix.away_start[far], degree[far])]
-        keep = onward != np.repeat(level ^ 1, degree[far])
-        level, walk = onward[keep], np.repeat(walk, degree[far])[keep]
-    crossings, level_of = np.concatenate(found), np.concatenate(level_of)
-    bounds = np.append(np.flatnonzero(np.diff(level_of, prepend=-1)), level_of.size)
-    edges = crossings >> 1
-    counted = np.concatenate(([0], np.cumsum(ix.n_events[edges])))
-    # event ids restart at each level
-    offset = counted[:-1] - np.repeat(counted[bounds[:-1]], np.diff(bounds))
-    near, far = [], []
-    for sides, out in ((crossings, near), (crossings ^ 1, far)):
-        sizes = states[sides]
-        cut = np.concatenate(([0], np.cumsum(sizes)))[bounds].tolist()
-        e = ix.events[ranges(ix.event_first[sides], sizes)]
-        e += np.repeat(offset, sizes)
-        p = ranges(first[sides], sizes)
-        out.extend((p[a:b], e[a:b]) for a, b in zip(cut, cut[1:]))
-    levels = {r: [] for r in roots}  # by depth
-    spans, trees = bounds.tolist(), (level_of[bounds[:-1]] % n).tolist()
-    for k, (a, b, r) in enumerate(zip(spans, spans[1:], trees)):
-        levels[r].append(_Level(*near[k], *far[k], edges[a:b]))
-    way = np.full(n, -1)
-    way[ix.ends[crossings ^ 1]] = np.arange(crossings.size)  # what reached each
-    touched = {r: tuple(np.flatnonzero(ix.component == r).tolist()) for r in levels}
-
-    def side(s: int) -> tuple[slice, np.ndarray]:
-        a, size, e = first[s], states[s], ix.event_first[s]
-        return slice(a, a + size), ix.events[e:e + size]
-
-    routes = {}
-    for h, w in zip(homes, ix.component[homes].tolist()):
-        up, skip, i = [], [], h
-        while (k := way[i]) >= 0:  # crossed the other way, from i up
-            c, size = crossings[k] ^ 1, int(ix.n_events[edges[k]])
-            up.append((_Level(*side(c), *side(c ^ 1), edges[k:k + 1]), (0, 0)))
-            skip.append((int(offset[k]), int(offset[k]) + size))
-            i = ix.ends[c ^ 1]
-        skip = skip[::-1] + [(0, 0)] * (len(levels[w]) - len(skip))
-        # a level that holds only a crossing of the way up has nothing to do
-        down = [(lv, s) for lv, s in zip(levels[w], skip)
-                if lv.edges.size > 1 or s == (0, 0)]
-        routes[h] = _Route(touched[w], tuple(up + down))
-    return routes
+def route_from(net: PreparedNetwork, home: int) -> _Route:
+    """The route from ``home``: a walk up the network's schedule to the
+    root of the home's tree, a level made for each crossing of the way,
+    then the tree's levels down, each skipping the crossing the walk took
+    the other way."""
+    sc, events = net.schedule, net.index.events
+    up, skip, i = [], [], home
+    while i not in sc.down:  # a root keys its tree's levels
+        row = sc.up[i]
+        p, a, b, e, pa, pb, pe, _, s, t = row.tolist()
+        edge = row[7:8]  # a view of the row, cheaper than a new array
+        up.append((_Level(slice(a, b), events[e:e + b - a], slice(pa, pb),
+                          events[pe:pe + pb - pa], edge), (0, 0)))
+        skip.append((s, t))
+        i = p
+    levels = sc.down[i]
+    skip = skip[::-1] + [(0, 0)] * (len(levels) - len(skip))
+    # a level that holds only a crossing of the way up has nothing to do
+    down = [(lv, s) for lv, s in zip(levels, skip)
+            if lv.edges.size > 1 or s == (0, 0)]
+    return _Route(sc.touched[i], tuple(up + down))
 
 
 def _propagate(net: PreparedNetwork, flat: np.ndarray, route: _Route) -> None:
@@ -277,9 +215,12 @@ def _propagate(net: PreparedNetwork, flat: np.ndarray, route: _Route) -> None:
         current = np.bincount(lv.far_event, far)
         if a < b:  # crossed on the way up: a factor of 1.0
             target[a:b] = current[a:b]
-        # the separators are looked up only to word an infeasible crossing
-        far *= event_factors(target, current,
-                             (net.edges[e].separator for e in lv.edges))[lv.far_event]
+        if current.min() > 0.0:  # every event has mass: the common case
+            factors = target / current
+        else:  # the separators are looked up only to word an infeasible one
+            factors = event_factors(target, current, [
+                net.edges[e].separator for e in lv.edges.tolist()])
+        far *= factors[lv.far_event]
         flat[lv.far_pos] = far
 
 
@@ -393,7 +334,7 @@ def propagate_clause_update(net: PreparedNetwork, updated: int) -> PreparedNetwo
     near clause's current separator marginal.
     """
     flat = net.flat.copy()
-    _propagate(net, flat, compile_schedule(net, [updated])[updated])
+    _propagate(net, flat, route_from(net, updated))
     return net.over(flat)
 
 
@@ -404,7 +345,7 @@ def apply_constraint(
     is validated as ``run_reasoning`` validates evidence."""
     [home] = validate_evidence(net, EvidenceSet((c,)))
     flat = net.flat.copy()
-    _apply(net, flat, home, compile_schedule(net, [home])[home], c, TOLERANCE)
+    _apply(net, flat, home, route_from(net, home), c, TOLERANCE)
     return net.over(flat), home
 
 
@@ -431,7 +372,7 @@ def run_reasoning(
         return net, trace
 
     flat = net.flat.copy()
-    routes = compile_schedule(net, homes)
+    routes = {h: route_from(net, h) for h in dict.fromkeys(homes)}
     marg = [i for i, c in enumerate(cons) if isinstance(c, MarginalConstraint)]
     gather = _gather(net, cons, homes, marg)
     names, ix = list(net.introducer), net.index

@@ -227,11 +227,13 @@ def reweighted_networks(draw):
 @settings(max_examples=100, deadline=None)
 @given(reweighted_networks())
 def test_propagation_from_every_node_matches_reference(net):
-    """From every node, group nodes included: the route covers the node's
+    """From every node, group nodes included: the route taken from the
+    network's schedule is the reference builder's, it covers the node's
     component only, and propagating matches the rooted reference byte for
     byte or fails with the same error."""
-    homes = range(len(net.nodes))
-    routes = scheduler.compile_schedule(net, list(homes))
+    homes = list(range(len(net.nodes)))
+    routes = routes_from(net, homes)
+    same_routes(routes, reference.compile_schedule(net, homes))
     for home in homes:
         assert routes[home].touched == component(net, home)
         got = outcome(propagate_clause_update, net, home)
@@ -265,7 +267,7 @@ def test_state_maps_built_once_per_edge_side(problem):
                        sys.modules["rcndl.tables"]):
             mp.setattr(module, "substate_map", counting, raising=False)
         outcome(run_reasoning, net, ev)
-        scheduler.compile_schedule(net, list(range(len(net.nodes))))
+        routes_from(net, range(len(net.nodes)))
         outcome(apply_constraint, net, ev.constraints[0])
         propagate_clause_update(net, len(net.nodes) - 1)
         assert calls == []
@@ -287,8 +289,8 @@ def test_state_maps_built_once_per_edge_side(problem):
 @settings(max_examples=30, deadline=None)
 @given(problems())
 def test_posteriors_share_the_prior_index(problem):
-    """The index depends only on structure: every network over new tables
-    holds the prior's index object."""
+    """The index and the schedule depend only on structure: every network
+    over new tables holds the prior's index and schedule objects."""
     net, ev = problem
     derived = [net.over(net.flat.copy()), net.with_table(0, net.tables[0]),
                propagate_clause_update(net, 0)]
@@ -297,6 +299,40 @@ def test_posteriors_share_the_prior_index(problem):
         if not isinstance(result[0], type):
             derived.append(result[0])
     assert all(n.index is net.index for n in derived)
+    assert all(n.schedule is net.schedule for n in derived)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_runs_build_no_schedule(problem):
+    """Preprocessing builds the schedule once: with the builder made to
+    raise afterwards, a run, a constraint's application and a clause's
+    propagation still run, and give the same bytes or the same error."""
+    net, ev = problem
+    calls = ((run_reasoning, ev), (apply_constraint, ev.constraints[0]),
+             (lambda n, i: (propagate_clause_update(n, i), None),
+              len(net.nodes) - 1))
+    want = [outcome(fn, net, arg) for fn, arg in calls]
+
+    def no_schedule(*args):
+        raise AssertionError("a schedule built after preprocessing")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules["rcndl.preprocess"], "_propagation_schedule",
+                   no_schedule)
+        got = [outcome(fn, net, arg) for fn, arg in calls]
+    for g, w in zip(got, want):
+        if isinstance(w[0], type):
+            assert g == w
+        else:  # the posterior, then the trace, the home or nothing
+            assert not isinstance(g[0], type), g
+            assert g[0].flat.tobytes() == w[0].flat.tobytes()
+            assert g[1] == w[1]
+
+
+def routes_from(net, homes):
+    """Each home's route, taken from the network's schedule."""
+    return {h: scheduler.route_from(net, h) for h in homes}
 
 
 def same_routes(got, want):
@@ -326,12 +362,11 @@ def same_routes(got, want):
         lambda drawn: preprocess(parse_program(drawn[0])))))
 def test_schedule_matches_reference_builder(net):
     """From every node, group nodes included, on trees, forests and trees
-    with two query cliques without parents: the routes gathered from the
-    index are those of the per-run reference builder, which roots each
-    component by a walk in Python."""
+    with two query cliques without parents: the routes taken from the
+    network's schedule are those of the per-run reference builder, which
+    roots each component by a walk in Python."""
     homes = list(range(len(net.nodes)))
-    same_routes(scheduler.compile_schedule(net, homes),
-                reference.compile_schedule(net, homes))
+    same_routes(routes_from(net, homes), reference.compile_schedule(net, homes))
 
 
 @settings(max_examples=100, deadline=None)
